@@ -28,15 +28,16 @@ from .empirical_process import (
     expected_sup,
     simulate_suprema,
     sup_process,
+    sup_sums,
 )
 from .ground_set import (
     GroundSet,
     RngStream,
     SampleMode,
     SampleScheme,
-    draw_sample,
     enumerate_with_replacement,
     enumerate_without_replacement,
+    sample_counts,
 )
 from .kernels import EigenSpectrum, KernelSpec, eigen_spectrum, gram_matrix, tailsum_bound
 from .localization import (

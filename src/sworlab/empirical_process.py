@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Optional
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import ConfigurationError, OracleScaleError
 from .ground_set import (
@@ -23,8 +24,9 @@ from .ground_set import (
     RngStream,
     SampleMode,
     SampleScheme,
-    batch_sample_without_replacement,
+    counts_matrix,
     enumerate_without_replacement,
+    sample_blocks,
 )
 
 CENTER_TOL = 1e-12
@@ -107,12 +109,16 @@ def center_class(raw: np.ndarray) -> FunctionClass:
     return FunctionClass(vals, centered=True)
 
 
+def sup_sums(values: np.ndarray, counts) -> np.ndarray:
+    """Per sample (row of a count matrix), the sup over the rows of the
+    (M, N) table `values` of the count-weighted sum: (C V^T).max(axis=1)."""
+    return np.asarray(counts @ values.T).max(axis=1)
+
+
 def sup_process(fc: FunctionClass, sample) -> float:
     """sup over rows of the sum of values on the sample (empty sample -> 0)."""
-    idx = np.asarray(sample, dtype=int)
-    if idx.size == 0:
-        return 0.0
-    return float(fc.values[:, idx].sum(axis=1).max())
+    idx = np.asarray(sample, dtype=int).reshape(1, -1)
+    return float(sup_sums(fc.values, counts_matrix(idx, fc.n_points))[0])
 
 
 def class_variance(fc: FunctionClass) -> float:
@@ -122,41 +128,36 @@ def class_variance(fc: FunctionClass) -> float:
     return float((fc.values**2).mean(axis=1).max())
 
 
-def _exact_mean_without(fc: FunctionClass, m: int, budget: int) -> float:
-    gs = fc.ground_set
-    subsets = np.array(list(enumerate_without_replacement(gs, m, budget=budget)))
-    sums = fc.values[:, subsets].sum(axis=2)  # (M, n_subsets)
-    return float(sums.max(axis=0).mean())
+def _enumerated_counts(samples, m: int, n: int):
+    idx = np.fromiter(chain.from_iterable(samples), dtype=np.intp).reshape(-1, m)
+    return counts_matrix(idx, n)
 
 
-def _exact_mean_with(fc: FunctionClass, m: int, budget: int) -> float:
-    # Sum over ordered sequences, grouped by multiset: a multiset with
-    # counts (k_1..k_N) covers m!/prod(k_i!) sequences, and the supremum
-    # depends on the sequence only through its counts.
-    n = fc.n_points
+def exact_mean(
+    fc: FunctionClass, scheme: SampleScheme, budget: int = DEFAULT_ENUM_BUDGET
+) -> float:
+    """E[Q] by enumeration.
+
+    Without replacement: the mean over all m-subsets.  With replacement:
+    the supremum depends on an ordered sequence only through its counts,
+    so sum over multisets, each weighted by its probability
+    m!/prod(k_i!) N^-m.
+    """
+    scheme.validate_for(fc.ground_set)
+    n, m = fc.n_points, scheme.m
+    if scheme.mode is SampleMode.WITHOUT_REPLACEMENT:
+        subsets = enumerate_without_replacement(fc.ground_set, m, budget=budget)
+        return float(sup_sums(fc.values, _enumerated_counts(subsets, m, n)).mean())
     n_multisets = math.comb(n + m - 1, m)
     if n_multisets > budget:
         raise OracleScaleError(
             f"C({n + m - 1},{m}) = {n_multisets} multisets exceeds budget {budget}"
         )
-    log_n = math.log(n)
-    total = 0.0
-    fact_m = math.factorial(m)
-    for combo in combinations_with_replacement(range(n), m):
-        idx = np.asarray(combo)
-        sup = fc.values[:, idx].sum(axis=1).max()
-        weight = fact_m
-        prev, run = combo[0], 0
-        denom = 1
-        for c in combo:
-            if c == prev:
-                run += 1
-            else:
-                denom *= math.factorial(run)
-                prev, run = c, 1
-        denom *= math.factorial(run)
-        total += (weight / denom) * math.exp(-m * log_n) * sup
-    return float(total)
+    counts = _enumerated_counts(combinations_with_replacement(range(n), m), m, n)
+    counts.sum_duplicates()  # one entry k_i per distinct point
+    log_fact = np.add.reduceat(gammaln(counts.data + 1.0), counts.indptr[:-1])
+    prob = np.exp(gammaln(m + 1.0) - log_fact - m * math.log(n))
+    return float(prob @ sup_sums(fc.values, counts))
 
 
 def simulate_suprema(
@@ -173,23 +174,8 @@ def simulate_suprema(
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    scheme.validate_for(fc.ground_set)
-    n, m = fc.n_points, scheme.m
-    out = np.empty(trials)
-    pos = 0
-    b = 0
-    while pos < trials:
-        size = min(block, trials - pos)
-        gen = rng.substream(b).generator()
-        if scheme.mode is SampleMode.WITH_REPLACEMENT:
-            idx = gen.integers(0, n, size=(size, m))
-        else:
-            idx = batch_sample_without_replacement(n, m, size, gen)
-        sums = fc.values[:, idx].sum(axis=2)  # (M, size)
-        out[pos : pos + size] = sums.max(axis=0)
-        pos += size
-        b += 1
-    return out
+    blocks = sample_blocks(fc.n_points, scheme.m, trials, scheme.mode, rng, block)
+    return np.concatenate([sup_sums(fc.values, counts) for counts in blocks])
 
 
 def expected_sup(
@@ -212,10 +198,7 @@ def expected_sup(
     sigma2 = class_variance(fc)
     without = scheme.mode is SampleMode.WITHOUT_REPLACEMENT
     if method == "exact":
-        if without:
-            mean = _exact_mean_without(fc, scheme.m, budget)
-        else:
-            mean = _exact_mean_with(fc, scheme.m, budget)
+        mean = exact_mean(fc, scheme, budget)
         return SupremumStats(
             mean_with=None if without else mean,
             mean_without=mean if without else None,

@@ -19,7 +19,7 @@ from .empirical_process import (
     expected_sup,
     simulate_suprema,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, OracleScaleError
 from .ground_set import RngStream, SampleMode, SampleScheme
 from .kernels import KernelSpec, eigen_spectrum, gram_matrix, tailsum_bound
 from .localization import (
@@ -44,6 +44,7 @@ from .transductive import (
     gen_bound_thm5,
     gen_bound_thm6,
     mc_sup_expectation,
+    sampled_split_risks,
     sigma2_H,
     split_and_risks,
 )
@@ -274,37 +275,46 @@ def run_compare_exponents(
     return report
 
 
+SPLIT_STREAM = 10**6 + 1
+"""Stream index of the validity splits; no other draw in a run uses it."""
+
+
+def _split_statistics(
+    tp: TransductiveProblem, m: int, splits: int, seed: int, *statistics
+) -> list:
+    """Each statistic(train, test) -> per-split values, evaluated on the same
+    `splits` uniform splits (see transductive.sampled_split_risks)."""
+    out = [[] for _ in statistics]
+    rng = RngStream(seed, SPLIT_STREAM)
+    for train, test in sampled_split_risks(tp, m, splits, rng):
+        for acc, statistic in zip(out, statistics):
+            acc.append(statistic(train, test))
+    return [np.concatenate(acc) for acc in out]
+
+
 def _validity_frequencies(
-    tp: TransductiveProblem,
-    m: int,
-    splits: int,
-    seed: int,
+    stats: np.ndarray,
     t_grid,
     bound_fns: dict,
-    statistic,
     guarantee_factor: float = 1.0,
     delta: float = 0.01,
 ) -> dict:
-    """Count how often `statistic(split)` exceeds each bound over splits.
+    """Count how often the per-split `stats` exceed each bound.
 
     bound_fns maps name -> callable(t) giving the bound level; valid when
     the exact lower CI of the exceedance frequency stays at or below
     guarantee_factor * e^{-t}.
     """
-    stats = np.empty(splits)
-    for i in range(splits):
-        sr = split_and_risks(tp, m, RngStream(seed, i))
-        stats[i] = statistic(sr)
     out = {}
     for name, fn in bound_fns.items():
         for t in t_grid:
             level = fn(float(t))
             k = int((stats > level + 1e-12).sum())
-            lower = binomial_lower_ci(k, splits, delta)
+            lower = binomial_lower_ci(k, stats.size, delta)
             guarantee = guarantee_factor * math.exp(-float(t))
             out[f"{name}@t={t}"] = {
                 "bound": level,
-                "violation_frequency": k / splits,
+                "violation_frequency": k / stats.size,
                 "lower_ci": lower,
                 "guarantee": guarantee,
                 "ok": lower <= guarantee,
@@ -334,7 +344,7 @@ def run_transductive_erm(
         sup_exp = exact_sup_expectation(tp, m)
         e_m = exact_with_replacement_expectation(tp, m)
         provenance = {"sup_expectation": "exact", "E_m": "exact"}
-    except Exception:
+    except OracleScaleError:
         sup_exp, se1 = mc_sup_expectation(tp, m, WITHOUT, trials, RngStream(seed, 888))
         e_m, se2 = mc_sup_expectation(tp, m, WITH, trials, RngStream(seed, 889))
         provenance = {
@@ -346,15 +356,10 @@ def run_transductive_erm(
         "thm5": lambda t: gen_bound_thm5(tp, m, t, sup_exp),
         "thm6": lambda t: gen_bound_thm6(tp, m, t, e_m),
     }
-    validity = _validity_frequencies(
-        tp,
-        m,
-        splits,
-        seed,
-        t_grid,
-        bound_fns,
-        statistic=lambda sr: float((sr.overall_risk - sr.train_risk).max()),
+    (sup_gap,) = _split_statistics(
+        tp, m, splits, seed, lambda train, test: (tp.overall_risk - train).max(axis=1)
     )
+    validity = _validity_frequencies(sup_gap, t_grid, bound_fns)
 
     sr = split_and_risks(tp, m, RngStream(seed, 10**6))
     outcome = erm(tp, sr)
@@ -390,7 +395,7 @@ def _fit_modulus(tp, ec, bc, m, flavor, seed, trials) -> dict:
             psi, se = estimate_modulus(
                 ec, float(r), m, flavor, 0, RngStream(seed, 0), B=bc, method="exact"
             )
-        except Exception:
+        except OracleScaleError:
             exact = False
             psi, se = estimate_modulus(
                 ec,
@@ -462,33 +467,24 @@ def run_localize(
         "thm8": lambda t: excess_bound_thm8(B, r_m, n, m, t),
         "thm9": lambda t: excess_bound_thm9(B, r_m_w, m, t),
     }
-    overall_excess = _validity_frequencies(
-        tp,
-        m,
-        splits,
-        seed,
-        t_grid,
-        thm_bounds,
-        statistic=lambda sr: float(
-            sr.overall_risk[int(np.argmin(sr.train_risk))] - sr.overall_risk[star]
-        ),
-    )
     cor_bounds = {
         "cor10": lambda t: excess_bound_cor10(B, r_m, r_u, n, m, u, t),
     }
-    test_excess = _validity_frequencies(
-        tp,
-        m,
-        splits,
-        seed,
-        t_grid,
-        cor_bounds,
-        statistic=lambda sr: float(
-            sr.test_risk[int(np.argmin(sr.train_risk))] - sr.test_risk.min()
-        ),
-        guarantee_factor=2.0,
+
+    def overall_excess(train, test):
+        return tp.overall_risk[train.argmin(axis=1)] - tp.overall_risk[star]
+
+    def test_excess(train, test):
+        h_hat = train.argmin(axis=1)[:, None]
+        return np.take_along_axis(test, h_hat, axis=1)[:, 0] - test.min(axis=1)
+
+    overall_stats, test_stats = _split_statistics(
+        tp, m, splits, seed, overall_excess, test_excess
     )
-    validity = {**overall_excess, **test_excess}
+    validity = {
+        **_validity_frequencies(overall_stats, t_grid, thm_bounds),
+        **_validity_frequencies(test_stats, t_grid, cor_bounds, guarantee_factor=2.0),
+    }
     passed = all(v["ok"] for v in validity.values())
     return {
         "passed": passed,

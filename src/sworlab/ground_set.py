@@ -1,9 +1,11 @@
 """Finite populations and uniform sampling with/without replacement.
 
-The population is always identified with the index set {0, ..., N-1}.
-Sampling without replacement uses a partial Fisher-Yates shuffle (exactly
-uniform over ordered m-arrangements, O(m) swaps after an O(N) buffer).
-Exhaustive enumerators back the brute-force oracles used elsewhere.
+The population is always identified with the index set {0, ..., N-1}, and
+a block of k samples is a (k, N) sparse count matrix: a 0/1 row for an
+m-subset, multinomial counts for m draws with replacement.  Every
+supremum in the package is one product of such a matrix with a value
+table (see empirical_process.sup_sums).  Drawn blocks come from
+`sample_counts`; exhaustive enumerators back the exact oracles.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import ConfigurationError, OracleScaleError
 
@@ -61,87 +64,76 @@ class SampleScheme:
 class RngStream:
     """A reproducible, independently-seeded random stream.
 
-    Identical (master_seed, stream_index) pairs always yield the identical
-    draw sequence; distinct stream indices are statistically independent.
-    Monte Carlo experiments assign disjoint stream indices to blocks of
-    trials so results do not depend on scheduling.
+    The stream seeds its generator with SeedSequence(master_seed,
+    spawn_key=(stream_index, *path)), so identical fields always yield the
+    identical draw sequence and distinct ones are statistically
+    independent.  Monte Carlo experiments give each block of trials its
+    own substream, so results do not depend on scheduling.
     """
 
     master_seed: int
     stream_index: int = 0
+    path: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.stream_index < 0:
             raise ConfigurationError("stream_index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
+        key = (self.stream_index, *self.path)
+        ss = np.random.SeedSequence(self.master_seed, spawn_key=key)
         return np.random.default_rng(ss)
 
     def substream(self, index: int) -> "RngStream":
         """Derive a child stream; used to split one experiment into blocks."""
-        ss = np.random.SeedSequence(
-            self.master_seed, spawn_key=(self.stream_index, index)
-        )
-        return _DerivedStream(self.master_seed, self.stream_index, ss, index)
+        return RngStream(self.master_seed, self.stream_index, self.path + (index,))
 
 
-class _DerivedStream(RngStream):
-    """RngStream backed by a child SeedSequence (internal)."""
+def counts_matrix(idx, n: int) -> csr_matrix:
+    """The (k, n) count matrix of k samples given as a (k, m) index array.
 
-    def __init__(self, master_seed, stream_index, seed_seq, child_index):
-        object.__setattr__(self, "master_seed", master_seed)
-        object.__setattr__(self, "stream_index", stream_index)
-        object.__setattr__(self, "_seed_seq", seed_seq)
-        object.__setattr__(self, "_child_index", child_index)
-
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(self._seed_seq)
-
-    def substream(self, index: int) -> "RngStream":
-        ss = np.random.SeedSequence(
-            self.master_seed,
-            spawn_key=(self.stream_index, self._child_index, index),
-        )
-        return _DerivedStream(self.master_seed, self.stream_index, ss, index)
-
-
-def draw_sample(gs: GroundSet, scheme: SampleScheme, rng: RngStream) -> np.ndarray:
-    """Draw one sample of indices according to the scheme.
-
-    Without replacement the result is a uniformly random ordered
-    m-arrangement of distinct indices; with replacement it is m i.i.d.
-    uniform indices.
+    Row i counts how often each population point occurs in sample i:
+    repeated indices (a with-replacement draw, a multiset) sum as
+    multiplicities.
     """
-    scheme.validate_for(gs)
-    gen = rng.generator()
-    n, m = gs.size, scheme.m
-    if scheme.mode is SampleMode.WITH_REPLACEMENT:
-        return gen.integers(0, n, size=m)
-    # partial Fisher-Yates: swap a uniform j in [i, n) into position i
-    buf = np.arange(n)
-    js = gen.integers(np.arange(m), n)
-    for i in range(m):
-        j = js[i]
-        buf[i], buf[j] = buf[j], buf[i]
-    return buf[:m].copy()
+    idx = np.asarray(idx)
+    k, m = idx.shape
+    return csr_matrix((np.ones(k * m), idx.ravel(), m * np.arange(k + 1)), shape=(k, n))
 
 
-def batch_sample_without_replacement(
-    n: int, m: int, count: int, gen: np.random.Generator
-) -> np.ndarray:
-    """Draw `count` independent uniform m-subsets of {0..n-1} at once.
+def sample_counts(
+    n: int, m: int, count: int, mode: SampleMode, gen: np.random.Generator
+) -> csr_matrix:
+    """Draw `count` independent uniform samples of size m as a count matrix.
 
-    Uses random-key selection (argpartition of i.i.d. uniforms), which is
-    exactly uniform over unordered subsets; order within a row is arbitrary.
-    Returns a (count, m) index array.
+    Without replacement each row is the 0/1 indicator of a uniform
+    m-subset, chosen by random-key selection (the m smallest of n i.i.d.
+    uniform keys); with replacement it holds the multinomial counts of m
+    i.i.d. uniform indices.
     """
-    if not 1 <= m <= n:
-        raise ConfigurationError(f"need 1 <= m <= n, got m={m}, n={n}")
-    keys = gen.random((count, n))
-    if m == n:
-        return np.tile(np.arange(n), (count, 1))
-    return np.argpartition(keys, m, axis=1)[:, :m]
+    SampleScheme(mode, m).validate_for(GroundSet(n))
+    if mode is SampleMode.WITH_REPLACEMENT:
+        idx = gen.integers(0, n, size=(count, m)).astype(np.int32)
+    elif m == n:
+        idx = np.broadcast_to(np.arange(n, dtype=np.int32), (count, n))
+    else:
+        # the keys and the full argpartition are temporaries, freed before
+        # the matrix is built
+        idx = np.argpartition(gen.random((count, n)), m, axis=1)[:, :m].astype(np.int32)
+    return counts_matrix(idx, n)
+
+
+def sample_blocks(
+    n: int, m: int, count: int, mode: SampleMode, rng: RngStream, block: int = 10_000
+) -> Iterator[csr_matrix]:
+    """`count` samples as count matrices of at most `block` rows each.
+
+    Block b draws from rng.substream(b), so the draws do not depend on how
+    the blocks are scheduled.
+    """
+    for b, start in enumerate(range(0, count, block)):
+        gen = rng.substream(b).generator()
+        yield sample_counts(n, m, min(block, count - start), mode, gen)
 
 
 def enumerate_without_replacement(

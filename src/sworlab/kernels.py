@@ -1,19 +1,15 @@
 """Kernel classes: normalized Gram matrices, a cyclic Jacobi eigensolver,
-the eigenvalue-tailsum complexity bound, and finite hypothesis tables for
-the transductive lab built from random unit-ball kernel expansions.
+and the eigenvalue-tailsum complexity bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .ground_set import RngStream
-from .transductive import TransductiveProblem
 
 JACOBI_MAX_SWEEPS = 30
 PSD_TOL = 1e-10
@@ -171,47 +167,3 @@ def tailsum_bound(
             best_val, best_theta = val, theta
     return best_val, best_theta
 
-
-def kernel_hypothesis_table(
-    points,
-    labels,
-    spec: KernelSpec,
-    net_size: int,
-    rng: RngStream,
-    loss: str = "squared",
-) -> TransductiveProblem:
-    """A finite transductive problem from a random net in the unit ball.
-
-    Generates net_size functions f = sum_i alpha_i k(., X_i) with RKHS
-    norm alpha' (N K_N) alpha <= 1, always including the zero function,
-    and evaluates the squared loss against the labels, clipped to [0, 1].
-    """
-    if net_size < 1:
-        raise ConfigurationError("net_size must be >= 1")
-    if loss != "squared":
-        raise ConfigurationError(f"unsupported loss {loss!r}")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    y = np.asarray(labels, dtype=float)
-    n = pts.shape[0]
-    if y.shape != (n,):
-        raise ConfigurationError("labels must have one entry per point")
-    kn = gram_matrix(pts, spec)
-    norm_mat = n * kn  # quadratic form of the RKHS norm
-    if np.abs(norm_mat).max() == 0.0:
-        raise ConfigurationError("degenerate Gram matrix: all zeros")
-    gen = rng.generator()
-    alphas = [np.zeros(n)]
-    while len(alphas) < net_size:
-        direction = gen.standard_normal(n)
-        q = float(direction @ norm_mat @ direction)
-        if q <= 0.0:
-            continue
-        radius = math.sqrt(gen.uniform())
-        alphas.append(direction * radius / math.sqrt(q))
-    rows = []
-    for alpha in alphas:
-        f_vals = n * (kn @ alpha)  # f(X_i) = sum_j alpha_j k(X_i, X_j)
-        rows.append(np.clip((f_vals - y) ** 2, 0.0, 1.0))
-    return TransductiveProblem(np.array(rows))

@@ -12,22 +12,14 @@ conservative when the modulus is only estimated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .empirical_process import FunctionClass
+from .empirical_process import FunctionClass, exact_mean, simulate_suprema
 from .errors import BernsteinConditionError, ConfigurationError
-from .ground_set import (
-    DEFAULT_ENUM_BUDGET,
-    GroundSet,
-    RngStream,
-    SampleMode,
-    SampleScheme,
-    batch_sample_without_replacement,
-    enumerate_without_replacement,
-)
+from .ground_set import DEFAULT_ENUM_BUDGET, RngStream, SampleMode, SampleScheme
 from .transductive import TransductiveProblem
 
 ZERO_TOL = 1e-12
@@ -149,30 +141,17 @@ def estimate_modulus(
     means = sub.mean(axis=1)
     if np.all(np.abs(sub) <= ZERO_TOL):
         return 0.0, 0.0
-    n = ec.rows.shape[1]
     # per-sample statistic: sup over slice rows of mean of g = Ef - f;
     # g rows have zero mean but can reach into (1, 2], so no centered flag
-    g = means[:, None] - sub
-    gfc = FunctionClass(g, centered=False)
+    gfc = FunctionClass(means[:, None] - sub, centered=False)
+    scheme = SampleScheme(flavor, m)
     if method == "exact":
-        if flavor is SampleMode.WITHOUT_REPLACEMENT:
-            subsets = np.array(
-                list(enumerate_without_replacement(GroundSet(n), m, budget=budget))
-            )
-            sums = gfc.values[:, subsets].sum(axis=2)
-            val = float(sums.max(axis=0).mean()) / m
-        else:
-            from .empirical_process import _exact_mean_with
-
-            val = _exact_mean_with(gfc, m, budget) / m
-        return b_val * val, 0.0
+        return b_val * exact_mean(gfc, scheme, budget) / m, 0.0
     if method != "monte_carlo":
         raise ConfigurationError(f"unknown method {method!r}")
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    from .empirical_process import simulate_suprema
-
-    draws = simulate_suprema(gfc, SampleScheme(flavor, m), trials, rng) / m
+    draws = simulate_suprema(gfc, scheme, trials, rng) / m
     se = float(draws.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return b_val * float(draws.mean()), b_val * se
 

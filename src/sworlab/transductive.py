@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -17,11 +18,11 @@ from .empirical_process import FunctionClass, expected_sup
 from .errors import ConfigurationError
 from .ground_set import (
     DEFAULT_ENUM_BUDGET,
-    GroundSet,
     RngStream,
     SampleMode,
     SampleScheme,
-    draw_sample,
+    sample_blocks,
+    sample_counts,
 )
 
 
@@ -89,16 +90,35 @@ class ErmOutcome:
     excess_risk: float
 
 
-def split_and_risks(tp: TransductiveProblem, m: int, rng: RngStream) -> SplitRisks:
-    """Uniform without-replacement split and the three risk vectors."""
+def _require_split(tp: TransductiveProblem, m: int) -> None:
     if not 1 <= m < tp.N:
         raise ConfigurationError(f"need 1 <= m < N for a nonempty test set, got m={m}")
-    gs = GroundSet(tp.N)
-    train = np.sort(draw_sample(gs, SampleScheme(SampleMode.WITHOUT_REPLACEMENT, m), rng))
-    mask = np.zeros(tp.N, dtype=bool)
-    mask[train] = True
-    test = np.flatnonzero(~mask)
-    return risks_for_split(tp, train, test)
+
+
+def split_and_risks(tp: TransductiveProblem, m: int, rng: RngStream) -> SplitRisks:
+    """Uniform without-replacement split and the three risk vectors."""
+    _require_split(tp, m)
+    counts = sample_counts(tp.N, m, 1, SampleMode.WITHOUT_REPLACEMENT, rng.generator())
+    mask = counts.toarray()[0] > 0
+    return risks_for_split(tp, np.flatnonzero(mask), np.flatnonzero(~mask))
+
+
+def sampled_split_risks(
+    tp: TransductiveProblem, m: int, splits: int, rng: RngStream
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Train and test risks of `splits` uniform splits, one block at a time.
+
+    Each block is a (block, N) 0/1 count matrix C from `sample_blocks`;
+    its (block, H) train risks are C L^T / m, and its test risks follow
+    from N L_N = m L_m + u L_u without forming the complement.
+    """
+    _require_split(tp, m)
+    if splits < 1:
+        raise ConfigurationError("splits must be >= 1")
+    total = tp.N * tp.overall_risk
+    for counts in sample_blocks(tp.N, m, splits, SampleMode.WITHOUT_REPLACEMENT, rng):
+        train = np.asarray(counts @ tp.loss_table.T) / m
+        yield train, (total - m * train) / (tp.N - m)
 
 
 def risks_for_split(

@@ -8,7 +8,6 @@ false alarms against a proved inequality.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -20,7 +19,7 @@ from . import bounds as bank
 from .bounds import BoundParams, Center
 from .empirical_process import FunctionClass, expected_sup, simulate_suprema
 from .errors import ConfigurationError, ContractError, OracleScaleError
-from .ground_set import DEFAULT_ENUM_BUDGET, RngStream, SampleScheme
+from .ground_set import RngStream, SampleScheme
 
 DEFAULT_DELTA = 0.01
 
@@ -232,38 +231,3 @@ def check_domination(
             report.violations.append((float(eps), float(lo), float(bound)))
     return report
 
-
-def curves_to_csv(path, curve: TailCurve, params: BoundParams) -> None:
-    """Dump per-grid-point estimates and all four analytic bounds."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "eps",
-                "estimate",
-                "upper_ci",
-                "bound_thm1",
-                "bound_thm2",
-                "bound_ep",
-                "bound_bousquet",
-            ]
-        )
-        for eps, est, up in zip(curve.eps_grid, curve.tail_estimate, curve.upper_ci):
-            p = BoundParams(
-                N=params.N,
-                m=params.m,
-                sigma2=params.sigma2,
-                eq_m=params.eq_m,
-                eps=float(eps),
-            )
-            writer.writerow(
-                [
-                    float(eps),
-                    float(est),
-                    float(up),
-                    bank.tail_subgaussian(p).value,
-                    bank.tail_talagrand_swor(p).value,
-                    bank.tail_elyaniv_pechyony(p).value,
-                    bank.tail_bousquet(p).value,
-                ]
-            )

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.stats import binom, hypergeom
 
 from sworlab.empirical_process import (
     FunctionClass,
@@ -11,9 +13,11 @@ from sworlab.empirical_process import (
     expected_sup,
     simulate_suprema,
     sup_process,
+    sup_sums,
 )
 from sworlab.errors import ConfigurationError, OracleScaleError
-from sworlab.ground_set import RngStream, SampleMode, SampleScheme
+from sworlab.experiments import make_antipodal_class
+from sworlab.ground_set import RngStream, SampleMode, SampleScheme, sample_counts
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
 WITH = SampleMode.WITH_REPLACEMENT
@@ -173,6 +177,37 @@ class TestExpectedSup:
         fc = center_class(np.array([[1.0, -1.0]]))
         with pytest.raises(ConfigurationError):
             expected_sup(fc, SampleScheme(WITHOUT, 1), method="monte_carlo")
+
+
+class TestSupSums:
+    def test_matches_gather_sum(self):
+        gen = np.random.default_rng(10)
+        values = gen.uniform(-1, 1, size=(4, 9))
+        for mode, m in [(WITHOUT, 5), (WITH, 7)]:
+            counts = sample_counts(9, m, 50, mode, gen)
+            idx = [np.repeat(np.arange(9), row.astype(int)) for row in counts.toarray()]
+            expected = [values[:, i].sum(axis=1).max() for i in idx]
+            assert np.allclose(sup_sums(values, counts), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    def test_exact_antipodal_at_n1000_is_sparse_and_matches_closed_form(self, mode):
+        # Q = a |2K - m| with K ~ Hypergeom(1000, 500, 2) or Bin(2, 1/2);
+        # about 5e5 samples, which a dense (samples x N) matrix would need
+        # some 3.8 GB to hold
+        fc = make_antipodal_class(1000, 0.25)
+        a, m = float(fc.values[0, 0]), 2
+        law = hypergeom(1000, 500, m) if mode is WITHOUT else binom(m, 0.5)
+        k = np.arange(m + 1)
+        closed = a * float((law.pmf(k) * np.abs(2 * k - m)).sum())
+        tracemalloc.start()
+        try:
+            stats = expected_sup(fc, SampleScheme(mode, m), method="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mean = stats.mean_without if mode is WITHOUT else stats.mean_with
+        assert mean == pytest.approx(closed, abs=1e-12)
+        assert peak < 256 * 2**20
 
 
 class TestSimulateSuprema:

@@ -10,54 +10,56 @@ from sworlab.ground_set import (
     GroundSet,
     RngStream,
     SampleMode,
-    SampleScheme,
-    batch_sample_without_replacement,
-    draw_sample,
+    counts_matrix,
     enumerate_with_replacement,
     enumerate_without_replacement,
+    sample_blocks,
+    sample_counts,
 )
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
 WITH = SampleMode.WITH_REPLACEMENT
 
 
+def subset_frequencies(counts) -> Counter:
+    """How often each distinct 0/1 row (an unordered subset) occurs."""
+    return Counter(map(tuple, counts.toarray().astype(int).tolist()))
+
+
 def test_singleton_population_both_modes():
-    gs = GroundSet(1)
     for mode in (WITH, WITHOUT):
-        assert list(draw_sample(gs, SampleScheme(mode, 1), RngStream(7))) == [0]
+        counts = sample_counts(1, 1, 1, mode, RngStream(7).generator())
+        assert counts.toarray().tolist() == [[1.0]]
 
 
 def test_exhaustive_sample_is_permutation():
-    out = draw_sample(GroundSet(4), SampleScheme(WITHOUT, 4), RngStream(3))
-    assert sorted(out) == [0, 1, 2, 3]
+    counts = sample_counts(4, 4, 3, WITHOUT, RngStream(3).generator())
+    assert np.array_equal(counts.toarray(), np.ones((3, 4)))
 
 
 def test_determinism_same_stream_same_draw():
-    gs, scheme = GroundSet(50), SampleScheme(WITHOUT, 20)
-    a = draw_sample(gs, scheme, RngStream(11, 4))
-    b = draw_sample(gs, scheme, RngStream(11, 4))
+    a = sample_counts(50, 20, 5, WITHOUT, RngStream(11, 4).generator()).toarray()
+    b = sample_counts(50, 20, 5, WITHOUT, RngStream(11, 4).generator()).toarray()
     assert np.array_equal(a, b)
-    c = draw_sample(gs, scheme, RngStream(11, 5))
+    c = sample_counts(50, 20, 5, WITHOUT, RngStream(11, 5).generator()).toarray()
     assert not np.array_equal(a, c)
 
 
 def test_invalid_schemes_rejected():
-    gs = GroundSet(3)
+    gen = RngStream(0).generator()
     with pytest.raises(ConfigurationError):
-        draw_sample(gs, SampleScheme(WITHOUT, 4), RngStream(0))
+        sample_counts(3, 4, 1, WITHOUT, gen)
     with pytest.raises(ConfigurationError):
-        draw_sample(gs, SampleScheme(WITH, 0), RngStream(0))
+        sample_counts(3, 0, 1, WITH, gen)
     with pytest.raises(ConfigurationError):
         GroundSet(0)
 
 
 def test_pair_frequencies_uniform():
     # N=4, m=2: each of the 6 unordered pairs should appear with freq 1/6 +- 0.01
-    gs, scheme = GroundSet(4), SampleScheme(WITHOUT, 2)
-    counts = Counter()
     draws = 60_000
-    for i in range(draws):
-        counts[frozenset(draw_sample(gs, scheme, RngStream(2024, i)))] += 1
+    gen = RngStream(2024).generator()
+    counts = subset_frequencies(sample_counts(4, 2, draws, WITHOUT, gen))
     assert len(counts) == 6
     for pair, c in counts.items():
         assert abs(c / draws - 1 / 6) < 0.01, (pair, c)
@@ -68,23 +70,66 @@ def test_subset_uniformity_four_sigma(n, m):
     draws = 50_000
     p = 1 / math.comb(n, m)
     tol = 4 * math.sqrt(p * (1 - p) / draws)
-    counts = Counter()
-    gs, scheme = GroundSet(n), SampleScheme(WITHOUT, m)
-    for i in range(draws):
-        counts[frozenset(draw_sample(gs, scheme, RngStream(99, i)))] += 1
+    gen = RngStream(99).generator()
+    counts = subset_frequencies(sample_counts(n, m, draws, WITHOUT, gen))
     assert len(counts) == math.comb(n, m)
     for c in counts.values():
         assert abs(c / draws - p) <= tol
 
 
 def test_batch_sampler_uniform_and_shaped():
-    gen = np.random.default_rng(5)
-    idx = batch_sample_without_replacement(4, 2, 60_000, gen)
-    assert idx.shape == (60_000, 2)
-    counts = Counter(frozenset(row) for row in idx.tolist())
-    assert len(counts) == 6
-    for c in counts.values():
+    counts = sample_counts(4, 2, 60_000, WITHOUT, np.random.default_rng(5))
+    assert counts.shape == (60_000, 4)
+    freqs = subset_frequencies(counts)
+    assert len(freqs) == 6
+    for c in freqs.values():
         assert abs(c / 60_000 - 1 / 6) < 0.01
+
+
+@pytest.mark.parametrize("mode", [WITH, WITHOUT])
+@pytest.mark.parametrize("n,m", [(1, 1), (7, 3), (10, 10), (30, 29)])
+def test_sample_counts_rows_sum_to_m(mode, n, m):
+    dense = sample_counts(n, m, 200, mode, np.random.default_rng(n + m)).toarray()
+    assert dense.shape == (200, n)
+    assert np.all(dense.sum(axis=1) == m)
+    assert np.all(dense >= 0)
+    if mode is WITHOUT:
+        assert np.all((dense == 0) | (dense == 1))
+
+
+@pytest.mark.parametrize("n,m", [(5, 1), (12, 4), (100, 90)])
+def test_sample_counts_selects_the_random_key_subsets(n, m):
+    # same subsets as random-key selection on the same generator state
+    k = 300
+    counts = sample_counts(n, m, k, WITHOUT, np.random.default_rng(42))
+    ref = np.argpartition(np.random.default_rng(42).random((k, n)), m, axis=1)[:, :m]
+    got = [np.flatnonzero(row) for row in counts.toarray()]
+    assert np.array_equal(np.array(got), np.sort(ref, axis=1))
+
+
+def test_sample_counts_with_replacement_counts_the_integer_draws():
+    k, n, m = 300, 6, 9
+    counts = sample_counts(n, m, k, WITH, np.random.default_rng(8)).toarray()
+    idx = np.random.default_rng(8).integers(0, n, size=(k, m))
+    expected = [np.bincount(row, minlength=n) for row in idx]
+    assert np.array_equal(counts, np.array(expected))
+
+
+def test_counts_matrix_sums_repeats_as_multiplicities():
+    counts = counts_matrix(np.array([[0, 0, 2], [1, 2, 3]]), 4)
+    assert counts.toarray().tolist() == [[2, 0, 1, 0], [0, 1, 1, 1]]
+    empty = counts_matrix(np.zeros((1, 0), dtype=int), 3)
+    assert empty.toarray().tolist() == [[0, 0, 0]]
+
+
+def test_sample_blocks_draw_from_substreams():
+    rng = RngStream(5, 2)
+    blocks = list(sample_blocks(9, 4, 25, WITHOUT, rng, block=10))
+    assert [b.shape[0] for b in blocks] == [10, 10, 5]
+    for i, block in enumerate(blocks):
+        size = block.shape[0]
+        ref = sample_counts(9, 4, size, WITHOUT, rng.substream(i).generator())
+        assert np.array_equal(block.toarray(), ref.toarray())
 
 
 def test_enumerate_without_replacement_counts_and_order():
@@ -126,3 +171,17 @@ def test_substreams_are_reproducible():
     assert np.array_equal(a, b)
     c = s.substream(4).generator().random(4)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**40 + 3])
+def test_stream_paths_match_seed_sequence_spawn_keys(seed):
+    def ref(*key):
+        ss = np.random.SeedSequence(seed, spawn_key=key)
+        return np.random.default_rng(ss).random(6)
+
+    s = RngStream(seed, 9)
+    assert np.array_equal(s.generator().random(6), ref(9))
+    assert np.array_equal(s.substream(3).generator().random(6), ref(9, 3))
+    grandchild = s.substream(3).substream(0)
+    assert np.array_equal(grandchild.generator().random(6), ref(9, 3, 0))
+    assert grandchild == RngStream(seed, 9, (3, 0))

@@ -5,13 +5,11 @@ import pytest
 from scipy.linalg import ldl
 
 from sworlab.errors import ConfigurationError
-from sworlab.ground_set import RngStream
 from sworlab.kernels import (
     EigenSpectrum,
     KernelSpec,
     eigen_spectrum,
     gram_matrix,
-    kernel_hypothesis_table,
     tailsum_bound,
 )
 
@@ -193,67 +191,3 @@ class TestTailsumBound:
             tailsum_bound(spec, 0)
         with pytest.raises(ConfigurationError):
             tailsum_bound(spec, 3, c_L=0.0)
-
-
-class TestHypothesisTable:
-    def test_shapes_and_zero_function(self):
-        gen = np.random.default_rng(4)
-        pts = gen.normal(size=(10, 2))
-        y = gen.uniform(size=10)
-        tp = kernel_hypothesis_table(pts, y, KernelSpec("gaussian"), 6, RngStream(0))
-        assert tp.loss_table.shape == (6, 10)
-        # first hypothesis is the zero function: loss is clipped y^2
-        assert np.allclose(tp.loss_table[0], np.clip(y**2, 0.0, 1.0))
-
-    def test_losses_in_unit_interval(self):
-        gen = np.random.default_rng(5)
-        pts = gen.normal(size=(8, 3))
-        y = gen.uniform(size=8)
-        tp = kernel_hypothesis_table(
-            pts, y, KernelSpec("polynomial", degree=2, offset=0.5), 5, RngStream(1)
-        )
-        assert np.all(tp.loss_table >= 0.0) and np.all(tp.loss_table <= 1.0)
-
-    def test_rkhs_norm_constraint(self):
-        gen = np.random.default_rng(6)
-        pts = gen.normal(size=(7, 2))
-        y = np.zeros(7)
-        spec = KernelSpec("gaussian", bandwidth=1.0)
-        kn = gram_matrix(pts, spec)
-        norm_mat = 7 * kn
-        # re-derive the alphas by replaying the stream
-        stream_gen = RngStream(2).generator()
-        alphas = [np.zeros(7)]
-        while len(alphas) < 4:
-            d = stream_gen.standard_normal(7)
-            q = float(d @ norm_mat @ d)
-            if q <= 0:
-                continue
-            r = math.sqrt(stream_gen.uniform())
-            alphas.append(d * r / math.sqrt(q))
-        for alpha in alphas:
-            assert float(alpha @ norm_mat @ alpha) <= 1 + 1e-9
-        tp = kernel_hypothesis_table(pts, y, spec, 4, RngStream(2))
-        expected = np.clip((7 * (kn @ alphas[1])) ** 2, 0.0, 1.0)
-        assert np.allclose(tp.loss_table[1], expected)
-
-    def test_determinism(self):
-        gen = np.random.default_rng(7)
-        pts = gen.normal(size=(6, 1))
-        y = gen.uniform(size=6)
-        a = kernel_hypothesis_table(pts, y, KernelSpec("delta"), 5, RngStream(3))
-        b = kernel_hypothesis_table(pts, y, KernelSpec("delta"), 5, RngStream(3))
-        assert np.array_equal(a.loss_table, b.loss_table)
-
-    def test_validation(self):
-        pts = np.zeros((4, 1))
-        with pytest.raises(ConfigurationError):
-            kernel_hypothesis_table(pts, np.zeros(4), KernelSpec("linear"), 3, RngStream(0))
-        with pytest.raises(ConfigurationError):
-            kernel_hypothesis_table(
-                np.ones((4, 1)), np.zeros(3), KernelSpec("delta"), 3, RngStream(0)
-            )
-        with pytest.raises(ConfigurationError):
-            kernel_hypothesis_table(
-                np.ones((4, 1)), np.zeros(4), KernelSpec("delta"), 0, RngStream(0)
-            )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sworlab.errors import ConfigurationError
-from sworlab.ground_set import RngStream
+from sworlab.ground_set import RngStream, SampleMode, sample_blocks
 from sworlab.transductive import (
     TransductiveProblem,
     erm,
@@ -14,6 +14,7 @@ from sworlab.transductive import (
     gen_bound_thm5,
     gen_bound_thm6,
     risks_for_split,
+    sampled_split_risks,
     sigma2_H,
     split_and_risks,
 )
@@ -73,6 +74,16 @@ class TestSplitAndRisks:
         tp = TransductiveProblem(np.random.default_rng(5).uniform(size=(2, 5)))
         sr = split_and_risks(tp, 4, RngStream(6))
         assert sr.test_indices.size == 1
+
+    def test_sampled_blocks_match_per_split_risks(self):
+        tp = TransductiveProblem(np.random.default_rng(7).uniform(size=(3, 11)))
+        m, rng = 4, RngStream(12, 3)
+        blocks = sample_blocks(11, m, 25, SampleMode.WITHOUT_REPLACEMENT, rng)
+        for (train, test), counts in zip(sampled_split_risks(tp, m, 25, rng), blocks):
+            for row, tr, te in zip(counts.toarray(), train, test):
+                sr = risks_for_split(tp, np.flatnonzero(row), np.flatnonzero(row == 0))
+                assert np.allclose(tr, sr.train_risk, atol=1e-12)
+                assert np.allclose(te, sr.test_risk, atol=1e-12)
 
     def test_degenerate_sizes_rejected(self):
         tp = TransductiveProblem(np.full((1, 4), 0.5))

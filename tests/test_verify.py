@@ -7,6 +7,7 @@ from scipy.optimize import bisect
 from scipy.stats import binom
 
 from sworlab.bounds import BoundParams, Center, tail_subgaussian
+from sworlab.cli import _write_curves
 from sworlab.empirical_process import FunctionClass, center_class
 from sworlab.errors import ConfigurationError, ContractError
 from sworlab.ground_set import RngStream, SampleMode, SampleScheme
@@ -15,7 +16,6 @@ from sworlab.verify import (
     binomial_lower_ci,
     binomial_upper_ci,
     check_domination,
-    curves_to_csv,
     default_eps_grid,
     estimate_tail,
     tail_curve_from_draws,
@@ -225,10 +225,9 @@ class TestSerialization:
         )
         d = curve.to_dict()
         assert d["trials"] == 2000 and len(d["eps_grid"]) == 3
-        path = tmp_path / "curves.csv"
-        curves_to_csv(path, curve, BoundParams(N=8, m=4, sigma2=0.25))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("eps,estimate,upper_ci")
+        _write_curves(tmp_path, {"configurations": [{"curves": {"around_eq_prime": d}}]})
+        lines = (tmp_path / "curves.csv").read_text().strip().splitlines()
+        assert lines[0] == "config_index,center,eps,estimate,upper_ci,lower_ci"
         assert len(lines) == 4
 
     def test_report_dict(self):
