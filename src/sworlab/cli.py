@@ -68,7 +68,10 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
 
 
 def _parse_grid(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(","))
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"t-grid must be comma-separated numbers, got {text!r}") from None
 
 
 def _write_report(out_dir, experiment: str, config: dict, payload: dict, elapsed: float):
@@ -190,6 +193,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args, _defaults_for(parser, args.command))
+        if cfg["seed"] < 0:
+            raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
+        t_grid = _parse_grid(cfg["t_grid"]) if "t_grid" in cfg else None
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -203,7 +209,7 @@ def run(argv=None) -> int:
                 sigma2=cfg["sigma2"],
                 trials=cfg["trials"],
                 seed=cfg["seed"],
-                t_grid=_parse_grid(cfg["t_grid"]),
+                t_grid=t_grid,
                 corrupt_thm1=cfg["corrupt_thm1"],
                 full_grid=cfg["full_grid"],
             )
@@ -226,7 +232,7 @@ def run(argv=None) -> int:
                 m=cfg["m"],
                 splits=cfg["splits"],
                 seed=cfg["seed"],
-                t_grid=_parse_grid(cfg["t_grid"]),
+                t_grid=t_grid,
                 loss_table=loss,
                 trials=cfg["trials"],
             )
@@ -238,7 +244,7 @@ def run(argv=None) -> int:
                 m=cfg["m"],
                 splits=cfg["splits"],
                 seed=cfg["seed"],
-                t_grid=_parse_grid(cfg["t_grid"]),
+                t_grid=t_grid,
                 loss_table=loss,
                 trials=cfg["trials"],
             )

@@ -18,10 +18,6 @@ class ContractError(SworlabError):
     wrong expectation compared against a bound with a different convention."""
 
 
-class NumericalError(SworlabError):
-    """A numerical routine failed to converge."""
-
-
 class BernsteinConditionError(SworlabError):
     """The variance-to-mean condition (E f^2 <= B E f) fails for the excess
     loss class, so no finite localization constant exists."""

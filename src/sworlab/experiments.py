@@ -278,6 +278,10 @@ def run_compare_exponents(
 SPLIT_STREAM = 10**6 + 1
 """Stream index of the validity splits; no other draw in a run uses it."""
 
+FIT_STREAM = 10**6 + 2
+"""Stream index of localize's modulus fits: substream j is the j-th fit and
+its substream i the fit's i-th r-grid point; no other draw uses it."""
+
 
 def _split_statistics(
     tp: TransductiveProblem, m: int, splits: int, seed: int, *statistics
@@ -386,14 +390,15 @@ def run_transductive_erm(
     }
 
 
-def _fit_modulus(tp, ec, bc, m, flavor, seed, trials) -> dict:
+def _fit_modulus(tp, ec, bc, m, flavor, rng, trials) -> dict:
     grid_r = default_r_grid(ec)
     evals = []
     exact = True
     for i, r in enumerate(grid_r):
+        point_rng = rng.substream(i)
         try:
             psi, se = estimate_modulus(
-                ec, float(r), m, flavor, 0, RngStream(seed, 0), B=bc, method="exact"
+                ec, float(r), m, flavor, 0, point_rng, B=bc, method="exact"
             )
         except OracleScaleError:
             exact = False
@@ -403,7 +408,7 @@ def _fit_modulus(tp, ec, bc, m, flavor, seed, trials) -> dict:
                 m,
                 flavor,
                 trials,
-                RngStream(seed, 5_000 + i),
+                point_rng,
                 B=bc,
                 method="monte_carlo",
             )
@@ -442,11 +447,12 @@ def run_localize(
     bc = compute_B(ec)
     B = require_bernstein(bc)
 
+    fit_rng = RngStream(seed, FIT_STREAM)
     fits = {
-        "m_without": _fit_modulus(tp, ec, bc, m, WITHOUT, seed, trials),
-        "m_with": _fit_modulus(tp, ec, bc, m, WITH, seed + 1, trials),
-        "u_without": _fit_modulus(tp, ec, bc, u, WITHOUT, seed + 2, trials),
-        "u_with": _fit_modulus(tp, ec, bc, u, WITH, seed + 3, trials),
+        "m_without": _fit_modulus(tp, ec, bc, m, WITHOUT, fit_rng.substream(0), trials),
+        "m_with": _fit_modulus(tp, ec, bc, m, WITH, fit_rng.substream(1), trials),
+        "u_without": _fit_modulus(tp, ec, bc, u, WITHOUT, fit_rng.substream(2), trials),
+        "u_with": _fit_modulus(tp, ec, bc, u, WITH, fit_rng.substream(3), trials),
     }
     r_m, r_u = fits["m_without"]["r_star"], fits["u_without"]["r_star"]
     r_m_w, r_u_w = fits["m_with"]["r_star"], fits["u_with"]["r_star"]
@@ -535,7 +541,6 @@ def run_kernel_bound(
         "kernel": kind,
         "eigenvalues": [float(x) for x in spectrum.lambdas],
         "trace": spectrum.trace,
-        "jacobi_residual": spectrum.residual,
         "k": k,
         "c_L": c_L,
         "tailsum_bound": value,

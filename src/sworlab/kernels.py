@@ -1,5 +1,5 @@
-"""Kernel classes: normalized Gram matrices, a cyclic Jacobi eigensolver,
-and the eigenvalue-tailsum complexity bound.
+"""Kernel classes: normalized Gram matrices, their spectra (LAPACK
+symmetric eigensolver) and the eigenvalue-tailsum complexity bound.
 """
 
 from __future__ import annotations
@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
-JACOBI_MAX_SWEEPS = 30
 PSD_TOL = 1e-10
 
 
@@ -41,10 +40,9 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Nonincreasing eigenvalues plus the final off-diagonal residual."""
+    """Nonincreasing eigenvalues of a PSD matrix."""
 
     lambdas: np.ndarray
-    residual: float
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -93,52 +91,19 @@ def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
     return k / n
 
 
-def eigen_spectrum(gram: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenSpectrum:
-    """Full spectrum of a symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps rotate away every off-diagonal pair in turn until the largest
-    off-diagonal magnitude falls below 1e-12 times the trace scale.
-    """
-    a = np.array(gram, dtype=float)
+def eigen_spectrum(gram: np.ndarray) -> EigenSpectrum:
+    """Full spectrum of a symmetric matrix via LAPACK (numpy's eigvalsh),
+    nonincreasing, with eigenvalues within PSD_TOL of zero clamped to >= 0."""
+    a = np.asarray(gram, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError("gram must be square")
+    if not np.all(np.isfinite(a)):
+        raise ConfigurationError("gram must be finite; got inf or nan (kernel overflow?)")
     if not np.allclose(a, a.T, atol=1e-12):
         raise ConfigurationError("gram must be symmetric")
-    n = a.shape[0]
-    if n == 1:
-        return EigenSpectrum(lambdas=a[0].copy(), residual=0.0)
-    scale = max(abs(np.trace(a)), 1.0e-30)
-    tol = 1e-12 * scale
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol / (n * n):
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                a[p, :], a[q, :] = c * a[p, :] - s * a[q, :], (
-                    s * a[p, :] + c * a[q, :]
-                )
-    else:
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        raise NumericalError(
-            f"Jacobi did not converge in {max_sweeps} sweeps; residual {off:.3g}"
-        )
-    residual = float(np.abs(a - np.diag(np.diag(a))).max())
-    lam = np.sort(np.diag(a))[::-1]
+    lam = np.linalg.eigvalsh(a)[::-1]
     lam = np.where(np.abs(lam) < PSD_TOL, np.maximum(lam, 0.0), lam)
-    return EigenSpectrum(lambdas=lam, residual=residual)
+    return EigenSpectrum(lambdas=lam)
 
 
 def tailsum_bound(

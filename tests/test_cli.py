@@ -76,6 +76,18 @@ class TestConfigFile:
         assert report["config"]["m"] == 10
 
 
+class TestInputErrors:
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = run(["verify-bounds", "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+    def test_non_numeric_t_grid_exits_2(self, tmp_path, capsys):
+        code = run(["verify-bounds", "--t-grid", "1,x", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error: t-grid must be comma-separated numbers" in capsys.readouterr().err
+
+
 class TestCompareExponents:
     def test_default_run(self, tmp_path):
         out = tmp_path / "o"
@@ -245,6 +257,25 @@ class TestKernelBound:
         assert code == EXIT_OK
         gram = np.loadtxt(gram_path, delimiter=",")
         assert np.allclose(gram, np.eye(6) / 6)
+
+    def test_overflowing_kernel_exits_2(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text("10,0\n0,10\n6,8\n")
+        code = run(
+            [
+                "kernel-bound",
+                "--points-csv",
+                str(points),
+                "--kernel",
+                "polynomial",
+                "--degree",
+                "400",
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error: gram must be finite" in capsys.readouterr().err
 
     def test_bad_kernel_exits_2(self, tmp_path):
         code = run(

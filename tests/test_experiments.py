@@ -52,3 +52,15 @@ def test_splits_are_drawn_once_from_the_split_stream(monkeypatch, run):
     # the default loss table comes from stream 777, so the splits must not
     assert calls == [RngStream(3, SPLIT_STREAM)] and SPLIT_STREAM != 777
     assert all(0.0 <= v["violation_frequency"] <= 1.0 for v in out["validity"].values())
+
+
+def test_localize_fits_do_not_share_draws_across_seeds():
+    # m = u = 20 of 40: exact enumeration is refused, so every fit runs Monte Carlo
+    table = np.random.default_rng(1).uniform(size=(4, 40))
+
+    def psi_grid(seed, fit):
+        out = run_localize(loss_table=table, m=20, splits=50, trials=200, seed=seed)
+        assert not out["fits"][fit]["exact"]
+        return [point["psi_hat"] for point in out["fits"][fit]["grid"]]
+
+    assert psi_grid(0, "u_without") != psi_grid(2, "m_without")

@@ -95,7 +95,6 @@ class TestEigenSpectrum:
         n = 7
         spec = eigen_spectrum(np.eye(n) / n)
         assert np.array_equal(spec.lambdas, np.full(n, 1 / n))
-        assert spec.residual == 0.0
 
     def test_rank_one(self):
         v = np.array([1.0, 2.0, 2.0]) / 3.0
@@ -122,22 +121,36 @@ class TestEigenSpectrum:
         spec = eigen_spectrum(g)
         assert spec.trace == pytest.approx(np.trace(g), abs=1e-12)
 
+    def test_gaussian_n512_against_inertia_oracle(self):
+        pts = np.random.default_rng(4).normal(size=(512, 2))
+        g = gram_matrix(pts, KernelSpec("gaussian", bandwidth=1.0))
+        lam = eigen_spectrum(g).lambdas
+        assert lam.sum() == pytest.approx(np.trace(g), abs=1e-12)
+        gaps = lam[:-1] - lam[1:]
+        for i in np.argsort(gaps)[-6:]:
+            x = 0.5 * (lam[i] + lam[i + 1])
+            assert inertia_below(g, x) == int((lam < x).sum())
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            eigen_spectrum(np.full((2, 2), np.inf))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ConfigurationError):
             eigen_spectrum(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_indefinite_matrix_rejected_by_spectrum_container(self):
         with pytest.raises(ConfigurationError):
-            EigenSpectrum(lambdas=np.array([1.0, -0.5]), residual=0.0)
+            EigenSpectrum(lambdas=np.array([1.0, -0.5]))
 
     def test_nonincreasing_enforced(self):
         with pytest.raises(ConfigurationError):
-            EigenSpectrum(lambdas=np.array([0.1, 0.2]), residual=0.0)
+            EigenSpectrum(lambdas=np.array([0.1, 0.2]))
 
 
 class TestTailsumBound:
     def spectrum(self, lams):
-        return EigenSpectrum(lambdas=np.asarray(lams, dtype=float), residual=0.0)
+        return EigenSpectrum(lambdas=np.asarray(lams, dtype=float))
 
     def test_delta_spectrum_hand_value(self):
         # N=4, all eigenvalues 1/4, k=4: theta=0 gives sqrt((1/4)*1)=1/2
