@@ -6,12 +6,14 @@ transductive-erm, localize, kernel-bound.  Every run writes report.json
 pass, 1 a check failed, 2 configuration error.
 
 Options can come from a key=value config file (--config); command-line
-flags override file values.
+flags override file values.  A file value is read as the argument of its
+flag would be.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -38,8 +40,8 @@ def _parse_scalar(text: str):
     return text
 
 
-def load_config_file(path) -> dict:
-    """key = value lines; '#' starts a comment; keys use the flag names."""
+def _config_text(path) -> dict:
+    """key = value lines as raw text; '#' starts a comment."""
     out = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -48,22 +50,41 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = _parse_scalar(value)
+        out[key.replace("-", "_")] = value
     return out
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    merged = dict(parser_defaults)
-    if getattr(args, "config", None):
-        file_vals = load_config_file(args.config)
-        unknown = set(file_vals) - set(parser_defaults)
+def load_config_file(path) -> dict:
+    """key = value lines; '#' starts a comment; keys use the flag names."""
+    return {key: _parse_scalar(value) for key, value in _config_text(path).items()}
+
+
+def _coerce(key: str, action: argparse.Action, text: str):
+    """A config value read as its flag's argument would be."""
+    if action.nargs == 0:  # an on/off switch
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"{key} must be true or false, got {text!r}")
+        return text.lower() == "true"
+    if action.type is None:
+        return text
+    try:
+        return action.type(text)
+    except ValueError:
+        raise ValueError(f"{key} must be {action.type.__name__}, got {text!r}") from None
+
+
+def _merge_config(args: argparse.Namespace, command: _Command) -> dict:
+    """Defaults, overridden by the config file, overridden by given flags."""
+    merged = dict(command.defaults)
+    given = vars(args)  # flags default to SUPPRESS, so only given ones are here
+    if given.get("config"):
+        file_text = _config_text(given["config"])
+        unknown = set(file_text) - set(merged)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_vals)
-    for key, default in parser_defaults.items():
-        value = getattr(args, key)
-        if value != default:
-            merged[key] = value
+        for key, text in file_text.items():
+            merged[key] = _coerce(key, command.actions[key], text)
+    merged.update((key, value) for key, value in given.items() if key in merged)
     return merged
 
 
@@ -102,97 +123,102 @@ def _write_curves(out_dir, payload: dict):
     (Path(out_dir) / "curves.csv").write_text("\n".join(rows) + "\n")
 
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", default="out")
+class _Command:
+    """A subcommand's parser, with each option's action and default.
+
+    Options are declared with argparse.SUPPRESS as their parser default,
+    so a parsed namespace holds only the flags given on the command line.
+    """
+
+    def __init__(self, subs, name: str, summary: str):
+        self.parser = subs.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        self.actions: dict[str, argparse.Action] = {}
+        self.defaults: dict = {}
+        self.parser.add_argument("--config", help="key=value config file")
+        self.add("--seed", 0, type=int)
+        self.add("--out", "out")
+
+    def add(self, flag: str, default, **kwargs) -> None:
+        action = self.parser.add_argument(flag, **kwargs)
+        self.actions[action.dest] = action
+        self.defaults[action.dest] = default
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _cli() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
+    """The parser and its subcommands, built once per process."""
     parser = argparse.ArgumentParser(prog="sworlab")
     subs = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = subs.add_parser("verify-bounds", help="Monte Carlo domination checks")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--m", type=int, default=50)
-    p.add_argument("--sigma2", type=float, default=0.25)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--t-grid", dest="t_grid", default="1,2,4")
-    p.add_argument("--full-grid", dest="full_grid", action="store_true", default=False)
-    p.add_argument(
+    def command(name: str, summary: str) -> _Command:
+        commands[name] = _Command(subs, name, summary)
+        return commands[name]
+
+    c = command("verify-bounds", "Monte Carlo domination checks")
+    c.add("--n", 100, type=int)
+    c.add("--m", 50, type=int)
+    c.add("--sigma2", 0.25, type=float)
+    c.add("--trials", 100_000, type=int)
+    c.add("--t-grid", "1,2,4", dest="t_grid")
+    c.add("--full-grid", False, dest="full_grid", action="store_true")
+    c.add(
         "--corrupt-thm1",
+        False,
         dest="corrupt_thm1",
         action="store_true",
-        default=False,
         help="power check: weaken the sub-Gaussian constant 8 to 0.08",
     )
 
-    p = subs.add_parser("compare-exponents", help="tail exponent comparison")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--m", type=int, default=50)
-    p.add_argument("--sigma2", type=float, default=0.0625)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--eq-m", dest="eq_m", type=float, default=0.0)
+    c = command("compare-exponents", "tail exponent comparison")
+    c.add("--n", 100, type=int)
+    c.add("--m", 50, type=int)
+    c.add("--sigma2", 0.0625, type=float)
+    c.add("--eps", 1.0, type=float)
+    c.add("--eq-m", 0.0, dest="eq_m", type=float)
 
-    p = subs.add_parser("oracle-check", help="exact enumeration oracle sweep")
-    _add_common(p)
-    p.add_argument("--n-max", dest="n_max", type=int, default=6)
-    p.add_argument("--classes", type=int, default=20)
-    p.add_argument("--max-funcs", dest="max_funcs", type=int, default=5)
+    c = command("oracle-check", "exact enumeration oracle sweep")
+    c.add("--n-max", 6, dest="n_max", type=int)
+    c.add("--classes", 20, type=int)
+    c.add("--max-funcs", 5, dest="max_funcs", type=int)
 
-    p = subs.add_parser("transductive-erm", help="split/ERM bound validity")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--m", type=int, default=6)
-    p.add_argument("--hypotheses", type=int, default=4)
-    p.add_argument("--splits", type=int, default=10_000)
-    p.add_argument("--trials", type=int, default=50_000)
-    p.add_argument("--t-grid", dest="t_grid", default="1,2,3")
-    p.add_argument("--loss-csv", dest="loss_csv", default=None)
+    c = command("transductive-erm", "split/ERM bound validity")
+    c.add("--n", 12, type=int)
+    c.add("--m", 6, type=int)
+    c.add("--hypotheses", 4, type=int)
+    c.add("--splits", 10_000, type=int)
+    c.add("--trials", 50_000, type=int)
+    c.add("--t-grid", "1,2,3", dest="t_grid")
+    c.add("--loss-csv", None, dest="loss_csv")
 
-    p = subs.add_parser("localize", help="localized excess-risk bounds")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--m", type=int, default=6)
-    p.add_argument("--hypotheses", type=int, default=4)
-    p.add_argument("--splits", type=int, default=10_000)
-    p.add_argument("--trials", type=int, default=20_000)
-    p.add_argument("--t-grid", dest="t_grid", default="1,2")
-    p.add_argument("--loss-csv", dest="loss_csv", default=None)
+    c = command("localize", "localized excess-risk bounds")
+    c.add("--n", 12, type=int)
+    c.add("--m", 6, type=int)
+    c.add("--hypotheses", 4, type=int)
+    c.add("--splits", 10_000, type=int)
+    c.add("--trials", 20_000, type=int)
+    c.add("--t-grid", "1,2", dest="t_grid")
+    c.add("--loss-csv", None, dest="loss_csv")
 
-    p = subs.add_parser("kernel-bound", help="Gram spectrum and tailsum bound")
-    _add_common(p)
-    p.add_argument("--points-csv", dest="points_csv", default=None)
-    p.add_argument("--n", type=int, default=32, help="synthetic points if no CSV")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--kernel", default="gaussian")
-    p.add_argument("--bandwidth", type=float, default=1.0)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--offset", type=float, default=0.0)
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--c-l", dest="c_l", type=float, default=1.0)
-    p.add_argument("--gram-csv", dest="gram_csv", default=None)
-    return parser
-
-
-def _defaults_for(parser: argparse.ArgumentParser, command: str) -> dict:
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        sub = action.choices[command]
-        return {
-            a.dest: a.default
-            for a in sub._actions  # noqa: SLF001
-            if a.dest not in ("help", "config")
-        }
-    raise KeyError(command)
+    c = command("kernel-bound", "Gram spectrum and tailsum bound")
+    c.add("--points-csv", None, dest="points_csv")
+    c.add("--n", 32, type=int, help="synthetic points if no CSV")
+    c.add("--dim", 2, type=int)
+    c.add("--kernel", "gaussian")
+    c.add("--bandwidth", 1.0, type=float)
+    c.add("--degree", 2, type=int)
+    c.add("--offset", 0.0, type=float)
+    c.add("--k", 16, type=int)
+    c.add("--c-l", 1.0, dest="c_l", type=float)
+    c.add("--gram-csv", None, dest="gram_csv")
+    return parser, commands
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = _cli()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args, _defaults_for(parser, args.command))
+        cfg = _merge_config(args, commands[args.command])
         if cfg["seed"] < 0:
             raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
         t_grid = _parse_grid(cfg["t_grid"]) if "t_grid" in cfg else None

@@ -1,11 +1,15 @@
 """Finite populations and uniform sampling with/without replacement.
 
-The population is always identified with the index set {0, ..., N-1}, and
-a block of k samples is a (k, N) sparse count matrix: a 0/1 row for an
-m-subset, multinomial counts for m draws with replacement.  Every
-supremum in the package is one product of such a matrix with a value
-table (see empirical_process.sup_sums).  Drawn blocks come from
-`sample_counts`; exhaustive enumerators back the exact oracles.
+The population is always identified with the index set {0, ..., N-1}.  A
+sample is a count vector over level sets, disjoint sets of points that
+split the population: how many points the sample takes from each.  A
+block of k samples is a (k, L) count matrix, and every supremum in the
+package is one product of such a matrix with a value table (see
+empirical_process.sup_sums).  When every point is its own level set, a
+block is a (k, N) sparse matrix, a 0/1 row for an m-subset and
+multinomial counts for m draws with replacement, drawn by
+`sample_counts`; `sample_level_counts` draws the per-set counts of larger
+sets directly.  Exhaustive enumerators back the exact oracles.
 """
 
 from __future__ import annotations
@@ -123,17 +127,43 @@ def sample_counts(
     return counts_matrix(idx, n)
 
 
-def sample_blocks(
-    n: int, m: int, count: int, mode: SampleMode, rng: RngStream, block: int = 10_000
-) -> Iterator[csr_matrix]:
-    """`count` samples as count matrices of at most `block` rows each.
+def sample_level_counts(
+    sizes: np.ndarray, m: int, count: int, mode: SampleMode, gen: np.random.Generator
+) -> np.ndarray:
+    """Draw `count` uniform samples of size m from a population split into
+    level sets of the given sizes, as a (count, L) matrix of how many
+    points each sample takes from each set.
+
+    Without replacement the rows are multivariate hypergeometric, with
+    replacement multinomial with probabilities sizes / N: the laws of the
+    per-set counts of `sample_counts` rows.
+    """
+    n = int(sizes.sum())
+    SampleScheme(mode, m).validate_for(GroundSet(n))
+    if mode is SampleMode.WITH_REPLACEMENT:
+        return gen.multinomial(m, sizes / n, size=count)
+    return gen.multivariate_hypergeometric(sizes, m, size=count, method="marginals")
+
+
+def block_generators(
+    count: int, rng: RngStream, block: int = 10_000
+) -> Iterator[tuple[int, np.random.Generator]]:
+    """(rows, generator) for each block of at most `block` of `count` rows.
 
     Block b draws from rng.substream(b), so the draws do not depend on how
     the blocks are scheduled.
     """
     for b, start in enumerate(range(0, count, block)):
-        gen = rng.substream(b).generator()
-        yield sample_counts(n, m, min(block, count - start), mode, gen)
+        yield min(block, count - start), rng.substream(b).generator()
+
+
+def sample_blocks(
+    n: int, m: int, count: int, mode: SampleMode, rng: RngStream, block: int = 10_000
+) -> Iterator[csr_matrix]:
+    """`count` samples as count matrices of at most `block` rows each,
+    block b drawn from rng.substream(b)."""
+    for rows, gen in block_generators(count, rng, block):
+        yield sample_counts(n, m, rows, mode, gen)
 
 
 def enumerate_without_replacement(

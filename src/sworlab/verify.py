@@ -19,7 +19,7 @@ from . import bounds as bank
 from .bounds import BoundParams, Center
 from .empirical_process import FunctionClass, expected_sup, simulate_suprema
 from .errors import ConfigurationError, ContractError, OracleScaleError
-from .ground_set import RngStream, SampleScheme
+from .ground_set import RngStream, SampleMode, SampleScheme
 
 DEFAULT_DELTA = 0.01
 
@@ -122,13 +122,20 @@ def tail_curve_from_draws(
     """Build a TailCurve from precomputed supremum draws."""
     eps_grid = np.asarray(eps_grid, dtype=float)
     n = draws.size
-    dev = draws - center_value
-    ks = np.array([(dev >= e).sum() for e in eps_grid])
+    if n < 1:
+        raise ConfigurationError("need at least one draw")
+    dev = np.sort(draws - center_value)
+    ks = n - np.searchsorted(dev, eps_grid, side="left")  # #{dev >= eps}
+    # binomial_upper_ci / binomial_lower_ci over the whole grid at once
+    upper, lower = np.ones(ks.size), np.zeros(ks.size)
+    below, above = ks < n, ks > 0
+    upper[below] = beta.ppf(1.0 - delta, ks[below] + 1, n - ks[below])
+    lower[above] = beta.ppf(delta, ks[above], n - ks[above] + 1)
     return TailCurve(
         eps_grid=eps_grid,
         tail_estimate=ks / n,
-        upper_ci=np.array([binomial_upper_ci(int(k), n, delta) for k in ks]),
-        lower_ci=np.array([binomial_lower_ci(int(k), n, delta) for k in ks]),
+        upper_ci=upper,
+        lower_ci=lower,
         trials=n,
         center=center,
         center_value=center_value,
@@ -175,7 +182,7 @@ def estimate_tail(
             )
         center_value = (
             stats.mean_without
-            if center_scheme.mode.name == "WITHOUT_REPLACEMENT"
+            if center_scheme.mode is SampleMode.WITHOUT_REPLACEMENT
             else stats.mean_with
         )
         center_std_error = stats.std_error
@@ -185,9 +192,7 @@ def estimate_tail(
     )
 
 
-def _flip_mode(mode):
-    from .ground_set import SampleMode
-
+def _flip_mode(mode: SampleMode) -> SampleMode:
     return (
         SampleMode.WITH_REPLACEMENT
         if mode is SampleMode.WITHOUT_REPLACEMENT

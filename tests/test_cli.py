@@ -76,6 +76,39 @@ class TestConfigFile:
         assert report["config"]["m"] == 10
 
 
+    def test_flag_at_its_default_overrides_file(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("n = 50\n")
+        out = tmp_path / "o"
+        code = run(["compare-exponents", "--config", str(path), "--n", "100", "--out", str(out)])
+        assert code == EXIT_OK
+        assert read_report(out)["config"]["n"] == 100
+
+    def test_file_values_take_their_flag_types(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg"
+        path.write_text("eps = 2\nout = 007\n")
+        assert run(["compare-exponents", "--config", str(path)]) == EXIT_OK
+        config = read_report(tmp_path / "007")["config"]
+        assert config["out"] == "007"
+        assert isinstance(config["eps"], float)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("trials = 1e3", "trials must be int, got '1e3'"),
+            ("sigma2 = lots", "sigma2 must be float, got 'lots'"),
+            ("full-grid = maybe", "full_grid must be true or false, got 'maybe'"),
+        ],
+    )
+    def test_uncoercible_file_value_exits_2(self, tmp_path, capsys, line, message):
+        path = tmp_path / "cfg"
+        path.write_text(line + "\n")
+        code = run(["verify-bounds", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert f"config error: {message}" in capsys.readouterr().err
+
+
 class TestInputErrors:
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code = run(["verify-bounds", "--seed", "-1", "--out", str(tmp_path / "o")])

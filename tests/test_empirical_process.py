@@ -7,17 +7,25 @@ import pytest
 from scipy.stats import binom, hypergeom
 
 from sworlab.empirical_process import (
+    LEVEL_RATIO,
     FunctionClass,
     center_class,
     class_variance,
     expected_sup,
+    exact_mean,
     simulate_suprema,
     sup_process,
     sup_sums,
 )
 from sworlab.errors import ConfigurationError, OracleScaleError
 from sworlab.experiments import make_antipodal_class
-from sworlab.ground_set import RngStream, SampleMode, SampleScheme, sample_counts
+from sworlab.ground_set import (
+    RngStream,
+    SampleMode,
+    SampleScheme,
+    sample_blocks,
+    sample_counts,
+)
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
 WITH = SampleMode.WITH_REPLACEMENT
@@ -223,6 +231,52 @@ class TestSimulateSuprema:
         draws = simulate_suprema(fc, SampleScheme(WITH, 3), 100, RngStream(2))
         assert draws.shape == (100,)
         assert np.all(draws <= 3.0 + 1e-12)
+
+
+class TestLevelPath:
+    @pytest.mark.parametrize(
+        "mode,m,repeats", [(WITHOUT, 3, (16, 48, 32)), (WITH, 3 * LEVEL_RATIO, (32, 32, 32))]
+    )
+    def test_repeated_columns_agree_with_exact_mean(self, mode, m, repeats):
+        # three distinct columns shared by 96 points in shuffled order
+        base = center_class(np.random.default_rng(14).uniform(-1, 1, size=(4, 3)))
+        order = np.random.default_rng(15).permutation(96)
+        fc = FunctionClass(np.repeat(base.values, repeats, axis=1)[:, order])
+        levels = fc.level_sets
+        for size, column in zip(levels.sizes, levels.columns.T):
+            assert np.sum(np.all(fc.values == column[:, None], axis=0)) == size
+        if mode is WITHOUT:
+            exact = exact_mean(fc, SampleScheme(mode, m))
+        else:
+            # equal sets: m uniform draws from the 96 points take each set
+            # as often as m uniform draws from its 3 columns
+            exact = exact_mean(FunctionClass(base.values), SampleScheme(mode, m))
+        trials = 20_000
+        draws = simulate_suprema(fc, SampleScheme(mode, m), trials, RngStream(15))
+        se = draws.std(ddof=1) / math.sqrt(trials)
+        assert abs(draws.mean() - exact) <= 4 * se
+
+    @pytest.mark.parametrize("m", [100, 500, 900])
+    def test_antipodal_n1000_matches_closed_form(self, m):
+        # Q = a |2K - m| with K ~ Hypergeom(1000, 500, m) or Bin(m, 1/2)
+        fc = make_antipodal_class(1000, 0.1)
+        a, k, trials = float(fc.values[0, 0]), np.arange(m + 1), 20_000
+        assert fc.level_sets.sizes.tolist() == [500, 500]
+        for mode, law in [(WITHOUT, hypergeom(1000, 500, m)), (WITH, binom(m, 0.5))]:
+            closed = a * float(law.pmf(k) @ np.abs(2 * k - m))
+            draws = simulate_suprema(fc, SampleScheme(mode, m), trials, RngStream(m))
+            se = draws.std(ddof=1) / math.sqrt(trials)
+            assert abs(draws.mean() - closed) <= 5 * se, mode
+
+    @pytest.mark.parametrize("mode,m", [(WITHOUT, 40), (WITH, 40)])
+    def test_distinct_columns_keep_the_population_draws(self, mode, m):
+        fc = center_class(np.random.default_rng(16).uniform(0, 1, size=(64, 400)))
+        assert fc.level_sets is None
+        rng = RngStream(17, 3)
+        draws = simulate_suprema(fc, SampleScheme(mode, m), 25, rng, block=10)
+        blocks = sample_blocks(400, m, 25, mode, rng, block=10)
+        expected = np.concatenate([sup_sums(fc.values, counts) for counts in blocks])
+        assert np.array_equal(draws, expected)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.stats import multinomial, multivariate_hypergeom
 
 from sworlab.errors import ConfigurationError, OracleScaleError
 from sworlab.ground_set import (
@@ -15,6 +16,7 @@ from sworlab.ground_set import (
     enumerate_without_replacement,
     sample_blocks,
     sample_counts,
+    sample_level_counts,
 )
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
@@ -185,3 +187,37 @@ def test_stream_paths_match_seed_sequence_spawn_keys(seed):
     grandchild = s.substream(3).substream(0)
     assert np.array_equal(grandchild.generator().random(6), ref(9, 3, 0))
     assert grandchild == RngStream(seed, 9, (3, 0))
+
+
+@pytest.mark.parametrize("mode", [WITH, WITHOUT])
+@pytest.mark.parametrize("sizes,m", [([1], 1), ([3, 1, 4], 5), ([2, 2, 2], 6), ([500, 500], 900)])
+def test_sample_level_counts_rows_sum_to_m_within_sizes(mode, sizes, m):
+    sizes = np.array(sizes)
+    counts = sample_level_counts(sizes, m, 300, mode, np.random.default_rng(m))
+    assert counts.shape == (300, sizes.size)
+    assert np.all(counts.sum(axis=1) == m)
+    assert np.all(counts >= 0)
+    if mode is WITHOUT:
+        assert np.all(counts <= sizes)
+
+
+@pytest.mark.parametrize("mode", [WITH, WITHOUT])
+def test_sample_level_counts_follow_the_level_laws(mode):
+    # per-set counts of a uniform sample of a population split 2 / 3 / 1:
+    # multivariate hypergeometric without replacement, multinomial with
+    sizes, m, draws = np.array([2, 3, 1]), 3, 60_000
+    counts = sample_level_counts(sizes, m, draws, mode, np.random.default_rng(12))
+    freqs = Counter(map(tuple, counts.tolist()))
+    if mode is WITHOUT:
+        law = multivariate_hypergeom(sizes, m)
+    else:
+        law = multinomial(m, sizes / sizes.sum())
+    cells = [c for c in product(range(m + 1), repeat=3) if sum(c) == m]
+    assert set(freqs) <= set(cells)
+    for cell in cells:
+        p = float(law.pmf(cell))
+        if mode is WITHOUT and p == 0.0:
+            assert cell not in freqs
+            continue
+        sd = math.sqrt(draws * p * (1 - p))
+        assert abs(freqs[cell] - draws * p) <= 4 * sd, cell

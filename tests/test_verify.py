@@ -245,6 +245,19 @@ class TestSerialization:
         assert d["passed"] == (not d["violations"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 10_000])
+def test_tail_curve_bands_equal_the_scalar_intervals(n):
+    # suprema are discrete, so draws can equal grid points; the outer grid
+    # points give k = n and k = 0, the edge cases
+    draws = np.random.default_rng(n).integers(-4, 5, n).astype(float)
+    eps = np.concatenate([[-1e9], np.linspace(-4.0, 4.0, 17), [1e9]])
+    curve = tail_curve_from_draws(draws, eps, Center.AROUND_EQ_PRIME, 0.0)
+    ks = [int((draws >= e).sum()) for e in eps]
+    assert np.array_equal(curve.tail_estimate, np.array(ks) / n)
+    assert curve.upper_ci.tolist() == [binomial_upper_ci(k, n) for k in ks]
+    assert curve.lower_ci.tolist() == [binomial_lower_ci(k, n) for k in ks]
+
+
 def test_tail_curve_rejects_bad_grids():
     with pytest.raises(ConfigurationError):
         TailCurve(
