@@ -14,7 +14,6 @@ from .bounds import (
     deviation_talagrand_swor,
     gap_bound,
     h_fn,
-    phi_fn,
     tail_bousquet,
     tail_elyaniv_pechyony,
     tail_subgaussian,

@@ -1,5 +1,12 @@
 """The inequality bank: every tail / deviation bound as a pure formula.
 
+Each theorem family is typed once, as a log-tail: sub-Gaussian, Bennett
+(shared by the without-replacement Talagrand-type bound and Bousquet's
+with-replacement original) and the El-Yaniv-Pechyony baseline.  A tail
+bound is min(1, exp(log-tail)), and `compare_exponents` reports the same
+log-tails.  A deterministic supremum (sigma2 = 0, v = 0 or m = N) has
+log-tail 0 at eps = 0 and -inf beyond.
+
 Centering conventions matter and are part of each bound's contract:
 
 * sub-Gaussian and the McDiarmid-style baseline bound deviations of Q'
@@ -7,9 +14,6 @@ Centering conventions matter and are part of each bound's contract:
 * the Talagrand-type bound for sampling without replacement and its
   with-replacement Bousquet original bound deviations of Q' (resp. Q)
   around E[Q], upper tail only.
-
-Tail probabilities are capped at 1.  Zero-variance degenerate classes are
-deterministic, so their tail probability at eps > 0 is 0.
 """
 
 from __future__ import annotations
@@ -42,15 +46,13 @@ BOUND_CENTERS = {
     "bousquet": Center.AROUND_EQ,
 }
 
-#: tags whose tail bound also covers the lower tail E[Q'] - Q'
-SYMMETRIC_TAGS = frozenset({"subgaussian", "elyaniv_pechyony"})
-
 
 @dataclass(frozen=True)
 class BoundParams:
     """Inputs shared by the bound formulas.
 
-    eq_m is E[Q_m], accepted as data (exact or estimated upstream).
+    eq_m is E[Q_m], accepted as data (exact or estimated upstream); it is
+    nonnegative for every centered class.
     """
 
     N: int
@@ -65,6 +67,8 @@ class BoundParams:
             raise ConfigurationError(f"need 1 <= m <= N, got m={self.m}, N={self.N}")
         if not 0.0 <= self.sigma2 <= 1.0:
             raise ConfigurationError(f"sigma2 must be in [0, 1], got {self.sigma2}")
+        if self.eq_m < 0:
+            raise ConfigurationError(f"E[Q_m] must be nonnegative, got {self.eq_m}")
         if self.t < 0 or self.eps < 0:
             raise ConfigurationError("t and eps must be nonnegative")
 
@@ -94,42 +98,52 @@ def h_fn(u: float) -> float:
     return (1.0 + u) * math.log1p(u) - u
 
 
-def phi_fn(u: float) -> float:
-    """phi(u) = e^u - u - 1."""
-    return math.expm1(u) - u
+def _degenerate(eps: float) -> float:
+    """Log-tail of a deterministic supremum: log 1 at eps = 0, log 0 beyond."""
+    return 0.0 if eps == 0.0 else -math.inf
 
 
-def _tail(value: float, tag: str) -> BoundValue:
-    return BoundValue(BoundKind.TAIL_PROBABILITY, min(1.0, value), tag)
+def _log_tail_subgaussian(p: BoundParams, constant: float = 8.0) -> float:
+    """-(N+2) eps^2 / (constant N^2 sigma2); `constant` is 8 in the theorem."""
+    if p.sigma2 == 0.0:
+        return _degenerate(p.eps)
+    return -(p.N + 2) * p.eps**2 / (constant * p.N**2 * p.sigma2)
+
+
+def _log_tail_bennett(p: BoundParams) -> float:
+    """-v h(eps/v), v = m sigma2 + 2 E[Q]."""
+    v = p.v
+    if v == 0.0:
+        return _degenerate(p.eps)
+    return -v * h_fn(p.eps / v)
+
+
+def _mcdiarmid_exponent(p: BoundParams) -> float:
+    """-(eps^2 / 2m) (N - 1/2)/(N - m), for m < N."""
+    return -(p.eps**2 / (2.0 * p.m)) * ((p.N - 0.5) / (p.N - p.m))
+
+
+def _log_tail_elyaniv_pechyony(p: BoundParams) -> float:
+    """The McDiarmid exponent times (1 - 1/(2 max(m, N-m)))."""
+    if p.m == p.N:  # exhaustive sample: Q' is deterministic
+        return _degenerate(p.eps)
+    return _mcdiarmid_exponent(p) * (1.0 - 1.0 / (2.0 * max(p.m, p.N - p.m)))
+
+
+def _tail(log_tail: float, tag: str) -> BoundValue:
+    return BoundValue(BoundKind.TAIL_PROBABILITY, min(1.0, math.exp(log_tail)), tag)
 
 
 def _deviation(value: float, tag: str) -> BoundValue:
     return BoundValue(BoundKind.DEVIATION_LEVEL, value, tag)
 
 
-def tail_subgaussian(
-    p: BoundParams, constant: float = 8.0, lower_tail: bool = False
-) -> BoundValue:
-    """Sub-Gaussian tail bound exp(-(N+2) eps^2 / (constant N^2 sigma2)).
+def tail_subgaussian(p: BoundParams, constant: float = 8.0) -> BoundValue:
+    """Sub-Gaussian tail of Q' - E[Q'], either side: exp(-(N+2) eps^2 / (8 N^2 sigma2)).
 
-    Symmetric: the same value bounds both Q' - E[Q'] and E[Q'] - Q'
-    exceedances, so lower_tail only documents intent.  `constant` exists
-    for corrupted-bound power checks and defaults to the true value 8.
+    `constant` exists for corrupted-bound power checks.
     """
-    del lower_tail
-    if p.sigma2 == 0.0:
-        return _tail(1.0 if p.eps == 0.0 else 0.0, "subgaussian")
-    expo = -(p.N + 2) * p.eps**2 / (constant * p.N**2 * p.sigma2)
-    return _tail(math.exp(expo), "subgaussian")
-
-
-def tail_subgaussian_loose(p: BoundParams, constant: float = 8.0) -> BoundValue:
-    """The looser form exp(-eps^2 / (8 N sigma2))."""
-    if p.sigma2 == 0.0:
-        return _tail(1.0 if p.eps == 0.0 else 0.0, "subgaussian_loose")
-    return _tail(
-        math.exp(-(p.eps**2) / (constant * p.N * p.sigma2)), "subgaussian_loose"
-    )
+    return _tail(_log_tail_subgaussian(p, constant), "subgaussian")
 
 
 def deviation_subgaussian(p: BoundParams) -> BoundValue:
@@ -137,67 +151,33 @@ def deviation_subgaussian(p: BoundParams) -> BoundValue:
     return _deviation(2.0 * math.sqrt(2.0 * p.N * p.sigma2 * p.t), "subgaussian")
 
 
-def _tail_bennett(p: BoundParams, tag: str) -> BoundValue:
-    v = p.v
-    if v <= 0.0:
-        return _tail(1.0 if p.eps == 0.0 else 0.0, tag)
-    return _tail(math.exp(-v * h_fn(p.eps / v)), tag)
-
-
-def _tail_bennett_loose(p: BoundParams, tag: str) -> BoundValue:
-    v = p.v
-    if v <= 0.0:
-        return _tail(1.0 if p.eps == 0.0 else 0.0, tag)
-    return _tail(math.exp(-(p.eps**2) / (2.0 * (v + p.eps / 3.0))), tag)
+def _bernstein_deviation(p: BoundParams, tag: str) -> BoundValue:
+    """sqrt(2 v t) + t/3, the Bennett tail's deviation at confidence t."""
+    return _deviation(math.sqrt(2.0 * p.v * p.t) + p.t / 3.0, tag)
 
 
 def tail_talagrand_swor(p: BoundParams) -> BoundValue:
-    """Bennett-form tail of Q' above E[Q]: exp(-v h(eps/v)), v = m sigma2 + 2 E[Q].
-
-    Upper tail only; there is no lower-tail counterpart for this bound.
-    """
-    return _tail_bennett(p, "talagrand_swor")
-
-
-def tail_talagrand_swor_loose(p: BoundParams) -> BoundValue:
-    """Bernstein-form relaxation exp(-eps^2 / (2(v + eps/3)))."""
-    return _tail_bennett_loose(p, "talagrand_swor_loose")
+    """Bennett-form tail of Q' above E[Q]: exp(-v h(eps/v)). Upper tail only."""
+    return _tail(_log_tail_bennett(p), "talagrand_swor")
 
 
 def deviation_talagrand_swor(p: BoundParams) -> BoundValue:
-    """Deviation of Q' above E[Q] (not E[Q']): sqrt(2 v t) + t/3."""
-    return _deviation(math.sqrt(2.0 * p.v * p.t) + p.t / 3.0, "talagrand_swor")
+    """Deviation of Q' above E[Q] (not E[Q'])."""
+    return _bernstein_deviation(p, "talagrand_swor")
 
 
 def tail_bousquet(p: BoundParams) -> BoundValue:
-    """Bousquet's with-replacement tail for Q; identical expression to the
-    without-replacement Bennett form (that bound transfers verbatim)."""
-    return _tail_bennett(p, "bousquet")
-
-
-def tail_bousquet_loose(p: BoundParams) -> BoundValue:
-    return _tail_bennett_loose(p, "bousquet_loose")
+    """Bousquet's with-replacement tail of Q above E[Q]: the same Bennett form."""
+    return _tail(_log_tail_bennett(p), "bousquet")
 
 
 def deviation_bousquet(p: BoundParams) -> BoundValue:
-    return _deviation(math.sqrt(2.0 * p.v * p.t) + p.t / 3.0, "bousquet")
+    return _bernstein_deviation(p, "bousquet")
 
 
-def tail_elyaniv_pechyony(p: BoundParams, lower_tail: bool = False) -> BoundValue:
-    """McDiarmid-style baseline, variance-free, symmetric:
-
-    exp(-(eps^2 / 2m) ((N - 1/2)/(N - m)) (1 - 1/(2 max(m, N-m)))).
-    """
-    del lower_tail
-    if p.m == p.N:
-        # exhaustive sample: Q' is deterministic
-        return _tail(1.0 if p.eps == 0.0 else 0.0, "elyaniv_pechyony")
-    expo = (
-        -(p.eps**2 / (2.0 * p.m))
-        * ((p.N - 0.5) / (p.N - p.m))
-        * (1.0 - 1.0 / (2.0 * max(p.m, p.N - p.m)))
-    )
-    return _tail(math.exp(expo), "elyaniv_pechyony")
+def tail_elyaniv_pechyony(p: BoundParams) -> BoundValue:
+    """McDiarmid-style baseline for Q' - E[Q'], either side; variance-free."""
+    return _tail(_log_tail_elyaniv_pechyony(p), "elyaniv_pechyony")
 
 
 def gap_bound(N: int, m: int) -> float:
@@ -226,33 +206,26 @@ def compare_exponents(
 ) -> dict:
     """Compare the tail exponents of the three inequalities at one eps.
 
-    Reports, per tag, the exponent (log of the tail bound); the tightest
-    bound is the one with the most negative exponent.  The comparison form
-    of the sub-Gaussian exponent, -eps^2/(8 N sigma2), is reported
-    alongside the exact one.  The Bennett exponent uses eq_m as E[Q_m].
+    Reports, per tag of TAIL_BOUNDS, the log-tail its bound exponentiates;
+    the tightest bound is the one with the most negative exponent.  Two
+    comparison forms ride along: the sub-Gaussian -eps^2/(8 N sigma2) and
+    the El-Yaniv-Pechyony exponent without its 1 - 1/(2 max(m, N-m))
+    factor.  The Bennett exponent uses eq_m as E[Q_m].
     """
     p = BoundParams(N=N, m=m, sigma2=sigma2, eq_m=eq_m, eps=eps)
-    exponents = {}
-    if sigma2 > 0.0:
-        exponents["subgaussian"] = -(N + 2) * eps**2 / (8.0 * N**2 * sigma2)
-        exponents["subgaussian_loose"] = -(eps**2) / (8.0 * N * sigma2)
-    else:
-        exponents["subgaussian"] = -math.inf
-        exponents["subgaussian_loose"] = -math.inf
-    v = p.v
-    exponents["talagrand_swor"] = -v * h_fn(eps / v) if v > 0 else -math.inf
-    if m < N:
-        exponents["elyaniv_pechyony"] = (
-            -(eps**2 / (2.0 * m))
-            * ((N - 0.5) / (N - m))
-            * (1.0 - 1.0 / (2.0 * max(m, N - m)))
-        )
-        exponents["elyaniv_pechyony_uncorrected"] = -(eps**2 / (2.0 * m)) * (
-            (N - 0.5) / (N - m)
-        )
-    else:
-        exponents["elyaniv_pechyony"] = -math.inf
-        exponents["elyaniv_pechyony_uncorrected"] = -math.inf
+    bennett = _log_tail_bennett(p)
+    exponents = {
+        "subgaussian": _log_tail_subgaussian(p),
+        "talagrand_swor": bennett,
+        "bousquet": bennett,
+        "elyaniv_pechyony": _log_tail_elyaniv_pechyony(p),
+    }
+    exponents["subgaussian_loose"] = (
+        -(eps**2) / (8.0 * N * sigma2) if sigma2 > 0.0 else exponents["subgaussian"]
+    )
+    exponents["elyaniv_pechyony_uncorrected"] = (
+        _mcdiarmid_exponent(p) if m < N else exponents["elyaniv_pechyony"]
+    )
 
     compared = {k: exponents[k] for k in ("subgaussian", "talagrand_swor", "elyaniv_pechyony")}
     best = min(compared.values())

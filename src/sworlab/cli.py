@@ -95,6 +95,11 @@ def _parse_grid(text: str) -> tuple:
         raise ValueError(f"t-grid must be comma-separated numbers, got {text!r}") from None
 
 
+def _read_csv(path):
+    """A numeric CSV as a 2-D array, or None when no path is given."""
+    return np.loadtxt(path, delimiter=",", ndmin=2) if path else None
+
+
 def _write_report(out_dir, experiment: str, config: dict, payload: dict, elapsed: float):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -222,6 +227,8 @@ def run(argv=None) -> int:
         if cfg["seed"] < 0:
             raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
         t_grid = _parse_grid(cfg["t_grid"]) if "t_grid" in cfg else None
+        loss = _read_csv(cfg.get("loss_csv"))
+        points = _read_csv(cfg.get("points_csv"))
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -251,7 +258,6 @@ def run(argv=None) -> int:
                 seed=cfg["seed"],
             )
         elif args.command == "transductive-erm":
-            loss = np.loadtxt(cfg["loss_csv"], delimiter=",", ndmin=2) if cfg["loss_csv"] else None
             payload = experiments.run_transductive_erm(
                 n=cfg["n"],
                 n_hyp=cfg["hypotheses"],
@@ -263,7 +269,6 @@ def run(argv=None) -> int:
                 trials=cfg["trials"],
             )
         elif args.command == "localize":
-            loss = np.loadtxt(cfg["loss_csv"], delimiter=",", ndmin=2) if cfg["loss_csv"] else None
             payload = experiments.run_localize(
                 n=cfg["n"],
                 n_hyp=cfg["hypotheses"],
@@ -275,9 +280,7 @@ def run(argv=None) -> int:
                 trials=cfg["trials"],
             )
         elif args.command == "kernel-bound":
-            if cfg["points_csv"]:
-                points = np.loadtxt(cfg["points_csv"], delimiter=",", ndmin=2)
-            else:
+            if points is None:
                 gen = np.random.default_rng(cfg["seed"])
                 points = gen.standard_normal((cfg["n"], cfg["dim"]))
             payload = experiments.run_kernel_bound(

@@ -16,6 +16,7 @@ from .bounds import BoundParams, Center
 from .empirical_process import (
     FunctionClass,
     center_class,
+    class_variance,
     expected_sup,
     simulate_suprema,
 )
@@ -96,6 +97,10 @@ def run_oracle_check(
     n_max: int = 6, n_classes: int = 20, max_funcs: int = 5, seed: int = 0
 ) -> dict:
     """Exhaustive check of E[Q'] <= E[Q] and the 2 m^3/N gap bound."""
+    if n_max < 2:
+        raise ConfigurationError(f"n_max must be >= 2, got {n_max}")
+    if max_funcs < 1:
+        raise ConfigurationError(f"max_funcs must be >= 1, got {max_funcs}")
     cases = []
     passed = True
     stream = 0
@@ -146,7 +151,7 @@ def _config_checks(
     """Domination and deviation-calibration checks for one configuration."""
     fc = make_antipodal_class(n, sigma2)
     scheme = SampleScheme(WITHOUT, m)
-    s2 = float((fc.values**2).mean(axis=1).max())
+    s2 = class_variance(fc)
 
     center_rng = RngStream(seed, stream_base)
     eq_rng = RngStream(seed, stream_base + 1)
@@ -457,24 +462,17 @@ def run_localize(
     r_m, r_u = fits["m_without"]["r_star"], fits["u_without"]["r_star"]
     r_m_w, r_u_w = fits["m_with"]["r_star"], fits["u_with"]["r_star"]
 
-    bounds_at_t = {}
-    for t in t_grid:
-        t = float(t)
-        bounds_at_t[f"t={t}"] = {
-            "thm8": excess_bound_thm8(B, r_m, n, m, t),
-            "thm9": excess_bound_thm9(B, r_m_w, m, t),
-            "cor10": excess_bound_cor10(B, r_m, r_u, n, m, u, t),
-            "cor11": excess_bound_cor11(B, r_m_w, r_u_w, n, m, u, t, K=1.0),
-            "appD": stability_bound_appD(B, appd_K, r_m, r_u, n, m, u, t),
-        }
-
     star = ec.star_index
-    thm_bounds = {
+    bound_fns = {
         "thm8": lambda t: excess_bound_thm8(B, r_m, n, m, t),
         "thm9": lambda t: excess_bound_thm9(B, r_m_w, m, t),
-    }
-    cor_bounds = {
         "cor10": lambda t: excess_bound_cor10(B, r_m, r_u, n, m, u, t),
+        "cor11": lambda t: excess_bound_cor11(B, r_m_w, r_u_w, n, m, u, t, K=1.0),
+        "appD": lambda t: stability_bound_appD(B, appd_K, r_m, r_u, n, m, u, t),
+    }
+    bounds_at_t = {
+        f"t={float(t)}": {name: fn(float(t)) for name, fn in bound_fns.items()}
+        for t in t_grid
     }
 
     def overall_excess(train, test):
@@ -488,8 +486,12 @@ def run_localize(
         tp, m, splits, seed, overall_excess, test_excess
     )
     validity = {
-        **_validity_frequencies(overall_stats, t_grid, thm_bounds),
-        **_validity_frequencies(test_stats, t_grid, cor_bounds, guarantee_factor=2.0),
+        **_validity_frequencies(
+            overall_stats, t_grid, {k: bound_fns[k] for k in ("thm8", "thm9")}
+        ),
+        **_validity_frequencies(
+            test_stats, t_grid, {"cor10": bound_fns["cor10"]}, guarantee_factor=2.0
+        ),
     }
     passed = all(v["ok"] for v in validity.values())
     return {

@@ -238,11 +238,11 @@ def excess_bound_cor10(
     u: int,
     t: float,
 ) -> float:
-    """Test-excess-risk bound at confidence 2e^{-t}, from the 51/17 pair."""
-    b = _as_B(B)
-    return (N / u) * (51.0 * r_star_m / b + 17.0 * b * t * N / m**2) + (N / m) * (
-        51.0 * r_star_u / b + 17.0 * b * t * N / u**2
-    )
+    """Test-excess-risk bound at confidence 2e^{-t}: Thm 8 on the training
+    and on the test sample, (N/u) thm8(r*_m, m) + (N/m) thm8(r*_u, u)."""
+    on_train = excess_bound_thm8(B, r_star_m, N, m, t)
+    on_test = excess_bound_thm8(B, r_star_u, N, u, t)
+    return (N / u) * on_train + (N / m) * on_test
 
 
 def excess_bound_cor11(
@@ -255,12 +255,11 @@ def excess_bound_cor11(
     t: float,
     K: float = 1.0,
 ) -> float:
-    """901/(16+25B) analogue; K is stated but unquantified in the source
-    result, exposed as an explicit parameter defaulting to 1."""
-    b = _as_B(B)
-    return (N / u) * (
-        901.0 * K * r_star_m / b + t * (16.0 + 25.0 * b) / (3.0 * m)
-    ) + (N / m) * (901.0 * K * r_star_u / b + t * (16.0 + 25.0 * b) / (3.0 * u))
+    """Thm 9 analogue of Cor 10 at K r*; K is stated but unquantified in the
+    source result, exposed as an explicit parameter defaulting to 1."""
+    on_train = excess_bound_thm9(B, K * r_star_m, m, t)
+    on_test = excess_bound_thm9(B, K * r_star_u, u, t)
+    return (N / u) * on_train + (N / m) * on_test
 
 
 def stability_bound_appD(

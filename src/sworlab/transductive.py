@@ -14,7 +14,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .empirical_process import FunctionClass, expected_sup
+from .bounds import BoundParams, deviation_subgaussian
+from .empirical_process import FunctionClass, class_variance, expected_sup
 from .errors import ConfigurationError
 from .ground_set import (
     DEFAULT_ENUM_BUDGET,
@@ -148,8 +149,7 @@ def erm(tp: TransductiveProblem, sr: SplitRisks) -> ErmOutcome:
 
 def sigma2_H(tp: TransductiveProblem) -> float:
     """Largest population variance of a loss row; always <= 1/4."""
-    ln = tp.overall_risk
-    return float(((tp.loss_table - ln[:, None]) ** 2).mean(axis=1).max())
+    return class_variance(tp.centered_class())
 
 
 def exact_sup_expectation(
@@ -193,12 +193,10 @@ def mc_sup_expectation(
 def gen_bound_thm5(
     tp: TransductiveProblem, m: int, t: float, sup_expectation: float
 ) -> float:
-    """Uniform bound on L_N(h) - train risk at confidence t:
-
-    sup_expectation + 2 sqrt(2 (N/m^2) sigma2_H t).
-    """
-    s2 = sigma2_H(tp)
-    return sup_expectation + 2.0 * math.sqrt(2.0 * (tp.N / m**2) * s2 * t)
+    """Uniform bound on L_N(h) - train risk at confidence t: sup_expectation
+    plus the sub-Gaussian deviation of the centered class, over m."""
+    p = BoundParams(N=tp.N, m=m, sigma2=sigma2_H(tp), t=t)
+    return sup_expectation + deviation_subgaussian(p).value / m
 
 
 def gen_bound_thm6(tp: TransductiveProblem, m: int, t: float, e_m: float) -> float:

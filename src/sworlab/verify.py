@@ -24,26 +24,39 @@ from .ground_set import RngStream, SampleMode, SampleScheme
 DEFAULT_DELTA = 0.01
 
 
-def binomial_upper_ci(k: int, n: int, delta: float = DEFAULT_DELTA) -> float:
+def _checked_counts(k, n: int) -> np.ndarray:
+    k = np.asarray(k)
+    if n < 1 or np.any((k < 0) | (k > n)):
+        raise ConfigurationError(f"need 0 <= k <= n, n >= 1; got k={k}, n={n}")
+    return k
+
+
+def _float_or_array(x: np.ndarray) -> float | np.ndarray:
+    return float(x) if x.ndim == 0 else x
+
+
+def binomial_upper_ci(k, n: int, delta: float = DEFAULT_DELTA) -> float | np.ndarray:
     """One-sided exact upper confidence bound for a binomial proportion.
 
     Smallest p whose lower tail probability of seeing <= k successes is
-    delta; equals 1 when k = n.
+    delta; equals 1 when k = n.  k may be an array of counts.
     """
-    if not 0 <= k <= n or n < 1:
-        raise ConfigurationError(f"need 0 <= k <= n, n >= 1; got k={k}, n={n}")
-    if k == n:
-        return 1.0
-    return float(beta.ppf(1.0 - delta, k + 1, n - k))
+    k = _checked_counts(k, n)
+    upper = np.ones(k.shape)
+    below = k < n
+    if below.any():  # beta.ppf costs ~0.1 ms even on no arguments
+        upper[below] = beta.ppf(1.0 - delta, k[below] + 1, n - k[below])
+    return _float_or_array(upper)
 
 
-def binomial_lower_ci(k: int, n: int, delta: float = DEFAULT_DELTA) -> float:
+def binomial_lower_ci(k, n: int, delta: float = DEFAULT_DELTA) -> float | np.ndarray:
     """One-sided exact lower confidence bound; equals 0 when k = 0."""
-    if not 0 <= k <= n or n < 1:
-        raise ConfigurationError(f"need 0 <= k <= n, n >= 1; got k={k}, n={n}")
-    if k == 0:
-        return 0.0
-    return float(beta.ppf(delta, k, n - k + 1))
+    k = _checked_counts(k, n)
+    lower = np.zeros(k.shape)
+    above = k > 0
+    if above.any():
+        lower[above] = beta.ppf(delta, k[above], n - k[above] + 1)
+    return _float_or_array(lower)
 
 
 def default_eps_grid(m: int, sigma2: float, n_points: int = 20) -> np.ndarray:
@@ -126,16 +139,11 @@ def tail_curve_from_draws(
         raise ConfigurationError("need at least one draw")
     dev = np.sort(draws - center_value)
     ks = n - np.searchsorted(dev, eps_grid, side="left")  # #{dev >= eps}
-    # binomial_upper_ci / binomial_lower_ci over the whole grid at once
-    upper, lower = np.ones(ks.size), np.zeros(ks.size)
-    below, above = ks < n, ks > 0
-    upper[below] = beta.ppf(1.0 - delta, ks[below] + 1, n - ks[below])
-    lower[above] = beta.ppf(delta, ks[above], n - ks[above] + 1)
     return TailCurve(
         eps_grid=eps_grid,
         tail_estimate=ks / n,
-        upper_ci=upper,
-        lower_ci=lower,
+        upper_ci=binomial_upper_ci(ks, n, delta),
+        lower_ci=binomial_lower_ci(ks, n, delta),
         trials=n,
         center=center,
         center_value=center_value,

@@ -14,14 +14,11 @@ from sworlab.bounds import (
     deviation_talagrand_swor,
     gap_bound,
     h_fn,
-    phi_fn,
+    TAIL_BOUNDS,
     tail_bousquet,
-    tail_bousquet_loose,
     tail_elyaniv_pechyony,
     tail_subgaussian,
-    tail_subgaussian_loose,
     tail_talagrand_swor,
-    tail_talagrand_swor_loose,
 )
 from sworlab.errors import ConfigurationError
 
@@ -29,7 +26,6 @@ from sworlab.errors import ConfigurationError
 class TestElementaryFunctions:
     def test_values_at_zero(self):
         assert h_fn(0.0) == 0.0
-        assert phi_fn(0.0) == 0.0
 
     def test_h_analytic_identity(self):
         # h(e-1) = e*1 - (e-1) = 1
@@ -60,17 +56,6 @@ class TestSubgaussian:
     def test_direct_substitution(self):
         p = BoundParams(N=100, m=50, sigma2=0.25, eps=10.0)
         assert tail_subgaussian(p).value == pytest.approx(math.exp(-0.51))
-        assert tail_subgaussian_loose(p).value == pytest.approx(
-            math.exp(-100 / (8 * 100 * 0.25))
-        )
-
-    def test_exact_form_tighter_than_loose(self):
-        p = BoundParams(N=50, m=10, sigma2=0.1, eps=2.0)
-        assert tail_subgaussian(p).value <= tail_subgaussian_loose(p).value
-
-    def test_symmetric_flag_same_value(self):
-        p = BoundParams(N=50, m=10, sigma2=0.1, eps=2.0)
-        assert tail_subgaussian(p, lower_tail=True).value == tail_subgaussian(p).value
 
     def test_deviation_examples(self):
         assert deviation_subgaussian(BoundParams(N=8, m=4, sigma2=0.25, t=0.0)).value == 0.0
@@ -87,12 +72,7 @@ class TestTalagrandSwor:
     def test_eps_zero_both_forms(self):
         p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, eps=0.0)
         assert tail_talagrand_swor(p).value == 1.0
-        assert tail_talagrand_swor_loose(p).value == 1.0
-
-    def test_h_form_dominated_by_bernstein_form(self):
-        for eps in np.geomspace(0.01, 50, 40):
-            p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, eps=float(eps))
-            assert tail_talagrand_swor(p).value <= tail_talagrand_swor_loose(p).value + 1e-15
+        assert tail_bousquet(p).value == 1.0
 
     def test_direct_substitution(self):
         # v = 50*0.1 + 2*2 = 9, eps=6 -> exp(-9 h(2/3))
@@ -117,11 +97,6 @@ class TestBousquet:
         for eps in (0.0, 0.3, 2.0, 17.5):
             p = BoundParams(N=200, m=60, sigma2=0.17, eq_m=1.3, eps=eps)
             assert tail_bousquet(p).value == tail_talagrand_swor(p).value
-
-    def test_loose_form_dominates(self):
-        for eps in np.geomspace(0.05, 30, 25):
-            p = BoundParams(N=200, m=60, sigma2=0.17, eq_m=1.3, eps=float(eps))
-            assert tail_bousquet_loose(p).value >= tail_bousquet(p).value - 1e-15
 
     def test_deviation_value(self):
         # v = 9, t = 2 -> sqrt(36) + 2/3 = 6.6667
@@ -240,6 +215,25 @@ class TestCompareExponents:
         full_ratio = ex["elyaniv_pechyony"] / ex["subgaussian_loose"]
         assert (1 - 1 / (2 * m)) ** 2 <= full_ratio <= 1.0
 
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_exponents_are_the_log_tails(self, n):
+        # includes the deterministic cases sigma2 = 0 (with E[Q] = 0) and m = N
+        for m in (1, n // 2, n):
+            for s2 in (0.0, 0.01, 0.25):
+                for eq in (0.0, 1.5):
+                    for eps in (0.0, 0.3, 5.0, 50.0):
+                        ex = compare_exponents(N=n, m=m, sigma2=s2, eps=eps, eq_m=eq)
+                        p = BoundParams(N=n, m=m, sigma2=s2, eq_m=eq, eps=eps)
+                        for tag, tail in TAIL_BOUNDS.items():
+                            expo = ex["exponents"][tag]
+                            assert min(1.0, math.exp(expo)) == tail(p).value, (tag, m, s2, eq, eps)
+
+    def test_degenerate_inputs_report_log_one_at_eps_zero(self):
+        ex = compare_exponents(N=10, m=10, sigma2=0.0, eps=0.0)["exponents"]
+        assert set(ex.values()) == {0.0}
+        ex = compare_exponents(N=10, m=10, sigma2=0.0, eps=0.1)["exponents"]
+        assert set(ex.values()) == {-math.inf}
+
     def test_report_names_tightest(self):
         report = compare_exponents(N=10_000, m=100, sigma2=0.25, eps=1.0)
         compared = {
@@ -265,3 +259,9 @@ class TestBoundValueValidation:
             BoundParams(N=5, m=2, sigma2=1.5)
         with pytest.raises(ConfigurationError):
             BoundParams(N=5, m=2, sigma2=0.5, t=-1.0)
+
+    def test_negative_eq_m_rejected(self):
+        # v = m sigma2 + 2 E[Q] < 0 would make the Bennett tail 0 at every eps
+        with pytest.raises(ConfigurationError, match="E\\[Q_m\\]"):
+            BoundParams(N=100, m=50, sigma2=0.01, eq_m=-10.0)
+        assert BoundParams(N=100, m=50, sigma2=0.01, eq_m=0.0).v == 0.5

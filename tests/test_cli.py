@@ -120,6 +120,40 @@ class TestInputErrors:
         assert code == EXIT_CONFIG_ERROR
         assert "config error: t-grid must be comma-separated numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("transductive-erm", "--loss-csv"), ("localize", "--loss-csv"), ("kernel-bound", "--points-csv")],
+    )
+    def test_missing_csv_exits_2(self, tmp_path, capsys, command, flag):
+        missing = str(tmp_path / "nonexistent.csv")
+        code = run([command, flag, missing, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_numeric_loss_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "loss.csv"
+        path.write_text("0.1,0.2,0.3\n1,2,abc\n")
+        code = run(["transductive-erm", "--loss-csv", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--n-max", "1", "n_max must be >= 2"), ("--max-funcs", "0", "max_funcs must be >= 1")],
+    )
+    def test_oracle_check_out_of_range_exits_2(self, tmp_path, capsys, flag, value, message):
+        code = run(["oracle-check", flag, value, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_negative_eq_m_exits_2(self, tmp_path, capsys):
+        code = run(
+            ["compare-exponents", "--eq-m", "-10", "--sigma2", "0.01", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error: E[Q_m] must be nonnegative" in capsys.readouterr().err
+
 
 class TestCompareExponents:
     def test_default_run(self, tmp_path):

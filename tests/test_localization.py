@@ -207,6 +207,23 @@ class TestExcessBoundFormulas:
         piece = excess_bound_thm9(b, 0.01, m, t)
         assert val == pytest.approx(2 * (n / u) * piece)
 
+    @pytest.mark.parametrize("b", [0.3, 1.0, 4.0])
+    def test_corollaries_compose_their_theorems(self, b):
+        # Cor 10 is Thm 8 on both samples and Cor 11 is Thm 9 at K r*,
+        # each weighted by N over the other sample's size
+        for n, m, r_m, r_u, t, k in [(100, 50, 0.01, 0.02, 1.0, 1.0), (37, 5, 0.3, 1e-4, 2.5, 1.7)]:
+            u = n - m
+            cor10 = (n / u) * excess_bound_thm8(b, r_m, n, m, t) + (n / m) * excess_bound_thm8(
+                b, r_u, n, u, t
+            )
+            cor11 = (n / u) * excess_bound_thm9(b, k * r_m, m, t) + (n / m) * excess_bound_thm9(
+                b, k * r_u, u, t
+            )
+            assert excess_bound_cor10(b, r_m, r_u, n, m, u, t) == pytest.approx(cor10, rel=1e-15)
+            assert excess_bound_cor11(b, r_m, r_u, n, m, u, t, K=k) == pytest.approx(
+                cor11, rel=1e-15
+            )
+
     def test_appD_value(self):
         val = stability_bound_appD(1.0, 1.0 + 1e-12, 0.01, 0.01, 100, 50, 50, 1.0)
         assert val == pytest.approx(1.32, rel=1e-6)
