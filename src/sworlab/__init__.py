@@ -26,16 +26,12 @@ from .empirical_process import (
     class_variance,
     expected_sup,
     simulate_suprema,
-    sup_process,
     sup_sums,
 )
 from .ground_set import (
-    GroundSet,
     RngStream,
     SampleMode,
     SampleScheme,
-    enumerate_with_replacement,
-    enumerate_without_replacement,
     sample_counts,
 )
 from .kernels import EigenSpectrum, KernelSpec, eigen_spectrum, gram_matrix, tailsum_bound
@@ -56,13 +52,11 @@ from .localization import (
 )
 from .transductive import (
     ErmOutcome,
-    SplitRisks,
     TransductiveProblem,
     erm,
     gen_bound_thm5,
     gen_bound_thm6,
     sigma2_H,
-    split_and_risks,
 )
 from .verify import (
     DominationReport,
@@ -71,7 +65,6 @@ from .verify import (
     binomial_upper_ci,
     check_domination,
     default_eps_grid,
-    estimate_tail,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -26,19 +26,19 @@ from scipy.special import gammaln
 
 from .errors import ConfigurationError, OracleScaleError
 from .ground_set import (
-    DEFAULT_ENUM_BUDGET,
-    GroundSet,
     RngStream,
     SampleMode,
     SampleScheme,
     block_generators,
     counts_matrix,
-    enumerate_without_replacement,
     sample_counts,
     sample_level_counts,
 )
 
 CENTER_TOL = 1e-12
+#: expected_sup enumerates when exact enumeration visits at most this many
+#: samples (subsets or multisets), and runs Monte Carlo otherwise
+DEFAULT_ENUM_BUDGET = 10**6
 #: Monte Carlo samples a class with L level sets over those sets when
 #: LEVEL_RATIO * L <= N without replacement (a population sample draws N
 #: random keys) or LEVEL_RATIO * L <= m with replacement (m indices).  A
@@ -85,10 +85,6 @@ class FunctionClass:
     def n_points(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def ground_set(self) -> GroundSet:
-        return GroundSet(self.n_points)
-
     @cached_property
     def level_sets(self) -> Optional[LevelSets]:
         """The table's identical columns merged into L level sets, when
@@ -107,29 +103,16 @@ class FunctionClass:
             return None  # distinct columns share a projection: keep the population
         return LevelSets(sizes, columns)
 
-    @classmethod
-    def from_csv(cls, path, centered: bool = False) -> "FunctionClass":
-        """Load a table from CSV: rows = functions, columns = points.
-
-        A first line that fails to parse as numbers is treated as a header.
-        """
-        try:
-            raw = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError:
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(raw, centered=centered)
-
 
 @dataclass(frozen=True)
 class SupremumStats:
-    """Exact or Monte Carlo estimates of the expected suprema and variance."""
+    """An expected supremum, its standard error (0 when exact) and how it
+    was obtained: provenance holds route ("exact" or "monte_carlo"),
+    enumeration_size, budget and trials (see expected_sup)."""
 
-    mean_with: Optional[float]
-    mean_without: Optional[float]
-    variance_sigma2: float
-    exact: bool
-    trials: int
+    mean: float
     std_error: float
+    provenance: dict
 
 
 def center_class(raw: np.ndarray) -> FunctionClass:
@@ -158,12 +141,6 @@ def sup_sums(values: np.ndarray, counts) -> np.ndarray:
     return np.asarray(counts @ values.T).max(axis=1)
 
 
-def sup_process(fc: FunctionClass, sample) -> float:
-    """sup over rows of the sum of values on the sample (empty sample -> 0)."""
-    idx = np.asarray(sample, dtype=int).reshape(1, -1)
-    return float(sup_sums(fc.values, counts_matrix(idx, fc.n_points))[0])
-
-
 def class_variance(fc: FunctionClass) -> float:
     """sigma^2: max over rows of the population mean of squared values."""
     if not fc.centered:
@@ -176,26 +153,18 @@ def _enumerated_counts(samples, m: int, n: int):
     return counts_matrix(idx, n)
 
 
-def exact_mean(
-    fc: FunctionClass, scheme: SampleScheme, budget: int = DEFAULT_ENUM_BUDGET
-) -> float:
-    """E[Q] by enumeration.
+def _exact_mean(fc: FunctionClass, scheme: SampleScheme) -> float:
+    """E[Q] by enumeration, whatever its size (expected_sup checks that).
 
     Without replacement: the mean over all m-subsets.  With replacement:
     the supremum depends on an ordered sequence only through its counts,
     so sum over multisets, each weighted by its probability
     m!/prod(k_i!) N^-m.
     """
-    scheme.validate_for(fc.ground_set)
     n, m = fc.n_points, scheme.m
     if scheme.mode is SampleMode.WITHOUT_REPLACEMENT:
-        subsets = enumerate_without_replacement(fc.ground_set, m, budget=budget)
+        subsets = combinations(range(n), m)
         return float(sup_sums(fc.values, _enumerated_counts(subsets, m, n)).mean())
-    n_multisets = math.comb(n + m - 1, m)
-    if n_multisets > budget:
-        raise OracleScaleError(
-            f"C({n + m - 1},{m}) = {n_multisets} multisets exceeds budget {budget}"
-        )
     counts = _enumerated_counts(combinations_with_replacement(range(n), m), m, n)
     counts.sum_duplicates()  # one entry k_i per distinct point
     log_fact = np.add.reduceat(gammaln(counts.data + 1.0), counts.indptr[:-1])
@@ -235,44 +204,40 @@ def simulate_suprema(
 def expected_sup(
     fc: FunctionClass,
     scheme: SampleScheme,
-    method: str = "exact",
     trials: int = 0,
     rng: Optional[RngStream] = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> SupremumStats:
-    """E[Q] for the given sampling scheme, exact or by Monte Carlo.
+    """E[Q] for the sampling scheme: the one place that picks exact
+    enumeration or Monte Carlo.
 
-    Exact mode enumerates subsets (without replacement) or multisets with
-    multinomial weights (with replacement); Monte Carlo mode reports the
-    sample mean with std_error = sample std / sqrt(trials).
+    The route is decided once, by counting.  Enumeration visits C(N, m)
+    subsets without replacement, or C(N + m - 1, m) multisets with
+    replacement, each weighted by its multinomial probability.  When that
+    count is at most `budget` (10^6 by default) the mean is exact and
+    std_error is 0; budget = 0 always takes Monte Carlo (verify-bounds
+    passes it, so its centres carry a standard error).  Otherwise
+    `trials` suprema are drawn from `rng`, and the sample mean is reported
+    with std_error = sample std / sqrt(trials); with trials = 0 the call
+    raises OracleScaleError.  The provenance records the route ("exact" or
+    "monte_carlo"), the enumeration size, the budget and the trials drawn.
     """
-    if not fc.centered:
-        raise ConfigurationError("expected_sup requires a centered class")
-    scheme.validate_for(fc.ground_set)
-    sigma2 = class_variance(fc)
+    scheme.validate_for(fc.n_points)
+    n, m = fc.n_points, scheme.m
     without = scheme.mode is SampleMode.WITHOUT_REPLACEMENT
-    if method == "exact":
-        mean = exact_mean(fc, scheme, budget)
-        return SupremumStats(
-            mean_with=None if without else mean,
-            mean_without=mean if without else None,
-            variance_sigma2=sigma2,
-            exact=True,
-            trials=0,
-            std_error=0.0,
+    size = math.comb(n, m) if without else math.comb(n + m - 1, m)
+    provenance = {"route": "exact", "enumeration_size": size, "budget": budget, "trials": 0}
+    if size <= budget:
+        return SupremumStats(_exact_mean(fc, scheme), 0.0, provenance)
+    if trials < 1:
+        kind = "subsets" if without else "multisets"
+        raise OracleScaleError(
+            f"{size} {kind} exceed the enumeration budget {budget}"
+            " and no Monte Carlo trials were given"
         )
-    if method == "monte_carlo":
-        if rng is None or trials < 1:
-            raise ConfigurationError("monte_carlo mode needs rng and trials >= 1")
-        draws = simulate_suprema(fc, scheme, trials, rng)
-        mean = float(draws.mean())
-        se = float(draws.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        return SupremumStats(
-            mean_with=None if without else mean,
-            mean_without=mean if without else None,
-            variance_sigma2=sigma2,
-            exact=False,
-            trials=trials,
-            std_error=se,
-        )
-    raise ConfigurationError(f"unknown method {method!r}")
+    if rng is None:
+        raise ConfigurationError("Monte Carlo needs an rng")
+    draws = simulate_suprema(fc, scheme, trials, rng)
+    se = float(draws.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    provenance.update(route="monte_carlo", trials=trials)
+    return SupremumStats(float(draws.mean()), se, provenance)

@@ -20,7 +20,7 @@ from .empirical_process import (
     expected_sup,
     simulate_suprema,
 )
-from .errors import ConfigurationError, OracleScaleError
+from .errors import ConfigurationError
 from .ground_set import RngStream, SampleMode, SampleScheme
 from .kernels import KernelSpec, eigen_spectrum, gram_matrix, tailsum_bound
 from .localization import (
@@ -40,14 +40,11 @@ from .localization import (
 from .transductive import (
     TransductiveProblem,
     erm,
-    exact_sup_expectation,
-    exact_with_replacement_expectation,
     gen_bound_thm5,
     gen_bound_thm6,
-    mc_sup_expectation,
+    require_split,
     sampled_split_risks,
     sigma2_H,
-    split_and_risks,
 )
 from .verify import (
     binomial_lower_ci,
@@ -112,9 +109,9 @@ def run_oracle_check(
         fc = make_random_centered_class(n, m_funcs, RngStream(seed, stream + 1))
         stream += 2
         for m in range(1, n + 1):
-            without = expected_sup(fc, SampleScheme(WITHOUT, m), method="exact")
-            with_ = expected_sup(fc, SampleScheme(WITH, m), method="exact")
-            gap = with_.mean_with - without.mean_without
+            without = expected_sup(fc, SampleScheme(WITHOUT, m)).mean
+            with_ = expected_sup(fc, SampleScheme(WITH, m)).mean
+            gap = with_ - without
             ok = gap >= -1e-12 and gap <= bank.gap_bound(n, m) + 1e-12
             passed = passed and ok
             cases.append(
@@ -122,8 +119,8 @@ def run_oracle_check(
                     "N": n,
                     "m": m,
                     "n_functions": m_funcs,
-                    "mean_without": without.mean_without,
-                    "mean_with": with_.mean_with,
+                    "mean_without": without,
+                    "mean_with": with_,
                     "gap": gap,
                     "gap_bound": bank.gap_bound(n, m),
                     "ok": ok,
@@ -157,11 +154,10 @@ def _config_checks(
     eq_rng = RngStream(seed, stream_base + 1)
     tail_rng = RngStream(seed, stream_base + 2)
 
-    cw = expected_sup(fc, scheme, method="monte_carlo", trials=trials, rng=center_rng)
-    eq = expected_sup(
-        fc, SampleScheme(WITH, m), method="monte_carlo", trials=trials, rng=eq_rng
-    )
-    eq_prime, eq_m = cw.mean_without, eq.mean_with
+    # budget 0: the centres are always Monte Carlo, with a standard error
+    cw = expected_sup(fc, scheme, trials, center_rng, budget=0)
+    eq = expected_sup(fc, SampleScheme(WITH, m), trials, eq_rng, budget=0)
+    eq_prime, eq_m = cw.mean, eq.mean
 
     draws = simulate_suprema(fc, scheme, trials, tail_rng)
     eps_grid = default_eps_grid(m, s2)
@@ -280,6 +276,9 @@ def run_compare_exponents(
     return report
 
 
+EXAMPLE_STREAM = 10**6
+"""Stream index of transductive-erm's reported example split."""
+
 SPLIT_STREAM = 10**6 + 1
 """Stream index of the validity splits; no other draw in a run uses it."""
 
@@ -349,17 +348,14 @@ def run_transductive_erm(
         else make_random_problem(n, n_hyp, RngStream(seed, 777))
     )
     n = tp.N
-    try:
-        sup_exp = exact_sup_expectation(tp, m)
-        e_m = exact_with_replacement_expectation(tp, m)
-        provenance = {"sup_expectation": "exact", "E_m": "exact"}
-    except OracleScaleError:
-        sup_exp, se1 = mc_sup_expectation(tp, m, WITHOUT, trials, RngStream(seed, 888))
-        e_m, se2 = mc_sup_expectation(tp, m, WITH, trials, RngStream(seed, 889))
-        provenance = {
-            "sup_expectation": f"monte carlo ({trials} trials, se={se1:.3g})",
-            "E_m": f"monte carlo ({trials} trials, se={se2:.3g})",
-        }
+    require_split(tp, m)
+    fc = tp.centered_class()
+    expectations = {
+        key: expected_sup(fc, SampleScheme(mode, m), trials, RngStream(seed, stream))
+        for key, mode, stream in (("sup_expectation", WITHOUT, 888), ("E_m", WITH, 889))
+    }
+    sup_exp = expectations["sup_expectation"].mean / m
+    e_m = expectations["E_m"].mean / m
 
     bound_fns = {
         "thm5": lambda t: gen_bound_thm5(tp, m, t, sup_exp),
@@ -370,8 +366,8 @@ def run_transductive_erm(
     )
     validity = _validity_frequencies(sup_gap, t_grid, bound_fns)
 
-    sr = split_and_risks(tp, m, RngStream(seed, 10**6))
-    outcome = erm(tp, sr)
+    train, test = next(sampled_split_risks(tp, m, 1, RngStream(seed, EXAMPLE_STREAM)))
+    outcome = erm(tp, train[0], test[0])
     passed = all(v["ok"] for v in validity.values())
     return {
         "passed": passed,
@@ -387,44 +383,27 @@ def run_transductive_erm(
             "h_star_u": outcome.h_star_u,
             "h_star_N": outcome.h_star_N,
             "excess_risk": outcome.excess_risk,
-            "train_risk": [float(x) for x in sr.train_risk],
-            "test_risk": [float(x) for x in sr.test_risk],
-            "overall_risk": [float(x) for x in sr.overall_risk],
+            "train_risk": [float(x) for x in train[0]],
+            "test_risk": [float(x) for x in test[0]],
+            "overall_risk": [float(x) for x in tp.overall_risk],
         },
-        "provenance": provenance,
+        "provenance": {key: stats.provenance for key, stats in expectations.items()},
     }
 
 
-def _fit_modulus(tp, ec, bc, m, flavor, rng, trials) -> dict:
-    grid_r = default_r_grid(ec)
-    evals = []
-    exact = True
-    for i, r in enumerate(grid_r):
-        point_rng = rng.substream(i)
-        try:
-            psi, se = estimate_modulus(
-                ec, float(r), m, flavor, 0, point_rng, B=bc, method="exact"
-            )
-        except OracleScaleError:
-            exact = False
-            psi, se = estimate_modulus(
-                ec,
-                float(r),
-                m,
-                flavor,
-                trials,
-                point_rng,
-                B=bc,
-                method="monte_carlo",
-            )
-        evals.append((float(r), psi, se))
-    sub = fit_subroot(evals, flavor)
+def _fit_modulus(ec, bc, m, flavor, rng, trials) -> dict:
+    grid_r = [float(r) for r in default_r_grid(ec)]
+    psi = [
+        estimate_modulus(ec, r, m, flavor, trials, rng.substream(i), B=bc)
+        for i, r in enumerate(grid_r)
+    ]
+    sub = fit_subroot([(r, p.mean, p.std_error) for r, p in zip(grid_r, psi)], flavor)
     return {
         "flavor": flavor.value,
         "grid": [{"r": r, "psi_hat": p, "std_error": s} for r, p, s in sub.grid],
         "c": sub.c,
         "r_star": sub.r_star,
-        "exact": exact,
+        "exact": all(p.provenance["route"] == "exact" for p in psi),
     }
 
 
@@ -447,17 +426,20 @@ def run_localize(
         else make_random_problem(n, n_hyp, RngStream(seed, 777))
     )
     n = tp.N
+    require_split(tp, m)
     u = n - m
+    if min(t_grid) < 0:
+        raise ConfigurationError("t and eps must be nonnegative")
     ec = build_excess_class(tp)
     bc = compute_B(ec)
     B = require_bernstein(bc)
 
     fit_rng = RngStream(seed, FIT_STREAM)
     fits = {
-        "m_without": _fit_modulus(tp, ec, bc, m, WITHOUT, fit_rng.substream(0), trials),
-        "m_with": _fit_modulus(tp, ec, bc, m, WITH, fit_rng.substream(1), trials),
-        "u_without": _fit_modulus(tp, ec, bc, u, WITHOUT, fit_rng.substream(2), trials),
-        "u_with": _fit_modulus(tp, ec, bc, u, WITH, fit_rng.substream(3), trials),
+        "m_without": _fit_modulus(ec, bc, m, WITHOUT, fit_rng.substream(0), trials),
+        "m_with": _fit_modulus(ec, bc, m, WITH, fit_rng.substream(1), trials),
+        "u_without": _fit_modulus(ec, bc, u, WITHOUT, fit_rng.substream(2), trials),
+        "u_with": _fit_modulus(ec, bc, u, WITH, fit_rng.substream(3), trials),
     }
     r_m, r_u = fits["m_without"]["r_star"], fits["u_without"]["r_star"]
     r_m_w, r_u_w = fits["m_with"]["r_star"], fits["u_with"]["r_star"]

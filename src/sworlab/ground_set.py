@@ -9,43 +9,24 @@ empirical_process.sup_sums).  When every point is its own level set, a
 block is a (k, N) sparse matrix, a 0/1 row for an m-subset and
 multinomial counts for m draws with replacement, drawn by
 `sample_counts`; `sample_level_counts` draws the per-set counts of larger
-sets directly.  Exhaustive enumerators back the exact oracles.
+sets directly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
 from typing import Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import ConfigurationError, OracleScaleError
-
-DEFAULT_ENUM_BUDGET = 10**6
+from .errors import ConfigurationError
 
 
 class SampleMode(Enum):
     WITH_REPLACEMENT = "with_replacement"
     WITHOUT_REPLACEMENT = "without_replacement"
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """A finite population of size N, indexed 0..N-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ConfigurationError(f"population size must be >= 1, got {self.size}")
-
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.size)
 
 
 @dataclass(frozen=True)
@@ -55,12 +36,15 @@ class SampleScheme:
     mode: SampleMode
     m: int
 
-    def validate_for(self, gs: GroundSet) -> None:
+    def validate_for(self, n: int) -> None:
+        """Check that the scheme can draw from a population of n points."""
+        if n < 1:
+            raise ConfigurationError(f"population size must be >= 1, got {n}")
         if self.m < 1:
             raise ConfigurationError(f"sample size must be >= 1, got {self.m}")
-        if self.mode is SampleMode.WITHOUT_REPLACEMENT and self.m > gs.size:
+        if self.mode is SampleMode.WITHOUT_REPLACEMENT and self.m > n:
             raise ConfigurationError(
-                f"cannot draw {self.m} distinct items from population of {gs.size}"
+                f"cannot draw {self.m} distinct items from population of {n}"
             )
 
 
@@ -115,7 +99,7 @@ def sample_counts(
     uniform keys); with replacement it holds the multinomial counts of m
     i.i.d. uniform indices.
     """
-    SampleScheme(mode, m).validate_for(GroundSet(n))
+    SampleScheme(mode, m).validate_for(n)
     if mode is SampleMode.WITH_REPLACEMENT:
         idx = gen.integers(0, n, size=(count, m)).astype(np.int32)
     elif m == n:
@@ -139,7 +123,7 @@ def sample_level_counts(
     per-set counts of `sample_counts` rows.
     """
     n = int(sizes.sum())
-    SampleScheme(mode, m).validate_for(GroundSet(n))
+    SampleScheme(mode, m).validate_for(n)
     if mode is SampleMode.WITH_REPLACEMENT:
         return gen.multinomial(m, sizes / n, size=count)
     return gen.multivariate_hypergeometric(sizes, m, size=count, method="marginals")
@@ -164,29 +148,3 @@ def sample_blocks(
     block b drawn from rng.substream(b)."""
     for rows, gen in block_generators(count, rng, block):
         yield sample_counts(n, m, rows, mode, gen)
-
-
-def enumerate_without_replacement(
-    gs: GroundSet, m: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[tuple[int, ...]]:
-    """Yield every unordered m-subset of the population, lexicographically."""
-    if m > gs.size:
-        raise ConfigurationError(f"m={m} exceeds population size {gs.size}")
-    total = math.comb(gs.size, m)
-    if total > budget:
-        raise OracleScaleError(
-            f"C({gs.size},{m}) = {total} subsets exceeds enumeration budget {budget}"
-        )
-    return combinations(range(gs.size), m)
-
-
-def enumerate_with_replacement(
-    gs: GroundSet, m: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[tuple[int, ...]]:
-    """Yield every ordered length-m index sequence (N^m of them)."""
-    total = gs.size**m
-    if total > budget:
-        raise OracleScaleError(
-            f"{gs.size}^{m} = {total} sequences exceeds enumeration budget {budget}"
-        )
-    return product(range(gs.size), repeat=m)

@@ -17,9 +17,14 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .empirical_process import FunctionClass, exact_mean, simulate_suprema
+from .empirical_process import (
+    DEFAULT_ENUM_BUDGET,
+    FunctionClass,
+    SupremumStats,
+    expected_sup,
+)
 from .errors import BernsteinConditionError, ConfigurationError
-from .ground_set import DEFAULT_ENUM_BUDGET, RngStream, SampleMode, SampleScheme
+from .ground_set import RngStream, SampleMode, SampleScheme
 from .transductive import TransductiveProblem
 
 ZERO_TOL = 1e-12
@@ -124,14 +129,14 @@ def estimate_modulus(
     trials: int,
     rng: RngStream,
     B: Union[float, BernsteinConstant] = 1.0,
-    method: str = "monte_carlo",
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> tuple[float, float]:
-    """(psi_hat(r), std_error): B times the expected slice supremum of
+) -> SupremumStats:
+    """psi_hat(r): B times the expected slice supremum of
     E f - (empirical mean of f over the size-m sample).
 
-    method="exact" enumerates all samples (std_error 0); the Monte Carlo
-    path averages per-trial slice suprema over seeded blocks.
+    The expectation comes from expected_sup, exact when enumeration fits
+    the budget and otherwise the mean of `trials` seeded draws; its mean
+    and std_error are scaled by B/m, and its provenance is kept.
     """
     if r <= 0:
         raise ConfigurationError("slice radius r must be positive")
@@ -140,20 +145,15 @@ def estimate_modulus(
     sub = ec.rows[idx]
     means = sub.mean(axis=1)
     if np.all(np.abs(sub) <= ZERO_TOL):
-        return 0.0, 0.0
-    # per-sample statistic: sup over slice rows of mean of g = Ef - f;
-    # g rows have zero mean but can reach into (1, 2], so no centered flag
-    gfc = FunctionClass(means[:, None] - sub, centered=False)
-    scheme = SampleScheme(flavor, m)
-    if method == "exact":
-        return b_val * exact_mean(gfc, scheme, budget) / m, 0.0
-    if method != "monte_carlo":
-        raise ConfigurationError(f"unknown method {method!r}")
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
-    draws = simulate_suprema(gfc, scheme, trials, rng) / m
-    se = float(draws.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return b_val * float(draws.mean()), b_val * se
+        # an identically zero slice: psi_hat = 0 exactly, nothing to enumerate
+        return SupremumStats(
+            0.0, 0.0, {"route": "exact", "enumeration_size": 0, "budget": budget, "trials": 0}
+        )
+    # per-sample statistic: sup over slice rows of the sum of g = Ef - f
+    gfc = FunctionClass(means[:, None] - sub)
+    stats = expected_sup(gfc, SampleScheme(flavor, m), trials, rng, budget)
+    mean, std_error = (b_val * x / m for x in (stats.mean, stats.std_error))
+    return SupremumStats(mean, std_error, stats.provenance)
 
 
 def default_r_grid(ec: ExcessLossClass, n_points: int = 12) -> np.ndarray:

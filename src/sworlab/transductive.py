@@ -15,16 +15,9 @@ from typing import Iterator
 import numpy as np
 
 from .bounds import BoundParams, deviation_subgaussian
-from .empirical_process import FunctionClass, class_variance, expected_sup
+from .empirical_process import FunctionClass, class_variance
 from .errors import ConfigurationError
-from .ground_set import (
-    DEFAULT_ENUM_BUDGET,
-    RngStream,
-    SampleMode,
-    SampleScheme,
-    sample_blocks,
-    sample_counts,
-)
+from .ground_set import RngStream, SampleMode, sample_blocks
 
 
 @dataclass(frozen=True)
@@ -56,14 +49,6 @@ class TransductiveProblem:
         """L_N per hypothesis: population mean of each loss row."""
         return self.loss_table.mean(axis=1)
 
-    @classmethod
-    def from_csv(cls, path) -> "TransductiveProblem":
-        try:
-            raw = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError:
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(raw)
-
     def centered_class(self) -> FunctionClass:
         """The associated centered class f_h(X) = L_N(h) - loss_h(X).
 
@@ -75,15 +60,6 @@ class TransductiveProblem:
 
 
 @dataclass(frozen=True)
-class SplitRisks:
-    train_indices: np.ndarray
-    test_indices: np.ndarray
-    train_risk: np.ndarray
-    test_risk: np.ndarray
-    overall_risk: np.ndarray
-
-
-@dataclass(frozen=True)
 class ErmOutcome:
     h_hat_m: int
     h_star_u: int
@@ -91,17 +67,10 @@ class ErmOutcome:
     excess_risk: float
 
 
-def _require_split(tp: TransductiveProblem, m: int) -> None:
+def require_split(tp: TransductiveProblem, m: int) -> None:
+    """Refuse a training size that leaves no test point."""
     if not 1 <= m < tp.N:
         raise ConfigurationError(f"need 1 <= m < N for a nonempty test set, got m={m}")
-
-
-def split_and_risks(tp: TransductiveProblem, m: int, rng: RngStream) -> SplitRisks:
-    """Uniform without-replacement split and the three risk vectors."""
-    _require_split(tp, m)
-    counts = sample_counts(tp.N, m, 1, SampleMode.WITHOUT_REPLACEMENT, rng.generator())
-    mask = counts.toarray()[0] > 0
-    return risks_for_split(tp, np.flatnonzero(mask), np.flatnonzero(~mask))
 
 
 def sampled_split_risks(
@@ -113,7 +82,7 @@ def sampled_split_risks(
     its (block, H) train risks are C L^T / m, and its test risks follow
     from N L_N = m L_m + u L_u without forming the complement.
     """
-    _require_split(tp, m)
+    require_split(tp, m)
     if splits < 1:
         raise ConfigurationError("splits must be >= 1")
     total = tp.N * tp.overall_risk
@@ -122,72 +91,25 @@ def sampled_split_risks(
         yield train, (total - m * train) / (tp.N - m)
 
 
-def risks_for_split(
-    tp: TransductiveProblem, train: np.ndarray, test: np.ndarray
-) -> SplitRisks:
-    return SplitRisks(
-        train_indices=np.asarray(train),
-        test_indices=np.asarray(test),
-        train_risk=tp.loss_table[:, train].mean(axis=1),
-        test_risk=tp.loss_table[:, test].mean(axis=1),
-        overall_risk=tp.overall_risk,
-    )
-
-
-def erm(tp: TransductiveProblem, sr: SplitRisks) -> ErmOutcome:
-    """Argmins of the three risks; ties broken by lowest hypothesis index."""
-    h_hat_m = int(np.argmin(sr.train_risk))
-    h_star_u = int(np.argmin(sr.test_risk))
-    h_star_N = int(np.argmin(sr.overall_risk))
+def erm(
+    tp: TransductiveProblem, train_risk: np.ndarray, test_risk: np.ndarray
+) -> ErmOutcome:
+    """Argmins of one split's train and test risks (a row pair of
+    sampled_split_risks) and of the overall risk; ties broken by lowest
+    hypothesis index."""
+    h_hat_m = int(np.argmin(train_risk))
+    h_star_u = int(np.argmin(test_risk))
     return ErmOutcome(
         h_hat_m=h_hat_m,
         h_star_u=h_star_u,
-        h_star_N=h_star_N,
-        excess_risk=float(sr.test_risk[h_hat_m] - sr.test_risk[h_star_u]),
+        h_star_N=int(np.argmin(tp.overall_risk)),
+        excess_risk=float(test_risk[h_hat_m] - test_risk[h_star_u]),
     )
 
 
 def sigma2_H(tp: TransductiveProblem) -> float:
     """Largest population variance of a loss row; always <= 1/4."""
     return class_variance(tp.centered_class())
-
-
-def exact_sup_expectation(
-    tp: TransductiveProblem, m: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> float:
-    """E[sup_h (L_N(h) - train risk)] exactly, over all C(N, m) splits."""
-    fc = tp.centered_class()
-    stats = expected_sup(
-        fc, SampleScheme(SampleMode.WITHOUT_REPLACEMENT, m), method="exact", budget=budget
-    )
-    return stats.mean_without / m
-
-
-def exact_with_replacement_expectation(
-    tp: TransductiveProblem, m: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> float:
-    """E_m = E[sup_h (L_N(h) - mean loss on m with-replacement draws)]."""
-    fc = tp.centered_class()
-    stats = expected_sup(
-        fc, SampleScheme(SampleMode.WITH_REPLACEMENT, m), method="exact", budget=budget
-    )
-    return stats.mean_with / m
-
-
-def mc_sup_expectation(
-    tp: TransductiveProblem,
-    m: int,
-    mode: SampleMode,
-    trials: int,
-    rng: RngStream,
-) -> tuple[float, float]:
-    """Monte Carlo (value, std_error) for the normalized expected supremum."""
-    fc = tp.centered_class()
-    stats = expected_sup(
-        fc, SampleScheme(mode, m), method="monte_carlo", trials=trials, rng=rng
-    )
-    mean = stats.mean_without if mode is SampleMode.WITHOUT_REPLACEMENT else stats.mean_with
-    return mean / m, stats.std_error / m
 
 
 def gen_bound_thm5(

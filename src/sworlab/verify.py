@@ -17,9 +17,7 @@ from scipy.stats import beta
 
 from . import bounds as bank
 from .bounds import BoundParams, Center
-from .empirical_process import FunctionClass, expected_sup, simulate_suprema
-from .errors import ConfigurationError, ContractError, OracleScaleError
-from .ground_set import RngStream, SampleMode, SampleScheme
+from .errors import ConfigurationError, ContractError
 
 DEFAULT_DELTA = 0.01
 
@@ -149,62 +147,6 @@ def tail_curve_from_draws(
         center_value=center_value,
         center_std_error=center_std_error,
         delta=delta,
-    )
-
-
-def estimate_tail(
-    fc: FunctionClass,
-    scheme: SampleScheme,
-    eps_grid,
-    trials: int,
-    center: Center,
-    rng: RngStream,
-    center_value: Optional[float] = None,
-    center_std_error: float = 0.0,
-    delta: float = DEFAULT_DELTA,
-    center_trials: Optional[int] = None,
-) -> TailCurve:
-    """Estimate P{Q' - center >= eps} on the grid, with exact binomial CIs.
-
-    The centering expectation is computed exactly when enumeration fits the
-    budget, otherwise by an independent high-trial Monte Carlo run; pass
-    center_value to reuse an estimate computed elsewhere.
-    """
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
-    if center_value is None:
-        center_scheme = (
-            scheme
-            if center is Center.AROUND_EQ_PRIME
-            else SampleScheme(_flip_mode(scheme.mode), scheme.m)
-        )
-        try:
-            stats = expected_sup(fc, center_scheme, method="exact")
-        except OracleScaleError:
-            stats = expected_sup(
-                fc,
-                center_scheme,
-                method="monte_carlo",
-                trials=center_trials or trials,
-                rng=rng.substream(1_000_003),
-            )
-        center_value = (
-            stats.mean_without
-            if center_scheme.mode is SampleMode.WITHOUT_REPLACEMENT
-            else stats.mean_with
-        )
-        center_std_error = stats.std_error
-    draws = simulate_suprema(fc, scheme, trials, rng)
-    return tail_curve_from_draws(
-        draws, eps_grid, center, center_value, center_std_error, delta
-    )
-
-
-def _flip_mode(mode: SampleMode) -> SampleMode:
-    return (
-        SampleMode.WITH_REPLACEMENT
-        if mode is SampleMode.WITHOUT_REPLACEMENT
-        else SampleMode.WITHOUT_REPLACEMENT
     )
 
 

@@ -110,8 +110,8 @@ def test_criterion_5_transductive_uniform_bounds():
     elapsed = time.perf_counter() - start
     ok = (
         payload["passed"]
-        and payload["provenance"]["sup_expectation"] == "exact"
-        and payload["provenance"]["E_m"] == "exact"
+        and payload["provenance"]["sup_expectation"]["route"] == "exact"
+        and payload["provenance"]["E_m"]["route"] == "exact"
         and all(v["ok"] for v in payload["validity"].values())
         and elapsed < 30.0
     )

@@ -154,6 +154,18 @@ class TestInputErrors:
         assert code == EXIT_CONFIG_ERROR
         assert "config error: E[Q_m] must be nonnegative" in capsys.readouterr().err
 
+    def test_localize_negative_t_exits_2(self, tmp_path, capsys):
+        code = run(["localize", "--t-grid", "1,-1", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error: t and eps must be nonnegative" in capsys.readouterr().err
+
+    def test_localize_empty_test_set_names_m(self, tmp_path, capsys):
+        code = run(["localize", "--m", "12", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error: need 1 <= m < N for a nonempty test set, got m=12" in (
+            capsys.readouterr().err
+        )
+
 
 class TestCompareExponents:
     def test_default_run(self, tmp_path):
@@ -249,7 +261,7 @@ class TestTransductiveErm:
         )
         assert code == EXIT_OK
         report = read_report(out)
-        assert report["results"]["provenance"]["sup_expectation"] == "exact"
+        assert report["results"]["provenance"]["sup_expectation"]["route"] == "exact"
 
     def test_loss_csv_input(self, tmp_path):
         table = np.random.default_rng(0).uniform(size=(3, 8))
@@ -351,30 +363,49 @@ class TestKernelBound:
         assert code == EXIT_CONFIG_ERROR
 
 
+def _wide_loss_csv(tmp_path) -> str:
+    """A 3 x 30 loss table: at m = 15 neither expectation can be enumerated."""
+    path = tmp_path / "loss.csv"
+    np.savetxt(path, np.random.default_rng(3).uniform(size=(3, 30)), delimiter=",")
+    return str(path)
+
+
+#: command -> (argv for a temporary directory, route of transductive-erm's expectations)
+DETERMINISM_RUNS = {
+    "verify-bounds": (
+        lambda tmp: ["verify-bounds", "--n", "20", "--m", "10", "--trials", "3000"],
+        None,
+    ),
+    "transductive-erm-exact": (
+        lambda tmp: ["transductive-erm", "--n", "10", "--m", "5", "--splits", "500"],
+        "exact",
+    ),
+    "transductive-erm-monte-carlo": (
+        lambda tmp: [
+            "transductive-erm", "--loss-csv", _wide_loss_csv(tmp), "--m", "15",
+            "--trials", "2000", "--splits", "500",
+        ],
+        "monte_carlo",
+    ),
+    "localize": (lambda tmp: ["localize", "--splits", "1000"], None),
+}
+
+
 class TestDeterminism:
-    def test_same_seed_byte_identical_results(self, tmp_path):
+    @pytest.mark.parametrize("command", list(DETERMINISM_RUNS))
+    def test_same_seed_byte_identical_results(self, tmp_path, command):
+        build, route = DETERMINISM_RUNS[command]
+        argv = build(tmp_path)
         payloads = []
         for name in ("a", "b"):
             out = tmp_path / name
-            code = run(
-                [
-                    "verify-bounds",
-                    "--n",
-                    "20",
-                    "--m",
-                    "10",
-                    "--trials",
-                    "3000",
-                    "--seed",
-                    "7",
-                    "--out",
-                    str(out),
-                ]
-            )
+            code = run([*argv, "--seed", "7", "--out", str(out)])
             assert code == EXIT_OK
-            report = json.loads((out / "report.json").read_text())
-            payloads.append(json.dumps(report["results"], sort_keys=True))
+            results = read_report(out)["results"]
+            payloads.append(json.dumps(results, sort_keys=True))
         assert payloads[0] == payloads[1]
+        if route is not None:
+            assert {p["route"] for p in results["provenance"].values()} == {route}
 
     def test_different_seed_changes_results(self, tmp_path):
         payloads = []

@@ -7,14 +7,13 @@ import pytest
 from scipy.stats import binom, hypergeom
 
 from sworlab.empirical_process import (
+    DEFAULT_ENUM_BUDGET,
     LEVEL_RATIO,
     FunctionClass,
     center_class,
     class_variance,
     expected_sup,
-    exact_mean,
     simulate_suprema,
-    sup_process,
     sup_sums,
 )
 from sworlab.errors import ConfigurationError, OracleScaleError
@@ -23,6 +22,7 @@ from sworlab.ground_set import (
     RngStream,
     SampleMode,
     SampleScheme,
+    counts_matrix,
     sample_blocks,
     sample_counts,
 )
@@ -58,21 +58,27 @@ class TestCenterClass:
         assert np.abs(fc.values).max() <= 1 + 1e-12
 
 
+def sup_on(fc, sample) -> float:
+    """The supremum over the class of the sum on one sample of indices."""
+    idx = np.asarray(sample, dtype=int).reshape(1, -1)
+    return float(sup_sums(fc.values, counts_matrix(idx, fc.n_points))[0])
+
+
 class TestSupProcess:
     def test_empty_sample(self):
         fc = center_class(np.array([[1.0, -1.0]]))
-        assert sup_process(fc, []) == 0.0
+        assert sup_on(fc, []) == 0.0
 
     def test_two_row_example(self):
         fc = FunctionClass(np.array([[-1.0, 1.0], [1.0, -1.0]]), centered=True)
-        assert sup_process(fc, [0]) == 1.0
+        assert sup_on(fc, [0]) == 1.0
 
     def test_matches_bruteforce_over_subsets(self):
         gen = np.random.default_rng(1)
         fc = center_class(gen.uniform(-1, 1, size=(3, 4)))
         for subset in combinations(range(4), 2):
             expected = max(sum(fc.values[j, i] for i in subset) for j in range(3))
-            assert sup_process(fc, list(subset)) == pytest.approx(expected)
+            assert sup_on(fc, list(subset)) == pytest.approx(expected)
 
 
 class TestClassVariance:
@@ -114,32 +120,32 @@ def brute_mean_with(fc, m):
 class TestExpectedSup:
     def test_full_sample_of_single_function_is_zero(self):
         fc = center_class(np.array([[0.3, -0.2, 0.6, 0.1]]))
-        stats = expected_sup(fc, SampleScheme(WITHOUT, 4), method="exact")
-        assert stats.mean_without == pytest.approx(0.0, abs=1e-12)
-        assert stats.exact and stats.std_error == 0.0
+        stats = expected_sup(fc, SampleScheme(WITHOUT, 4))
+        assert stats.mean == pytest.approx(0.0, abs=1e-12)
+        assert stats.provenance["route"] == "exact" and stats.std_error == 0.0
 
     def test_exact_matches_bruteforce(self):
         gen = np.random.default_rng(2)
         fc = center_class(gen.uniform(-1, 1, size=(2, 4)))
-        without = expected_sup(fc, SampleScheme(WITHOUT, 2), method="exact")
-        with_ = expected_sup(fc, SampleScheme(WITH, 2), method="exact")
-        assert without.mean_without == pytest.approx(brute_mean_without(fc, 2))
-        assert with_.mean_with == pytest.approx(brute_mean_with(fc, 2))
+        without = expected_sup(fc, SampleScheme(WITHOUT, 2))
+        with_ = expected_sup(fc, SampleScheme(WITH, 2))
+        assert without.mean == pytest.approx(brute_mean_without(fc, 2))
+        assert with_.mean == pytest.approx(brute_mean_with(fc, 2))
 
     def test_multiset_weighting_matches_product_enumeration(self):
         gen = np.random.default_rng(3)
         for n, m in [(3, 3), (4, 3), (5, 2)]:
             fc = center_class(gen.uniform(-1, 1, size=(3, n)))
-            with_ = expected_sup(fc, SampleScheme(WITH, m), method="exact")
-            assert with_.mean_with == pytest.approx(brute_mean_with(fc, m), abs=1e-12)
+            with_ = expected_sup(fc, SampleScheme(WITH, m))
+            assert with_.mean == pytest.approx(brute_mean_with(fc, m), abs=1e-12)
 
     def test_gap_within_lemma_bound(self):
         gen = np.random.default_rng(4)
         fc = center_class(gen.uniform(-1, 1, size=(2, 4)))
         m = 2
-        without = expected_sup(fc, SampleScheme(WITHOUT, m), method="exact")
-        with_ = expected_sup(fc, SampleScheme(WITH, m), method="exact")
-        gap = with_.mean_with - without.mean_without
+        without = expected_sup(fc, SampleScheme(WITHOUT, m))
+        with_ = expected_sup(fc, SampleScheme(WITH, m))
+        gap = with_.mean - without.mean
         assert 0.0 <= gap <= 2 * m**3 / 4
 
     def test_domination_exact_small_scales(self):
@@ -147,21 +153,21 @@ class TestExpectedSup:
         for n in range(2, 7):
             fc = center_class(gen.uniform(-1, 1, size=(3, n)))
             for m in range(1, n + 1):
-                ew = expected_sup(fc, SampleScheme(WITHOUT, m), method="exact")
-                er = expected_sup(fc, SampleScheme(WITH, m), method="exact")
-                assert ew.mean_without <= er.mean_with + 1e-12
+                ew = expected_sup(fc, SampleScheme(WITHOUT, m))
+                er = expected_sup(fc, SampleScheme(WITH, m))
+                assert ew.mean <= er.mean + 1e-12
 
     def test_nonnegative_for_symmetric_class(self):
         # class containing f and -f: the sup dominates |sum| >= 0
         f = np.array([0.5, -0.5, 0.25, -0.25])
         fc = FunctionClass(np.vstack([f, -f]), centered=True)
-        stats = expected_sup(fc, SampleScheme(WITHOUT, 2), method="exact")
-        assert stats.mean_without >= 0.0
+        stats = expected_sup(fc, SampleScheme(WITHOUT, 2))
+        assert stats.mean >= 0.0
 
     def test_budget_error(self):
         fc = center_class(np.random.default_rng(6).uniform(-1, 1, size=(2, 30)))
         with pytest.raises(OracleScaleError):
-            expected_sup(fc, SampleScheme(WITHOUT, 15), method="exact", budget=100)
+            expected_sup(fc, SampleScheme(WITHOUT, 15), budget=100)
 
     def test_monte_carlo_within_four_se_of_exact(self):
         gen = np.random.default_rng(7)
@@ -169,22 +175,67 @@ class TestExpectedSup:
         runs = 30
         for seed in range(runs):
             fc = center_class(gen.uniform(-1, 1, size=(3, 5)))
-            exact = expected_sup(fc, SampleScheme(WITHOUT, 3), method="exact")
-            mc = expected_sup(
-                fc,
-                SampleScheme(WITHOUT, 3),
-                method="monte_carlo",
-                trials=4000,
-                rng=RngStream(seed),
-            )
-            if abs(mc.mean_without - exact.mean_without) <= 4 * mc.std_error:
+            exact = expected_sup(fc, SampleScheme(WITHOUT, 3))
+            mc = expected_sup(fc, SampleScheme(WITHOUT, 3), 4000, RngStream(seed), budget=0)
+            if abs(mc.mean - exact.mean) <= 4 * mc.std_error:
                 hits += 1
         assert hits >= runs - 1
 
     def test_monte_carlo_requires_rng(self):
         fc = center_class(np.array([[1.0, -1.0]]))
         with pytest.raises(ConfigurationError):
-            expected_sup(fc, SampleScheme(WITHOUT, 1), method="monte_carlo")
+            expected_sup(fc, SampleScheme(WITHOUT, 1), trials=10, budget=0)
+
+
+def _budget_class():
+    return center_class(np.random.default_rng(18).uniform(-1, 1, size=(3, 6)))
+
+
+class TestRouteDecision:
+    """expected_sup enumerates C(6, 3) = 20 subsets or C(8, 3) = 56 multisets
+    when the count fits the budget, and runs Monte Carlo otherwise."""
+
+    SIZES = {WITHOUT: 20, WITH: 56}
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    def test_count_equal_to_budget_is_exact(self, mode):
+        size = self.SIZES[mode]
+        fc, scheme = _budget_class(), SampleScheme(mode, 3)
+        stats = expected_sup(fc, scheme, 500, RngStream(0), size)
+        assert stats.std_error == 0.0
+        assert stats.provenance == {
+            "route": "exact", "enumeration_size": size, "budget": size, "trials": 0
+        }
+        brute = brute_mean_without if mode is WITHOUT else brute_mean_with
+        assert stats.mean == pytest.approx(brute(fc, 3), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    def test_count_above_budget_with_trials_is_monte_carlo(self, mode):
+        size = self.SIZES[mode]
+        fc, scheme = _budget_class(), SampleScheme(mode, 3)
+        stats = expected_sup(fc, scheme, 500, RngStream(1), size - 1)
+        assert stats.provenance == {
+            "route": "monte_carlo",
+            "enumeration_size": size,
+            "budget": size - 1,
+            "trials": 500,
+        }
+        draws = simulate_suprema(fc, scheme, 500, RngStream(1))
+        assert stats.mean == float(draws.mean())
+        assert stats.std_error > 0.0
+        assert stats.std_error == pytest.approx(draws.std(ddof=1) / math.sqrt(500))
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    def test_count_above_budget_without_trials_raises(self, mode):
+        size = self.SIZES[mode]
+        with pytest.raises(OracleScaleError, match=f"{size} .* budget {size - 1}"):
+            expected_sup(_budget_class(), SampleScheme(mode, 3), budget=size - 1)
+        # the default budget refuses C(40, 20) subsets and C(29, 10) multisets
+        n, m = (40, 20) if mode is WITHOUT else (20, 10)
+        fc = center_class(np.random.default_rng(19).uniform(-1, 1, size=(2, n)))
+        assert math.comb(n + (0 if mode is WITHOUT else m - 1), m) > DEFAULT_ENUM_BUDGET
+        with pytest.raises(OracleScaleError):
+            expected_sup(fc, SampleScheme(mode, m))
 
 
 class TestSupSums:
@@ -209,12 +260,11 @@ class TestSupSums:
         closed = a * float((law.pmf(k) * np.abs(2 * k - m)).sum())
         tracemalloc.start()
         try:
-            stats = expected_sup(fc, SampleScheme(mode, m), method="exact")
+            stats = expected_sup(fc, SampleScheme(mode, m))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        mean = stats.mean_without if mode is WITHOUT else stats.mean_with
-        assert mean == pytest.approx(closed, abs=1e-12)
+        assert stats.mean == pytest.approx(closed, abs=1e-12)
         assert peak < 256 * 2**20
 
 
@@ -246,15 +296,16 @@ class TestLevelPath:
         for size, column in zip(levels.sizes, levels.columns.T):
             assert np.sum(np.all(fc.values == column[:, None], axis=0)) == size
         if mode is WITHOUT:
-            exact = exact_mean(fc, SampleScheme(mode, m))
+            exact = expected_sup(fc, SampleScheme(mode, m))
         else:
             # equal sets: m uniform draws from the 96 points take each set
             # as often as m uniform draws from its 3 columns
-            exact = exact_mean(FunctionClass(base.values), SampleScheme(mode, m))
+            exact = expected_sup(FunctionClass(base.values), SampleScheme(mode, m))
+        assert exact.provenance["route"] == "exact"
         trials = 20_000
         draws = simulate_suprema(fc, SampleScheme(mode, m), trials, RngStream(15))
         se = draws.std(ddof=1) / math.sqrt(trials)
-        assert abs(draws.mean() - exact) <= 4 * se
+        assert abs(draws.mean() - exact.mean) <= 4 * se
 
     @pytest.mark.parametrize("m", [100, 500, 900])
     def test_antipodal_n1000_matches_closed_form(self, m):
@@ -277,15 +328,3 @@ class TestLevelPath:
         blocks = sample_blocks(400, m, 25, mode, rng, block=10)
         expected = np.concatenate([sup_sums(fc.values, counts) for counts in blocks])
         assert np.array_equal(draws, expected)
-
-
-def test_csv_roundtrip(tmp_path):
-    path = tmp_path / "table.csv"
-    table = np.array([[0.1, -0.2, 0.3], [0.0, 0.5, -0.5]])
-    np.savetxt(path, table, delimiter=",")
-    fc = FunctionClass.from_csv(path)
-    assert np.allclose(fc.values, table)
-    # header line is tolerated
-    path2 = tmp_path / "with_header.csv"
-    path2.write_text("a,b,c\n" + "\n".join(",".join(map(str, row)) for row in table))
-    assert np.allclose(FunctionClass.from_csv(path2).values, table)

@@ -3,39 +3,41 @@ import pytest
 
 from sworlab import experiments
 from sworlab.errors import OracleScaleError
-from sworlab.experiments import SPLIT_STREAM, run_localize, run_transductive_erm
+from sworlab.experiments import (
+    EXAMPLE_STREAM,
+    FIT_STREAM,
+    SPLIT_STREAM,
+    run_localize,
+    run_transductive_erm,
+)
 from sworlab.ground_set import RngStream
 
 TABLE = np.random.default_rng(0).uniform(size=(3, 8))
 
 
-def _raise(exc):
-    def route(*args, **kwargs):
-        raise exc("exact route")
+def test_erm_falls_back_to_monte_carlo_only_when_exact_is_refused():
+    # 3 x 8, m = 4: C(8, 4) = 70 subsets and C(11, 4) = 330 multisets fit the
+    # budget; 3 x 30, m = 15: C(30, 15) and C(44, 15) exceed it
+    exact = run_transductive_erm(loss_table=TABLE, m=4, splits=50, trials=200)
+    for key, size in (("sup_expectation", 70), ("E_m", 330)):
+        assert exact["provenance"][key] == {
+            "route": "exact", "enumeration_size": size, "budget": 10**6, "trials": 0
+        }
+    wide = np.random.default_rng(1).uniform(size=(3, 30))
+    mc = run_transductive_erm(loss_table=wide, m=15, splits=50, trials=200)
+    for key in ("sup_expectation", "E_m"):
+        assert mc["provenance"][key]["route"] == "monte_carlo"
+        assert mc["provenance"][key]["trials"] == 200
+    with pytest.raises(OracleScaleError, match="no Monte Carlo trials"):
+        run_transductive_erm(loss_table=wide, m=15, splits=50, trials=0)
 
-    return route
 
-
-def test_erm_falls_back_to_monte_carlo_only_when_exact_is_refused(monkeypatch):
-    monkeypatch.setattr(experiments, "exact_sup_expectation", _raise(OracleScaleError))
-    out = run_transductive_erm(loss_table=TABLE, m=4, splits=50, trials=200)
-    assert out["provenance"]["sup_expectation"].startswith("monte carlo")
-    monkeypatch.setattr(experiments, "exact_sup_expectation", _raise(ValueError))
-    with pytest.raises(ValueError):
-        run_transductive_erm(loss_table=TABLE, m=4, splits=50, trials=200)
-
-
-def test_modulus_fit_does_not_hide_exact_route_errors(monkeypatch):
-    estimate = experiments.estimate_modulus
-
-    def exact_broken(*args, method="monte_carlo", **kwargs):
-        if method == "exact":
-            raise ValueError("exact route")
-        return estimate(*args, method=method, **kwargs)
-
-    monkeypatch.setattr(experiments, "estimate_modulus", exact_broken)
-    with pytest.raises(ValueError):
-        run_localize(loss_table=TABLE, m=4, splits=50, trials=200)
+def test_modulus_fit_does_not_hide_exact_route_errors():
+    # m = u = 20 of 40: enumeration is refused, and with no Monte Carlo
+    # trials the refusal reaches the caller; no fit falls back silently
+    table = np.random.default_rng(1).uniform(size=(4, 40))
+    with pytest.raises(OracleScaleError, match="no Monte Carlo trials"):
+        run_localize(loss_table=table, m=20, splits=50, trials=0)
 
 
 @pytest.mark.parametrize("run", [run_localize, run_transductive_erm])
@@ -49,8 +51,11 @@ def test_splits_are_drawn_once_from_the_split_stream(monkeypatch, run):
 
     monkeypatch.setattr(experiments, "sampled_split_risks", counting)
     out = run(loss_table=TABLE, m=4, splits=300, trials=200, seed=3)
-    # the default loss table comes from stream 777, so the splits must not
-    assert calls == [RngStream(3, SPLIT_STREAM)] and SPLIT_STREAM != 777
+    # the default loss table comes from stream 777, so the splits must not;
+    # transductive-erm then draws its reported split on a stream of its own
+    example = [RngStream(3, EXAMPLE_STREAM)] if run is run_transductive_erm else []
+    assert calls == [RngStream(3, SPLIT_STREAM), *example]
+    assert len({777, SPLIT_STREAM, EXAMPLE_STREAM, FIT_STREAM}) == 4
     assert all(0.0 <= v["violation_frequency"] <= 1.0 for v in out["validity"].values())
 
 

@@ -1,19 +1,17 @@
 import math
 from collections import Counter
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.stats import multinomial, multivariate_hypergeom
 
-from sworlab.errors import ConfigurationError, OracleScaleError
+from sworlab.errors import ConfigurationError
 from sworlab.ground_set import (
-    GroundSet,
     RngStream,
     SampleMode,
+    SampleScheme,
     counts_matrix,
-    enumerate_with_replacement,
-    enumerate_without_replacement,
     sample_blocks,
     sample_counts,
     sample_level_counts,
@@ -54,7 +52,7 @@ def test_invalid_schemes_rejected():
     with pytest.raises(ConfigurationError):
         sample_counts(3, 0, 1, WITH, gen)
     with pytest.raises(ConfigurationError):
-        GroundSet(0)
+        SampleScheme(WITH, 1).validate_for(0)
 
 
 def test_pair_frequencies_uniform():
@@ -132,38 +130,6 @@ def test_sample_blocks_draw_from_substreams():
         size = block.shape[0]
         ref = sample_counts(9, 4, size, WITHOUT, rng.substream(i).generator())
         assert np.array_equal(block.toarray(), ref.toarray())
-
-
-def test_enumerate_without_replacement_counts_and_order():
-    gs = GroundSet(6)
-    subsets = list(enumerate_without_replacement(gs, 3))
-    expected = list(combinations(range(6), 3))
-    assert subsets == expected
-    assert len(subsets) == 20
-    assert list(enumerate_without_replacement(GroundSet(3), 3)) == [(0, 1, 2)]
-    assert len(list(enumerate_without_replacement(GroundSet(4), 2))) == 6
-
-
-def test_enumerate_with_replacement_counts():
-    assert len(list(enumerate_with_replacement(GroundSet(2), 2))) == 4
-    assert len(list(enumerate_with_replacement(GroundSet(1), 5))) == 1
-    seqs = list(enumerate_with_replacement(GroundSet(3), 3))
-    assert seqs == list(product(range(3), repeat=3))
-    assert len(seqs) == 27
-
-
-def test_enumeration_budget():
-    with pytest.raises(OracleScaleError):
-        enumerate_without_replacement(GroundSet(40), 20)
-    with pytest.raises(OracleScaleError):
-        enumerate_with_replacement(GroundSet(10), 7)
-    # budget is overridable
-    assert sum(1 for _ in enumerate_with_replacement(GroundSet(10), 7, budget=10**7))
-
-
-def test_no_duplicate_subsets():
-    subsets = list(enumerate_without_replacement(GroundSet(6), 2))
-    assert len(subsets) == len(set(subsets)) == 15
 
 
 def test_substreams_are_reproducible():

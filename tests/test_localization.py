@@ -97,8 +97,9 @@ class TestEstimateModulus:
         ec = self.make_ec()
         nonzero = ec.second_moments[ec.second_moments > 1e-12]
         r = float(nonzero.min()) / 4.0
-        psi, se = estimate_modulus(ec, r, 3, WITHOUT, 100, RngStream(0))
-        assert psi == 0.0 and se == 0.0
+        psi = estimate_modulus(ec, r, 3, WITHOUT, 100, RngStream(0))
+        assert psi.mean == 0.0 and psi.std_error == 0.0
+        assert psi.provenance["route"] == "exact"
 
     def test_exact_matches_enumeration(self):
         gen = np.random.default_rng(3)
@@ -106,23 +107,25 @@ class TestEstimateModulus:
         ec = build_excess_class(tp)
         m = 2
         r = float(ec.second_moments.max()) + 1.0
-        psi, se = estimate_modulus(ec, r, m, WITHOUT, 0, RngStream(0), B=2.0, method="exact")
-        assert se == 0.0
+        psi = estimate_modulus(ec, r, m, WITHOUT, 0, RngStream(0), B=2.0)
+        assert psi.std_error == 0.0 and psi.provenance["enumeration_size"] == 6
         # direct oracle over the 6 splits
         vals = []
         for subset in combinations(range(4), m):
             vals.append(max((ec.means - ec.rows[:, list(subset)].mean(axis=1)).max(), 0.0))
         # the zero row is always in the slice, so the sup is >= 0 already
         expected = 2.0 * float(np.mean(vals))
-        assert psi == pytest.approx(expected)
+        assert psi.mean == pytest.approx(expected)
 
     def test_monte_carlo_agrees_with_exact(self):
         ec = self.make_ec()
         m = 3
         r = float(ec.second_moments.max()) + 1.0
-        exact, _ = estimate_modulus(ec, r, m, WITHOUT, 0, RngStream(0), method="exact")
-        mc, se = estimate_modulus(ec, r, m, WITHOUT, 20_000, RngStream(1))
-        assert abs(mc - exact) <= 4 * se
+        exact = estimate_modulus(ec, r, m, WITHOUT, 0, RngStream(0))
+        mc = estimate_modulus(ec, r, m, WITHOUT, 20_000, RngStream(1), budget=0)
+        assert exact.provenance["route"] == "exact"
+        assert mc.provenance["route"] == "monte_carlo"
+        assert abs(mc.mean - exact.mean) <= 4 * mc.std_error
 
     def test_r_must_be_positive(self):
         with pytest.raises(ConfigurationError):

@@ -4,20 +4,35 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from sworlab.empirical_process import expected_sup
 from sworlab.errors import ConfigurationError
-from sworlab.ground_set import RngStream, SampleMode, sample_blocks
+from sworlab.ground_set import RngStream, SampleMode, SampleScheme, sample_blocks
 from sworlab.transductive import (
     TransductiveProblem,
     erm,
-    exact_sup_expectation,
-    exact_with_replacement_expectation,
     gen_bound_thm5,
     gen_bound_thm6,
-    risks_for_split,
+    require_split,
     sampled_split_risks,
     sigma2_H,
-    split_and_risks,
 )
+
+WITHOUT = SampleMode.WITHOUT_REPLACEMENT
+
+
+def one_split(tp, m, rng):
+    """Train and test risks of one uniform split: row 0 of sampled_split_risks."""
+    train, test = next(sampled_split_risks(tp, m, 1, rng))
+    return train[0], test[0]
+
+
+def split_rows(tp, m, splits, rng):
+    """Per split: the 0/1 indicator of its training points, its train risks
+    and its test risks."""
+    blocks = sample_blocks(tp.N, m, splits, WITHOUT, rng)
+    indicators = np.vstack([counts.toarray() for counts in blocks])
+    train, test = zip(*sampled_split_risks(tp, m, splits, rng))
+    return indicators, np.vstack(train), np.vstack(test)
 
 
 class TestProblemValidation:
@@ -27,104 +42,101 @@ class TestProblemValidation:
         with pytest.raises(ConfigurationError):
             TransductiveProblem(np.array([[-0.1, 0.5]]))
 
-    def test_csv_loading(self, tmp_path):
-        table = np.array([[0.1, 0.9, 0.5], [0.2, 0.3, 0.4]])
-        path = tmp_path / "loss.csv"
-        np.savetxt(path, table, delimiter=",")
-        tp = TransductiveProblem.from_csv(path)
-        assert np.allclose(tp.loss_table, table)
-
 
 class TestSplitAndRisks:
     def test_constant_table(self):
         tp = TransductiveProblem(np.full((3, 6), 0.5))
-        sr = split_and_risks(tp, 2, RngStream(0))
-        assert np.allclose(sr.train_risk, 0.5)
-        assert np.allclose(sr.test_risk, 0.5)
-        assert np.allclose(sr.overall_risk, 0.5)
+        train, test = one_split(tp, 2, RngStream(0))
+        assert np.allclose(train, 0.5)
+        assert np.allclose(test, 0.5)
+        assert np.allclose(tp.overall_risk, 0.5)
 
     def test_hand_computed_split(self):
         tp = TransductiveProblem(np.array([[0.0, 0.0, 1.0, 1.0]]))
-        sr = risks_for_split(tp, np.array([0, 1]), np.array([2, 3]))
-        assert sr.train_risk[0] == 0.0
-        assert sr.test_risk[0] == 1.0
-        assert sr.overall_risk[0] == 0.5
+        indicators, train, test = split_rows(tp, 2, 60, RngStream(1))
+        # by hand: each risk counts the split's points among {2, 3}
+        assert np.array_equal(train[:, 0], indicators[:, 2:].sum(axis=1) / 2)
+        assert np.array_equal(test[:, 0], (2 - indicators[:, 2:].sum(axis=1)) / 2)
+        first = np.flatnonzero((indicators == [1, 1, 0, 0]).all(axis=1))[0]
+        assert train[first, 0] == 0.0
+        assert test[first, 0] == 1.0
+        assert tp.overall_risk[0] == 0.5
         # N L_N = m L_m + u L_u: 4*0.5 = 2*0 + 2*1
-        assert 4 * sr.overall_risk[0] == pytest.approx(
-            2 * sr.train_risk[0] + 2 * sr.test_risk[0]
+        assert 4 * tp.overall_risk[0] == pytest.approx(
+            2 * train[first, 0] + 2 * test[first, 0]
         )
 
     def test_risk_identity_on_random_splits(self):
         gen = np.random.default_rng(1)
         tp = TransductiveProblem(gen.uniform(size=(4, 10)))
-        for seed in range(20):
-            m = 3
-            sr = split_and_risks(tp, m, RngStream(2, seed))
-            lhs = tp.N * sr.overall_risk
-            rhs = m * sr.train_risk + (tp.N - m) * sr.test_risk
+        m = 3
+        for train, test in sampled_split_risks(tp, m, 20, RngStream(2)):
+            lhs = tp.N * tp.overall_risk
+            rhs = m * train + (tp.N - m) * test
             assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_partition(self):
         tp = TransductiveProblem(np.random.default_rng(3).uniform(size=(2, 9)))
-        sr = split_and_risks(tp, 4, RngStream(4))
-        both = np.concatenate([sr.train_indices, sr.test_indices])
-        assert sorted(both.tolist()) == list(range(9))
+        indicators, train, test = split_rows(tp, 4, 10, RngStream(4))
+        assert set(np.unique(indicators)) == {0.0, 1.0}
+        assert np.array_equal(indicators.sum(axis=1), np.full(10, 4))
+        for row, tr, te in zip(indicators, train, test):
+            assert np.allclose(tr, tp.loss_table[:, row == 1].mean(axis=1), atol=1e-12)
+            assert np.allclose(te, tp.loss_table[:, row == 0].mean(axis=1), atol=1e-12)
 
     def test_single_test_point(self):
         tp = TransductiveProblem(np.random.default_rng(5).uniform(size=(2, 5)))
-        sr = split_and_risks(tp, 4, RngStream(6))
-        assert sr.test_indices.size == 1
+        indicators, _, test = split_rows(tp, 4, 10, RngStream(6))
+        for row, te in zip(indicators, test):
+            (point,) = np.flatnonzero(row == 0)
+            assert np.allclose(te, tp.loss_table[:, point], atol=1e-12)
 
     def test_sampled_blocks_match_per_split_risks(self):
         tp = TransductiveProblem(np.random.default_rng(7).uniform(size=(3, 11)))
         m, rng = 4, RngStream(12, 3)
-        blocks = sample_blocks(11, m, 25, SampleMode.WITHOUT_REPLACEMENT, rng)
+        blocks = sample_blocks(11, m, 25, WITHOUT, rng)
         for (train, test), counts in zip(sampled_split_risks(tp, m, 25, rng), blocks):
             for row, tr, te in zip(counts.toarray(), train, test):
-                sr = risks_for_split(tp, np.flatnonzero(row), np.flatnonzero(row == 0))
-                assert np.allclose(tr, sr.train_risk, atol=1e-12)
-                assert np.allclose(te, sr.test_risk, atol=1e-12)
+                assert np.allclose(tr, tp.loss_table[:, row > 0].mean(axis=1), atol=1e-12)
+                assert np.allclose(te, tp.loss_table[:, row == 0].mean(axis=1), atol=1e-12)
 
     def test_degenerate_sizes_rejected(self):
         tp = TransductiveProblem(np.full((1, 4), 0.5))
-        with pytest.raises(ConfigurationError):
-            split_and_risks(tp, 0, RngStream(0))
-        with pytest.raises(ConfigurationError):
-            split_and_risks(tp, 4, RngStream(0))
+        for m in (0, 4):
+            with pytest.raises(ConfigurationError, match=f"got m={m}"):
+                next(sampled_split_risks(tp, m, 1, RngStream(0)))
+            with pytest.raises(ConfigurationError, match=f"got m={m}"):
+                require_split(tp, m)
 
 
 class TestErm:
     def test_single_hypothesis(self):
         tp = TransductiveProblem(np.array([[0.2, 0.4, 0.6]]))
-        sr = split_and_risks(tp, 1, RngStream(0))
-        out = erm(tp, sr)
+        out = erm(tp, *one_split(tp, 1, RngStream(0)))
         assert out.h_hat_m == out.h_star_u == out.h_star_N == 0
         assert out.excess_risk == 0.0
 
     def test_train_test_disagreement(self):
         # h0 wins on train {0,1}, h1 wins on test {2,3}
         tp = TransductiveProblem(np.array([[0.0, 0.0, 1.0, 1.0], [0.5, 0.5, 0.0, 0.0]]))
-        sr = risks_for_split(tp, np.array([0, 1]), np.array([2, 3]))
-        out = erm(tp, sr)
+        out = erm(tp, tp.loss_table[:, :2].mean(axis=1), tp.loss_table[:, 2:].mean(axis=1))
         assert out.h_hat_m == 0 and out.h_star_u == 1
         assert out.excess_risk == pytest.approx(1.0)
 
     def test_tie_broken_to_lowest_index(self):
         tp = TransductiveProblem(np.tile(np.array([0.1, 0.6, 0.2, 0.7]), (3, 1)))
-        sr = split_and_risks(tp, 2, RngStream(7))
-        out = erm(tp, sr)
+        out = erm(tp, *one_split(tp, 2, RngStream(7)))
         assert out.h_hat_m == out.h_star_u == out.h_star_N == 0
 
     def test_determinism(self):
         tp = TransductiveProblem(np.random.default_rng(8).uniform(size=(5, 8)))
-        a = erm(tp, split_and_risks(tp, 3, RngStream(9, 2)))
-        b = erm(tp, split_and_risks(tp, 3, RngStream(9, 2)))
+        a = erm(tp, *one_split(tp, 3, RngStream(9, 2)))
+        b = erm(tp, *one_split(tp, 3, RngStream(9, 2)))
         assert a == b
 
     def test_excess_risk_zero_when_erm_optimal(self):
         tp = TransductiveProblem(np.array([[0.0, 0.0, 0.0, 0.0], [0.9, 0.9, 0.9, 0.9]]))
-        sr = split_and_risks(tp, 2, RngStream(10))
-        out = erm(tp, sr)
+        out = erm(tp, *one_split(tp, 2, RngStream(10)))
         assert out.h_hat_m == out.h_star_u
         assert out.excess_risk == 0.0
 
@@ -158,6 +170,17 @@ def brute_with_replacement(tp, m):
     for seq in product(range(tp.N), repeat=m):
         vals.append((ln - tp.loss_table[:, list(seq)].mean(axis=1)).max())
     return float(np.mean(vals))
+
+
+def exact_sup_expectation(tp, m, mode=WITHOUT):
+    """E[sup_h (L_N(h) - mean loss on the sample)], enumerated by expected_sup."""
+    stats = expected_sup(tp.centered_class(), SampleScheme(mode, m))
+    assert stats.provenance["route"] == "exact"
+    return stats.mean / m
+
+
+def exact_with_replacement_expectation(tp, m):
+    return exact_sup_expectation(tp, m, SampleMode.WITH_REPLACEMENT)
 
 
 class TestGenBounds:
@@ -225,11 +248,8 @@ class TestEmpiricalValidity:
         e_m = exact_with_replacement_expectation(tp, m)
         b5 = gen_bound_thm5(tp, m, t, sup_exp)
         b6 = gen_bound_thm6(tp, m, t, e_m)
-        viol5 = viol6 = 0
-        for seed in range(runs):
-            sr = split_and_risks(tp, m, RngStream(19, seed))
-            worst = (sr.overall_risk - sr.train_risk).max()
-            viol5 += worst > b5
-            viol6 += worst > b6
+        _, train, _ = split_rows(tp, m, runs, RngStream(19))
+        worst = (tp.overall_risk - train).max(axis=1)
+        viol5, viol6 = int((worst > b5).sum()), int((worst > b6).sum())
         assert binomial_lower_ci(viol5, runs) <= math.exp(-t)
         assert binomial_lower_ci(viol6, runs) <= math.exp(-t)

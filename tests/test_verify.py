@@ -8,7 +8,12 @@ from scipy.stats import binom
 
 from sworlab.bounds import BoundParams, Center, tail_subgaussian
 from sworlab.cli import _write_curves
-from sworlab.empirical_process import FunctionClass, center_class
+from sworlab.empirical_process import (
+    FunctionClass,
+    center_class,
+    expected_sup,
+    simulate_suprema,
+)
 from sworlab.errors import ConfigurationError, ContractError
 from sworlab.ground_set import RngStream, SampleMode, SampleScheme
 from sworlab.verify import (
@@ -17,7 +22,6 @@ from sworlab.verify import (
     binomial_upper_ci,
     check_domination,
     default_eps_grid,
-    estimate_tail,
     tail_curve_from_draws,
 )
 
@@ -69,13 +73,22 @@ def antipodal(n, a=0.5):
     return FunctionClass(np.vstack([f, -f]), centered=True)
 
 
+def estimate_tail(fc, scheme, eps_grid, trials, rng):
+    """P{Q' - E[Q'] >= eps} with its binomial bands: the centre from
+    expected_sup (exact within the budget, else Monte Carlo on an
+    independent substream), the curve from `trials` fresh draws."""
+    centre = expected_sup(fc, scheme, trials, rng.substream(1_000_003))
+    draws = simulate_suprema(fc, scheme, trials, rng)
+    return tail_curve_from_draws(
+        draws, eps_grid, Center.AROUND_EQ_PRIME, centre.mean, centre.std_error
+    )
+
+
 class TestEstimateTail:
     def test_beyond_range_is_zero(self):
         fc = antipodal(8)
         grid = np.array([1.0, 2 * 4 + 1.0])  # |sum| <= m = 4
-        curve = estimate_tail(
-            fc, SampleScheme(WITHOUT, 4), grid, 2000, Center.AROUND_EQ_PRIME, RngStream(0)
-        )
+        curve = estimate_tail(fc, SampleScheme(WITHOUT, 4), grid, 2000, RngStream(0))
         assert curve.tail_estimate[-1] == 0.0
 
     def test_eps_zero_probability_positive(self):
@@ -85,7 +98,6 @@ class TestEstimateTail:
             SampleScheme(WITHOUT, 4),
             np.array([0.0, 1.0]),
             2000,
-            Center.AROUND_EQ_PRIME,
             RngStream(1),
         )
         assert 0.0 < curve.tail_estimate[0] <= 1.0
@@ -98,9 +110,7 @@ class TestEstimateTail:
         exact_mean = sums.mean()
         grid = np.array([0.1, 0.4, 0.8])
         exact_tail = np.array([(sums - exact_mean >= e).mean() for e in grid])
-        curve = estimate_tail(
-            fc, SampleScheme(WITHOUT, m), grid, 20_000, Center.AROUND_EQ_PRIME, RngStream(2)
-        )
+        curve = estimate_tail(fc, SampleScheme(WITHOUT, m), grid, 20_000, RngStream(2))
         assert curve.center_value == pytest.approx(exact_mean)  # enumerable -> exact
         for est, up, exact, e in zip(
             curve.tail_estimate, curve.upper_ci, exact_tail, grid
@@ -115,7 +125,6 @@ class TestEstimateTail:
                 SampleScheme(WITHOUT, 3),
                 np.array([0.5]),
                 0,
-                Center.AROUND_EQ_PRIME,
                 RngStream(0),
             )
 
@@ -126,7 +135,6 @@ class TestEstimateTail:
             SampleScheme(WITHOUT, 5),
             default_eps_grid(5, 0.25),
             5000,
-            Center.AROUND_EQ_PRIME,
             RngStream(3),
         )
         assert np.all(np.diff(curve.tail_estimate) <= 0)
@@ -138,9 +146,7 @@ class TestCheckDomination:
     def test_all_zero_class_trivially_dominated(self):
         fc = FunctionClass(np.zeros((2, 6)), centered=True)
         grid = np.array([0.1, 0.5, 1.0])
-        curve = estimate_tail(
-            fc, SampleScheme(WITHOUT, 3), grid, 1000, Center.AROUND_EQ_PRIME, RngStream(4)
-        )
+        curve = estimate_tail(fc, SampleScheme(WITHOUT, 3), grid, 1000, RngStream(4))
         params = BoundParams(N=6, m=3, sigma2=0.0)
         for tag in ("subgaussian", "elyaniv_pechyony"):
             assert check_domination(curve, tag, params).passed
@@ -154,7 +160,6 @@ class TestCheckDomination:
             SampleScheme(WITHOUT, m),
             default_eps_grid(m, sigma2),
             30_000,
-            Center.AROUND_EQ_PRIME,
             RngStream(5),
         )
         params = BoundParams(N=n, m=m, sigma2=sigma2)
@@ -168,7 +173,6 @@ class TestCheckDomination:
             SampleScheme(WITHOUT, 4),
             np.array([0.5]),
             1000,
-            Center.AROUND_EQ_PRIME,
             RngStream(6),
         )
         with pytest.raises(ContractError):
@@ -183,7 +187,6 @@ class TestCheckDomination:
             SampleScheme(WITHOUT, m),
             default_eps_grid(m, sigma2),
             50_000,
-            Center.AROUND_EQ_PRIME,
             RngStream(7),
         )
         params = BoundParams(N=n, m=m, sigma2=sigma2)
@@ -205,7 +208,6 @@ class TestCheckDomination:
             SampleScheme(WITHOUT, 4),
             np.array([0.5]),
             500,
-            Center.AROUND_EQ_PRIME,
             RngStream(8),
         )
         with pytest.raises(ConfigurationError):
@@ -220,7 +222,6 @@ class TestSerialization:
             SampleScheme(WITHOUT, 4),
             np.array([0.2, 0.6, 1.4]),
             2000,
-            Center.AROUND_EQ_PRIME,
             RngStream(9),
         )
         d = curve.to_dict()
@@ -237,7 +238,6 @@ class TestSerialization:
             SampleScheme(WITHOUT, 4),
             np.array([0.5]),
             500,
-            Center.AROUND_EQ_PRIME,
             RngStream(10),
         )
         report = check_domination(curve, "subgaussian", BoundParams(N=8, m=4, sigma2=0.25))
@@ -275,14 +275,12 @@ def test_tail_curve_rejects_bad_grids():
 def test_deviation_exceedance_calibrated():
     # fraction of draws above E[Q'] + deviation(t) stays below e^{-t} + slack
     from sworlab.bounds import deviation_subgaussian
-    from sworlab.empirical_process import expected_sup, simulate_suprema
-
     n, m, sigma2, trials = 30, 15, 0.25, 30_000
     fc = antipodal(n)
     scheme = SampleScheme(WITHOUT, m)
-    center = expected_sup(fc, scheme, method="monte_carlo", trials=trials, rng=RngStream(11))
+    center = expected_sup(fc, scheme, trials, RngStream(11), budget=0)
     draws = simulate_suprema(fc, scheme, trials, RngStream(12))
     for t in (1.0, 2.0, 4.0):
         level = deviation_subgaussian(BoundParams(N=n, m=m, sigma2=sigma2, t=t)).value
-        k = int((draws - center.mean_without > level).sum())
+        k = int((draws - center.mean > level).sum())
         assert binomial_lower_ci(k, trials) <= math.exp(-t)
