@@ -24,6 +24,7 @@ from .empirical_process import (
     SupremumStats,
     center_class,
     class_variance,
+    exact_law,
     expected_sup,
     simulate_suprema,
     sup_sums,

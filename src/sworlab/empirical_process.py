@@ -7,22 +7,21 @@ of the sum of values on a sample; the with-replacement and
 without-replacement variants differ only in how the sample is drawn.
 
 Points with identical columns form a level set, and Q depends on a sample
-only through how many points it takes from each level set.  Monte Carlo
-draws those counts directly when a class has few level sets (the
-antipodal class {f, -f} has two); the population, where every point is
-its own level set, is the general case.
+only through its count vector over the level sets: exact_law lists them
+all, and Monte Carlo draws them when a class has few level sets.  The
+population, where every point is its own level set, is the general case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain, combinations, combinations_with_replacement
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.sparse import csr_matrix
+from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigurationError, OracleScaleError
 from .ground_set import (
@@ -30,22 +29,21 @@ from .ground_set import (
     SampleMode,
     SampleScheme,
     block_generators,
-    counts_matrix,
     sample_counts,
     sample_level_counts,
 )
 
 CENTER_TOL = 1e-12
-#: expected_sup enumerates when exact enumeration visits at most this many
-#: samples (subsets or multisets), and runs Monte Carlo otherwise
+#: expected_sup is exact when the class has at most this many count
+#: vectors over its level sets, and runs Monte Carlo otherwise
 DEFAULT_ENUM_BUDGET = 10**6
 #: Monte Carlo samples a class with L level sets over those sets when
 #: LEVEL_RATIO * L <= N without replacement (a population sample draws N
-#: random keys) or LEVEL_RATIO * L <= m with replacement (m indices).  A
-#: level sample draws one hypergeometric or binomial variate per set, each
-#: costing several keys or indices; at 32 the level path was at least 1.9x
-#: faster wherever the rule picks it, over M in {2, 64}, N in {100, 1000,
-#: 4000}, m/N in {0.1, 0.5, 0.9} and N/L from 1 to 64.
+#: random keys) or LEVEL_RATIO * L <= min(N, m) with replacement (m
+#: indices).  A level sample draws one hypergeometric or binomial variate
+#: per set, each costing several keys or indices; at 32 the level path was
+#: at least 1.9x faster wherever the rule picks it, over M in {2, 64}, N in
+#: {100, 1000, 4000}, m/N in {0.1, 0.5, 0.9} and N/L from 1 to 64.
 LEVEL_RATIO = 32
 
 
@@ -86,9 +84,8 @@ class FunctionClass:
         return self.values.shape[1]
 
     @cached_property
-    def level_sets(self) -> Optional[LevelSets]:
-        """The table's identical columns merged into L level sets, when
-        LEVEL_RATIO * L <= N; None otherwise (no level path would pay)."""
+    def level_sets(self) -> LevelSets:
+        """The table's identical columns merged into L level sets."""
         # points with equal projections w @ v form the candidate sets:
         # sorting N projections finds them without sorting columns, and the
         # comparison below confirms that each set's points share its column
@@ -96,11 +93,10 @@ class FunctionClass:
         _, first, inverse, sizes = np.unique(
             weights @ self.values, return_index=True, return_inverse=True, return_counts=True
         )
-        if LEVEL_RATIO * sizes.size > self.n_points:
-            return None
         columns = self.values[:, first]
         if not np.array_equal(columns[:, inverse], self.values):
-            return None  # distinct columns share a projection: keep the population
+            # distinct columns share a projection: keep the population
+            return LevelSets(np.ones(self.n_points, dtype=sizes.dtype), self.values)
         return LevelSets(sizes, columns)
 
 
@@ -148,28 +144,70 @@ def class_variance(fc: FunctionClass) -> float:
     return float((fc.values**2).mean(axis=1).max())
 
 
-def _enumerated_counts(samples, m: int, n: int):
-    idx = np.fromiter(chain.from_iterable(samples), dtype=np.intp).reshape(-1, m)
-    return counts_matrix(idx, n)
+def _vector_count(sizes: np.ndarray, m: int, mode: SampleMode) -> int:
+    """How many count vectors over level sets of these sizes sum to m (with
+    k_i <= sizes[i] without replacement): the x^m coefficient of
+    prod_i (1 - x^(cap_i + 1)) / (1 - x)^L, where only caps below m bind."""
+    poly = {0: 1}  # the binding factors multiplied out, one size at a time
+    if mode is SampleMode.WITHOUT_REPLACEMENT:
+        for step, c in zip(*np.unique(sizes[sizes < m] + 1, return_counts=True)):
+            product: dict = {}
+            for t in range(min(c, m // step) + 1):  # (1 - x^step)^c, term by term
+                term = (-1) ** t * math.comb(c, t)
+                for j, a in poly.items():
+                    if j + t * step <= m:
+                        product[j + t * step] = product.get(j + t * step, 0) + term * a
+            poly = product
+    return sum(a * math.comb(m - j + sizes.size - 1, m - j) for j, a in poly.items())
 
 
-def _exact_mean(fc: FunctionClass, scheme: SampleScheme) -> float:
-    """E[Q] by enumeration, whatever its size (expected_sup checks that).
+def _ragged(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, v) for every v in range(start[i], stop[i]), for every i."""
+    owner = np.repeat(np.arange(stop.size), stop - start)
+    return owner, np.arange(owner.size) - (np.cumsum(stop - start) - stop)[owner]
 
-    Without replacement: the mean over all m-subsets.  With replacement:
-    the supremum depends on an ordered sequence only through its counts,
-    so sum over multisets, each weighted by its probability
-    m!/prod(k_i!) N^-m.
-    """
-    n, m = fc.n_points, scheme.m
-    if scheme.mode is SampleMode.WITHOUT_REPLACEMENT:
-        subsets = combinations(range(n), m)
-        return float(sup_sums(fc.values, _enumerated_counts(subsets, m, n)).mean())
-    counts = _enumerated_counts(combinations_with_replacement(range(n), m), m, n)
-    counts.sum_duplicates()  # one entry k_i per distinct point
-    log_fact = np.add.reduceat(gammaln(counts.data + 1.0), counts.indptr[:-1])
-    prob = np.exp(gammaln(m + 1.0) - log_fact - m * math.log(n))
-    return float(prob @ sup_sums(fc.values, counts))
+
+@lru_cache(maxsize=32)  # a few (sizes, m, mode) keys recur across a run
+def _count_vectors(sizes: tuple, m: int, mode: SampleMode) -> tuple[csr_matrix, np.ndarray]:
+    """The count vectors over level sets of these sizes that sum to m, as
+    sparse rows, and their probabilities.  A vector grows one nonzero entry
+    at a time, in set order, while the later sets can take the rest of m;
+    its log-weight (log C(s, k), or k log s - log k!, per entry) with it."""
+    s, without = np.array(sizes), mode is SampleMode.WITHOUT_REPLACEMENT
+    caps = np.minimum(s, m) if without else np.full(s.size, m)
+    tail = np.append(np.cumsum(caps[::-1])[::-1], 0)  # tail[j] = sum(caps[j:])
+    sets = vals = np.zeros((1, 0), np.int32)
+    nxt, rem, logw, done = np.zeros(1, int), np.array([m]), np.zeros(1), []
+    while rem.size:
+        # k points of a set j >= nxt with tail[j] >= rem, leaving rem - k <= tail[j + 1]
+        p, j = _ragged(nxt, np.searchsorted(-tail, -rem, side="right"))
+        q, k = _ragged(np.maximum(1, rem[p] - tail[j + 1]), np.minimum(caps[j], rem[p]) + 1)
+        p, j, k = p[q], j[q].astype(np.int32), k.astype(np.int32)
+        pick = gammaln(s[j] + 1.0) - gammaln(s[j] - k + 1.0) if without else k * np.log(s[j])
+        rem, logw = rem[p] - k, logw[p] + pick - gammaln(k + 1.0)
+        end, go = rem == 0, rem > 0
+        finished = np.column_stack([sets[p[end]], j[end]]), np.column_stack([vals[p[end]], k[end]])
+        done.append((*finished, logw[end]))
+        sets, vals = np.column_stack([sets[p[go]], j[go]]), np.column_stack([vals[p[go]], k[go]])
+        nxt, rem, logw = j[go] + 1, rem[go], logw[go]
+    lengths = np.repeat(np.arange(1, len(done) + 1), [w.size for *_, w in done])  # block d: d each
+    indptr = np.append(0, np.cumsum(lengths))
+    sets, vals, logw = (np.concatenate([part.ravel() for part in parts]) for parts in zip(*done))
+    del done, finished  # free the blocks before the float copy below
+    weights = np.exp(logw - logsumexp(logw))
+    weights.setflags(write=False)  # cached: callers share it
+    return csr_matrix((vals.astype(float), sets, indptr), (indptr.size - 1, s.size)), weights
+
+
+def exact_law(fc: FunctionClass, scheme: SampleScheme) -> tuple[np.ndarray, np.ndarray]:
+    """The law of Q: (sups, weights) over every count vector k of the level
+    sets with sum m (k_i <= s_i without replacement), weighted by
+    prod C(s_i, k_i) / C(N, m) without replacement, m!/prod k_i! prod
+    (s_i/N)^k_i with.  E[Q] = weights @ sups; P{Q >= x} sums weights."""
+    scheme.validate_for(fc.n_points)
+    levels = fc.level_sets
+    counts, weights = _count_vectors(tuple(levels.sizes.tolist()), scheme.m, scheme.mode)
+    return sup_sums(levels.columns, counts), weights
 
 
 def simulate_suprema(
@@ -182,21 +220,19 @@ def simulate_suprema(
     """Draw `trials` independent suprema, vectorized in fixed-size blocks.
 
     A supremum depends on a sample only through how many points it takes
-    from each level set, so a class with few level sets (see
-    FunctionClass.level_sets) draws those counts directly; any other class
-    draws samples of the population.  Block b uses rng.substream(b), so the
-    result is bit-identical however the blocks are scheduled.
+    from each level set, so a class with few level sets (see LEVEL_RATIO)
+    draws those counts directly; any other class draws samples of the
+    population.  Block b uses rng.substream(b), so the result is
+    bit-identical however the blocks are scheduled.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    m, mode, levels = scheme.m, scheme.mode, fc.level_sets
-    population_draws = fc.n_points if mode is SampleMode.WITHOUT_REPLACEMENT else m
-    if levels is not None and LEVEL_RATIO * levels.sizes.size > population_draws:
-        levels = None
-    if levels is None:
-        table, draw = fc.values, partial(sample_counts, fc.n_points)
-    else:
+    m, mode, levels, n = scheme.m, scheme.mode, fc.level_sets, fc.n_points
+    population_draws = n if mode is SampleMode.WITHOUT_REPLACEMENT else min(n, m)
+    if LEVEL_RATIO * levels.sizes.size <= population_draws:
         table, draw = levels.columns, partial(sample_level_counts, levels.sizes)
+    else:
+        table, draw = fc.values, partial(sample_counts, n)
     blocks = block_generators(trials, rng, block)
     return np.concatenate([sup_sums(table, draw(m, rows, mode, gen)) for rows, gen in blocks])
 
@@ -208,32 +244,28 @@ def expected_sup(
     rng: Optional[RngStream] = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> SupremumStats:
-    """E[Q] for the sampling scheme: the one place that picks exact
-    enumeration or Monte Carlo.
+    """E[Q] for the sampling scheme, from exact_law or Monte Carlo.
 
-    The route is decided once, by counting.  Enumeration visits C(N, m)
-    subsets without replacement, or C(N + m - 1, m) multisets with
-    replacement, each weighted by its multinomial probability.  When that
-    count is at most `budget` (10^6 by default) the mean is exact and
-    std_error is 0; budget = 0 always takes Monte Carlo (verify-bounds
-    passes it, so its centres carry a standard error).  Otherwise
-    `trials` suprema are drawn from `rng`, and the sample mean is reported
-    with std_error = sample std / sqrt(trials); with trials = 0 the call
-    raises OracleScaleError.  The provenance records the route ("exact" or
-    "monte_carlo"), the enumeration size, the budget and the trials drawn.
+    The route is decided once, by counting the vectors exact_law would
+    list: C(N, m) or C(N + m - 1, m) on distinct columns, at most m + 1
+    for the antipodal class.  Within `budget` the mean is exact, std_error 0;
+    budget = 0 always takes Monte Carlo (verify-bounds passes it).  Else
+    `trials` draws from `rng` give the mean and std_error = sample std /
+    sqrt(trials); with trials = 0 it raises OracleScaleError.  provenance
+    holds route ("exact" or "monte_carlo"), enumeration_size (the count),
+    budget and trials.
     """
     scheme.validate_for(fc.n_points)
-    n, m = fc.n_points, scheme.m
-    without = scheme.mode is SampleMode.WITHOUT_REPLACEMENT
-    size = math.comb(n, m) if without else math.comb(n + m - 1, m)
+    levels = fc.level_sets
+    size = _vector_count(levels.sizes, scheme.m, scheme.mode)
     provenance = {"route": "exact", "enumeration_size": size, "budget": budget, "trials": 0}
     if size <= budget:
-        return SupremumStats(_exact_mean(fc, scheme), 0.0, provenance)
+        sups, weights = exact_law(fc, scheme)
+        return SupremumStats(float(weights @ sups), 0.0, provenance)
     if trials < 1:
-        kind = "subsets" if without else "multisets"
         raise OracleScaleError(
-            f"{size} {kind} exceed the enumeration budget {budget}"
-            " and no Monte Carlo trials were given"
+            f"{size} count vectors over {levels.sizes.size} level sets exceed the"
+            f" enumeration budget {budget} and no Monte Carlo trials were given"
         )
     if rng is None:
         raise ConfigurationError("Monte Carlo needs an rng")

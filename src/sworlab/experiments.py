@@ -60,11 +60,12 @@ WITH = SampleMode.WITH_REPLACEMENT
 def make_antipodal_class(n: int, sigma2: float) -> FunctionClass:
     """The two-function class {f, -f} with variance sigma2: f is +a on the
     first half of the population and -a on the rest (one zero if n is odd)."""
+    if n < 2:
+        raise ConfigurationError(f"the antipodal class needs n >= 2 points, got n={n}")
     if not 0.0 < sigma2 <= 1.0:
         raise ConfigurationError("sigma2 must be in (0, 1]")
     half = n // 2
-    active = 2 * half
-    a = math.sqrt(sigma2 * n / active) if active else 0.0
+    a = math.sqrt(sigma2 * n / (2 * half))
     if a > 1.0:
         raise ConfigurationError(f"sigma2={sigma2} needs entries above 1 at n={n}")
     f = np.zeros(n)

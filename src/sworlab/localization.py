@@ -144,11 +144,6 @@ def estimate_modulus(
     idx = slice_indices(ec, r)
     sub = ec.rows[idx]
     means = sub.mean(axis=1)
-    if np.all(np.abs(sub) <= ZERO_TOL):
-        # an identically zero slice: psi_hat = 0 exactly, nothing to enumerate
-        return SupremumStats(
-            0.0, 0.0, {"route": "exact", "enumeration_size": 0, "budget": budget, "trials": 0}
-        )
     # per-sample statistic: sup over slice rows of the sum of g = Ef - f
     gfc = FunctionClass(means[:, None] - sub)
     stats = expected_sup(gfc, SampleScheme(flavor, m), trials, rng, budget)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sworlab.bounds import (
+    BOUND_CENTERS,
     BoundKind,
     BoundParams,
     BoundValue,
+    Center,
     compare_exponents,
     deviation_bousquet,
     deviation_subgaussian,
@@ -20,7 +22,11 @@ from sworlab.bounds import (
     tail_subgaussian,
     tail_talagrand_swor,
 )
+from sworlab.empirical_process import class_variance, exact_law
 from sworlab.errors import ConfigurationError
+from sworlab.experiments import ACCEPTANCE_GRID, make_antipodal_class
+from sworlab.ground_set import SampleMode, SampleScheme
+from sworlab.verify import default_eps_grid
 
 
 class TestElementaryFunctions:
@@ -265,3 +271,29 @@ class TestBoundValueValidation:
         with pytest.raises(ConfigurationError, match="E\\[Q_m\\]"):
             BoundParams(N=100, m=50, sigma2=0.01, eq_m=-10.0)
         assert BoundParams(N=100, m=50, sigma2=0.01, eq_m=0.0).v == 0.5
+
+
+EXACT_TAIL_CONFIGS = [
+    (n, max(1, int(round(frac * n))), s2)
+    for n in ACCEPTANCE_GRID["N"]
+    for frac in ACCEPTANCE_GRID["m_frac"]
+    for s2 in ACCEPTANCE_GRID["sigma2"]
+] + [(10_000, m, s2) for m in (1000, 5000, 9000) for s2 in (0.01, 0.1, 0.25)]
+
+
+@pytest.mark.parametrize("n,m,s2", EXACT_TAIL_CONFIGS)
+def test_every_tail_bound_dominates_the_exact_tail(n, m, s2):
+    """P{Q' - c >= eps} from exact_law, with exact centres c = E[Q'] or
+    E[Q], never exceeds any tail bound on the default grid: no confidence
+    band, only float tolerance."""
+    fc = make_antipodal_class(n, s2)
+    sups, weights = exact_law(fc, SampleScheme(SampleMode.WITHOUT_REPLACEMENT, m))
+    with_sups, with_weights = exact_law(fc, SampleScheme(SampleMode.WITH_REPLACEMENT, m))
+    eq_m = float(with_weights @ with_sups)
+    centres = {Center.AROUND_EQ_PRIME: float(weights @ sups), Center.AROUND_EQ: eq_m}
+    sigma2 = class_variance(fc)
+    for eps in default_eps_grid(m, sigma2):
+        p = BoundParams(N=n, m=m, sigma2=sigma2, eq_m=max(eq_m, 0.0), eps=float(eps))
+        for tag, tail in TAIL_BOUNDS.items():
+            exact = float(weights[sups - centres[BOUND_CENTERS[tag]] >= eps].sum())
+            assert exact <= tail(p).value * (1 + 1e-9), (tag, eps, exact)

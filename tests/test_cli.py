@@ -131,6 +131,13 @@ class TestInputErrors:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_single_point_antipodal_class_exits_2(self, tmp_path, capsys):
+        # one point has no antipodal pair: sigma2 would silently become 0
+        argv = ["verify-bounds", "--n", "1", "--m", "1", "--trials", "100"]
+        code = run(argv + ["--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error: the antipodal class needs n >= 2" in capsys.readouterr().err
+
     def test_non_numeric_loss_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "loss.csv"
         path.write_text("0.1,0.2,0.3\n1,2,abc\n")

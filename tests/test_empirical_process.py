@@ -12,6 +12,7 @@ from sworlab.empirical_process import (
     FunctionClass,
     center_class,
     class_variance,
+    exact_law,
     expected_sup,
     simulate_suprema,
     sup_sums,
@@ -322,9 +323,91 @@ class TestLevelPath:
     @pytest.mark.parametrize("mode,m", [(WITHOUT, 40), (WITH, 40)])
     def test_distinct_columns_keep_the_population_draws(self, mode, m):
         fc = center_class(np.random.default_rng(16).uniform(0, 1, size=(64, 400)))
-        assert fc.level_sets is None
+        # 400 level sets: the 32 L rule picks the population in both modes
+        assert LEVEL_RATIO * fc.level_sets.sizes.size > 400
         rng = RngStream(17, 3)
         draws = simulate_suprema(fc, SampleScheme(mode, m), 25, rng, block=10)
         blocks = sample_blocks(400, m, 25, mode, rng, block=10)
         expected = np.concatenate([sup_sums(fc.values, counts) for counts in blocks])
         assert np.array_equal(draws, expected)
+
+
+def repeated_columns(seed, n, distinct, m_funcs=3):
+    """An uncentred random class on n points whose columns repeat `distinct`
+    base columns."""
+    gen = np.random.default_rng(seed)
+    base = gen.uniform(-1, 1, size=(m_funcs, distinct))
+    return FunctionClass(base[:, gen.integers(0, distinct, size=n)])
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    @pytest.mark.parametrize("seed,n,distinct", [(20, 6, 2), (21, 5, 3), (22, 5, 5)])
+    def test_matches_brute_force_on_repeated_columns(self, mode, seed, n, distinct):
+        fc = repeated_columns(seed, n, distinct)
+        brute = brute_mean_without if mode is WITHOUT else brute_mean_with
+        for m in (1, n // 2, n):
+            sups, weights = exact_law(fc, SampleScheme(mode, m))
+            assert float(weights @ sups) == pytest.approx(brute(fc, m), abs=1e-12)
+            assert expected_sup(fc, SampleScheme(mode, m)).mean == float(weights @ sups)
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    def test_counted_size_is_the_number_of_vectors(self, mode):
+        for seed, n, distinct in [(23, 9, 2), (24, 9, 4), (25, 12, 5), (26, 8, 8)]:
+            fc = repeated_columns(seed, n, distinct)
+            for m in range(1, n + 1):
+                stats = expected_sup(fc, SampleScheme(mode, m))
+                sups, weights = exact_law(fc, SampleScheme(mode, m))
+                assert stats.provenance["enumeration_size"] == sups.size == weights.size
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    def test_distinct_columns_count_subsets_and_multisets(self, mode):
+        fc = center_class(np.random.default_rng(27).uniform(-1, 1, size=(2, 11)))
+        for m in range(1, 12):
+            size = expected_sup(fc, SampleScheme(mode, m)).provenance["enumeration_size"]
+            assert size == (math.comb(11, m) if mode is WITHOUT else math.comb(11 + m - 1, m))
+        # refused counts are exact too
+        wide = center_class(np.random.default_rng(28).uniform(0, 1, size=(64, 400)))
+        stats = expected_sup(wide, SampleScheme(mode, 40), 10, RngStream(0))
+        expected = math.comb(400, 40) if mode is WITHOUT else math.comb(439, 40)
+        assert stats.provenance["enumeration_size"] == expected
+
+    @pytest.mark.parametrize("m", [100, 500, 900])
+    def test_antipodal_n1000_matches_closed_form(self, m):
+        # Q = a |2K - m| with K ~ Hypergeom(1000, 500, m) or Bin(m, 1/2)
+        fc = make_antipodal_class(1000, 0.1)
+        a, k = float(fc.values[0, 0]), np.arange(m + 1)
+        # one vector per value of K: 0..m with replacement, and
+        # max(0, m - 500)..min(m, 500) without
+        sizes = {WITHOUT: min(m, 500) - max(0, m - 500) + 1, WITH: m + 1}
+        for mode, law in [(WITHOUT, hypergeom(1000, 500, m)), (WITH, binom(m, 0.5))]:
+            closed = a * float(law.pmf(k) @ np.abs(2 * k - m))
+            stats = expected_sup(fc, SampleScheme(mode, m))
+            assert stats.provenance == {
+                "route": "exact", "enumeration_size": sizes[mode], "budget": 10**6, "trials": 0
+            }
+            assert stats.mean == pytest.approx(closed, abs=1e-12, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    def test_weights_sum_to_one_at_n10000(self, mode):
+        _, weights = exact_law(make_antipodal_class(10_000, 0.25), SampleScheme(mode, 5000))
+        assert weights.size == 5001
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert not weights.flags.writeable  # shared with later calls
+
+    @pytest.mark.parametrize("mode,n,m", [(WITH, 100, 3), (WITHOUT, 20, 10)])
+    def test_traced_peak_stays_small(self, mode, n, m):
+        # 171 700 multisets and 184 756 subsets of distinct columns
+        fc = center_class(np.random.default_rng(29).uniform(-1, 1, size=(2, n)))
+        tracemalloc.start()
+        try:
+            stats = expected_sup(fc, SampleScheme(mode, m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.provenance["route"] == "exact"
+        assert peak <= 64 * 2**20
+
+    def test_invalid_scheme_rejected(self):
+        with pytest.raises(ConfigurationError):
+            exact_law(make_antipodal_class(10, 0.25), SampleScheme(WITHOUT, 11))

@@ -4,17 +4,20 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy.optimize import bisect
-from scipy.stats import binom
+from scipy.stats import binom, binomtest
 
 from sworlab.bounds import BoundParams, Center, tail_subgaussian
 from sworlab.cli import _write_curves
 from sworlab.empirical_process import (
     FunctionClass,
     center_class,
+    class_variance,
+    exact_law,
     expected_sup,
     simulate_suprema,
 )
 from sworlab.errors import ConfigurationError, ContractError
+from sworlab.experiments import make_antipodal_class
 from sworlab.ground_set import RngStream, SampleMode, SampleScheme
 from sworlab.verify import (
     TailCurve,
@@ -284,3 +287,25 @@ def test_deviation_exceedance_calibrated():
         level = deviation_subgaussian(BoundParams(N=n, m=m, sigma2=sigma2, t=t)).value
         k = int((draws - center.mean > level).sum())
         assert binomial_lower_ci(k, trials) <= math.exp(-t)
+
+
+@pytest.mark.parametrize("n,m", [(20, 10), (100, 50)])
+def test_monte_carlo_harness_agrees_with_the_exact_law(n, m):
+    """Over 200 seeds, the delta = 0.01 upper band of tail_curve_from_draws
+    covers the exact tail at no less than the nominal rate (one-sided
+    binomial test at each eps), and every simulate_suprema mean lies within
+    4 standard errors of the exact mean.  N = 20 samples the population,
+    N = 100 the two level sets."""
+    fc, scheme, seeds, trials = make_antipodal_class(n, 0.25), SampleScheme(WITHOUT, m), 200, 2000
+    sups, weights = exact_law(fc, scheme)
+    mean = float(weights @ sups)
+    grid = default_eps_grid(m, class_variance(fc))
+    exact_tail = np.array([weights[sups - mean >= eps].sum() for eps in grid])
+    misses = np.zeros(grid.size, dtype=int)
+    for seed in range(seeds):
+        draws = simulate_suprema(fc, scheme, trials, RngStream(seed))
+        curve = tail_curve_from_draws(draws, grid, Center.AROUND_EQ_PRIME, mean, 0.0, 0.01)
+        misses += curve.upper_ci < exact_tail
+        assert abs(draws.mean() - mean) <= 4 * draws.std(ddof=1) / math.sqrt(trials), seed
+    for eps, k in zip(grid, misses):
+        assert binomtest(int(k), seeds, 0.01, alternative="greater").pvalue >= 0.01, (eps, k)
