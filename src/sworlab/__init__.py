@@ -4,9 +4,7 @@ transductive ERM bounds, localized complexities, and kernel tailsum
 bounds."""
 
 from .bounds import (
-    BoundKind,
     BoundParams,
-    BoundValue,
     Center,
     compare_exponents,
     deviation_bousquet,
@@ -37,7 +35,6 @@ from .ground_set import (
 )
 from .kernels import EigenSpectrum, KernelSpec, eigen_spectrum, gram_matrix, tailsum_bound
 from .localization import (
-    BernsteinConstant,
     ExcessLossClass,
     SubRootBound,
     build_excess_class,

@@ -25,11 +25,6 @@ from enum import Enum
 from .errors import ConfigurationError
 
 
-class BoundKind(Enum):
-    TAIL_PROBABILITY = "tail_probability"
-    DEVIATION_LEVEL = "deviation_level"
-
-
 class Center(Enum):
     """Which expectation a deviation is measured from."""
 
@@ -67,28 +62,15 @@ class BoundParams:
             raise ConfigurationError(f"need 1 <= m <= N, got m={self.m}, N={self.N}")
         if not 0.0 <= self.sigma2 <= 1.0:
             raise ConfigurationError(f"sigma2 must be in [0, 1], got {self.sigma2}")
-        if self.eq_m < 0:
-            raise ConfigurationError(f"E[Q_m] must be nonnegative, got {self.eq_m}")
-        if self.t < 0 or self.eps < 0:
-            raise ConfigurationError("t and eps must be nonnegative")
+        if not 0.0 <= self.eq_m < math.inf:
+            raise ConfigurationError(f"E[Q_m] must be nonnegative and finite, got {self.eq_m}")
+        if not (0.0 <= self.t < math.inf and 0.0 <= self.eps < math.inf):
+            raise ConfigurationError("t and eps must be nonnegative and finite")
 
     @property
     def v(self) -> float:
         """Variance proxy m*sigma2 + 2*E[Q_m] of the Bennett-form bounds."""
         return self.m * self.sigma2 + 2.0 * self.eq_m
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    kind: BoundKind
-    value: float
-    theorem_tag: str
-
-    def __post_init__(self):
-        if self.kind is BoundKind.TAIL_PROBABILITY and not 0 <= self.value <= 1:
-            raise ConfigurationError("tail probability out of [0, 1]")
-        if self.kind is BoundKind.DEVIATION_LEVEL and self.value < 0:
-            raise ConfigurationError("deviation level must be >= 0")
 
 
 def h_fn(u: float) -> float:
@@ -130,54 +112,46 @@ def _log_tail_elyaniv_pechyony(p: BoundParams) -> float:
     return _mcdiarmid_exponent(p) * (1.0 - 1.0 / (2.0 * max(p.m, p.N - p.m)))
 
 
-def _tail(log_tail: float, tag: str) -> BoundValue:
-    return BoundValue(BoundKind.TAIL_PROBABILITY, min(1.0, math.exp(log_tail)), tag)
-
-
-def _deviation(value: float, tag: str) -> BoundValue:
-    return BoundValue(BoundKind.DEVIATION_LEVEL, value, tag)
-
-
-def tail_subgaussian(p: BoundParams, constant: float = 8.0) -> BoundValue:
+def tail_subgaussian(p: BoundParams, constant: float = 8.0) -> float:
     """Sub-Gaussian tail of Q' - E[Q'], either side: exp(-(N+2) eps^2 / (8 N^2 sigma2)).
 
     `constant` exists for corrupted-bound power checks.
     """
-    return _tail(_log_tail_subgaussian(p, constant), "subgaussian")
+    return min(1.0, math.exp(_log_tail_subgaussian(p, constant)))
 
 
-def deviation_subgaussian(p: BoundParams) -> BoundValue:
+def deviation_subgaussian(p: BoundParams) -> float:
     """Deviation of Q' above E[Q'] at confidence t: 2 sqrt(2 N sigma2 t)."""
-    return _deviation(2.0 * math.sqrt(2.0 * p.N * p.sigma2 * p.t), "subgaussian")
+    return 2.0 * math.sqrt(2.0 * p.N * p.sigma2 * p.t)
 
 
-def _bernstein_deviation(p: BoundParams, tag: str) -> BoundValue:
+def _bernstein_deviation(p: BoundParams) -> float:
     """sqrt(2 v t) + t/3, the Bennett tail's deviation at confidence t."""
-    return _deviation(math.sqrt(2.0 * p.v * p.t) + p.t / 3.0, tag)
+    return math.sqrt(2.0 * p.v * p.t) + p.t / 3.0
 
 
-def tail_talagrand_swor(p: BoundParams) -> BoundValue:
+def tail_talagrand_swor(p: BoundParams) -> float:
     """Bennett-form tail of Q' above E[Q]: exp(-v h(eps/v)). Upper tail only."""
-    return _tail(_log_tail_bennett(p), "talagrand_swor")
+    return min(1.0, math.exp(_log_tail_bennett(p)))
 
 
-def deviation_talagrand_swor(p: BoundParams) -> BoundValue:
+def deviation_talagrand_swor(p: BoundParams) -> float:
     """Deviation of Q' above E[Q] (not E[Q'])."""
-    return _bernstein_deviation(p, "talagrand_swor")
+    return _bernstein_deviation(p)
 
 
-def tail_bousquet(p: BoundParams) -> BoundValue:
+def tail_bousquet(p: BoundParams) -> float:
     """Bousquet's with-replacement tail of Q above E[Q]: the same Bennett form."""
-    return _tail(_log_tail_bennett(p), "bousquet")
+    return min(1.0, math.exp(_log_tail_bennett(p)))
 
 
-def deviation_bousquet(p: BoundParams) -> BoundValue:
-    return _bernstein_deviation(p, "bousquet")
+def deviation_bousquet(p: BoundParams) -> float:
+    return _bernstein_deviation(p)
 
 
-def tail_elyaniv_pechyony(p: BoundParams) -> BoundValue:
+def tail_elyaniv_pechyony(p: BoundParams) -> float:
     """McDiarmid-style baseline for Q' - E[Q'], either side; variance-free."""
-    return _tail(_log_tail_elyaniv_pechyony(p), "elyaniv_pechyony")
+    return min(1.0, math.exp(_log_tail_elyaniv_pechyony(p)))
 
 
 def gap_bound(N: int, m: int) -> float:

@@ -23,21 +23,11 @@ import numpy as np
 
 from . import experiments
 from .errors import SworlabError
+from .kernels import KernelSpec, gram_matrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
-
-
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
 
 
 def _config_text(path) -> dict:
@@ -52,11 +42,6 @@ def _config_text(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         out[key.replace("-", "_")] = value
     return out
-
-
-def load_config_file(path) -> dict:
-    """key = value lines; '#' starts a comment; keys use the flag names."""
-    return {key: _parse_scalar(value) for key, value in _config_text(path).items()}
 
 
 def _coerce(key: str, action: argparse.Action, text: str):
@@ -283,25 +268,16 @@ def run(argv=None) -> int:
             if points is None:
                 gen = np.random.default_rng(cfg["seed"])
                 points = gen.standard_normal((cfg["n"], cfg["dim"]))
-            payload = experiments.run_kernel_bound(
-                points,
+            spec = KernelSpec(
                 kind=cfg["kernel"],
                 bandwidth=cfg["bandwidth"],
                 degree=cfg["degree"],
                 offset=cfg["offset"],
-                k=cfg["k"],
-                c_L=cfg["c_l"],
             )
+            gram = gram_matrix(points, spec)
+            payload = experiments.run_kernel_bound(gram, cfg["kernel"], cfg["k"], cfg["c_l"])
             if cfg["gram_csv"]:
-                from .kernels import KernelSpec, gram_matrix
-
-                spec = KernelSpec(
-                    kind=cfg["kernel"],
-                    bandwidth=cfg["bandwidth"],
-                    degree=cfg["degree"],
-                    offset=cfg["offset"],
-                )
-                np.savetxt(cfg["gram_csv"], gram_matrix(points, spec), delimiter=",")
+                np.savetxt(cfg["gram_csv"], gram, delimiter=",")
         else:  # pragma: no cover
             raise AssertionError(args.command)
     except SworlabError as exc:

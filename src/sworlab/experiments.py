@@ -22,7 +22,7 @@ from .empirical_process import (
 )
 from .errors import ConfigurationError
 from .ground_set import RngStream, SampleMode, SampleScheme
-from .kernels import KernelSpec, eigen_spectrum, gram_matrix, tailsum_bound
+from .kernels import eigen_spectrum, tailsum_bound
 from .localization import (
     DEFAULT_APPD_K,
     build_excess_class,
@@ -34,7 +34,6 @@ from .localization import (
     excess_bound_thm8,
     excess_bound_thm9,
     fit_subroot,
-    require_bernstein,
     stability_bound_appD,
 )
 from .transductive import (
@@ -144,7 +143,6 @@ def _config_checks(
     stream_base: int,
     t_grid,
     corrupt_thm1: bool,
-    delta: float = 0.01,
 ) -> dict:
     """Domination and deviation-calibration checks for one configuration."""
     fc = make_antipodal_class(n, sigma2)
@@ -163,11 +161,9 @@ def _config_checks(
     draws = simulate_suprema(fc, scheme, trials, tail_rng)
     eps_grid = default_eps_grid(m, s2)
     curve_prime = tail_curve_from_draws(
-        draws, eps_grid, Center.AROUND_EQ_PRIME, eq_prime, cw.std_error, delta
+        draws, eps_grid, Center.AROUND_EQ_PRIME, eq_prime, cw.std_error
     )
-    curve_eq = tail_curve_from_draws(
-        draws, eps_grid, Center.AROUND_EQ, eq_m, eq.std_error, delta
-    )
+    curve_eq = tail_curve_from_draws(draws, eps_grid, Center.AROUND_EQ, eq_m, eq.std_error)
 
     params = BoundParams(N=n, m=m, sigma2=s2, eq_m=max(eq_m, 0.0))
     reports = {}
@@ -191,10 +187,10 @@ def _config_checks(
         p_t = BoundParams(N=n, m=m, sigma2=s2, eq_m=max(eq_m, 0.0), t=float(t))
         guarantee = math.exp(-float(t))
         for tag, fn in bank.DEVIATION_BOUNDS.items():
-            level = fn(p_t).value
+            level = fn(p_t)
             center = eq_prime if bank.BOUND_CENTERS[tag] is Center.AROUND_EQ_PRIME else eq_m
             k = int((draws - center >= level).sum())
-            lower = binomial_lower_ci(k, trials, delta)
+            lower = binomial_lower_ci(k, trials)
             deviation[f"{tag}@t={t}"] = {
                 "level": level,
                 "exceedance": k / trials,
@@ -302,11 +298,7 @@ def _split_statistics(
 
 
 def _validity_frequencies(
-    stats: np.ndarray,
-    t_grid,
-    bound_fns: dict,
-    guarantee_factor: float = 1.0,
-    delta: float = 0.01,
+    stats: np.ndarray, t_grid, bound_fns: dict, guarantee_factor: float = 1.0
 ) -> dict:
     """Count how often the per-split `stats` exceed each bound.
 
@@ -319,7 +311,7 @@ def _validity_frequencies(
         for t in t_grid:
             level = fn(float(t))
             k = int((stats > level + 1e-12).sum())
-            lower = binomial_lower_ci(k, stats.size, delta)
+            lower = binomial_lower_ci(k, stats.size)
             guarantee = guarantee_factor * math.exp(-float(t))
             out[f"{name}@t={t}"] = {
                 "bound": level,
@@ -392,13 +384,13 @@ def run_transductive_erm(
     }
 
 
-def _fit_modulus(ec, bc, m, flavor, rng, trials) -> dict:
+def _fit_modulus(ec, B, m, flavor, rng, trials) -> dict:
     grid_r = [float(r) for r in default_r_grid(ec)]
     psi = [
-        estimate_modulus(ec, r, m, flavor, trials, rng.substream(i), B=bc)
+        estimate_modulus(ec, r, m, flavor, trials, rng.substream(i), B=B)
         for i, r in enumerate(grid_r)
     ]
-    sub = fit_subroot([(r, p.mean, p.std_error) for r, p in zip(grid_r, psi)], flavor)
+    sub = fit_subroot([(r, p.mean, p.std_error) for r, p in zip(grid_r, psi)])
     return {
         "flavor": flavor.value,
         "grid": [{"r": r, "psi_hat": p, "std_error": s} for r, p, s in sub.grid],
@@ -417,7 +409,6 @@ def run_localize(
     t_grid=(1.0, 2.0),
     loss_table=None,
     trials: int = 20_000,
-    appd_K: float = DEFAULT_APPD_K,
 ) -> dict:
     """Localized bounds: B, sub-root fits for both flavors and both sample
     sizes, bound values, and empirical validity frequencies."""
@@ -429,18 +420,17 @@ def run_localize(
     n = tp.N
     require_split(tp, m)
     u = n - m
-    if min(t_grid) < 0:
-        raise ConfigurationError("t and eps must be nonnegative")
+    if not all(0.0 <= t < math.inf for t in t_grid):
+        raise ConfigurationError("t and eps must be nonnegative and finite")
     ec = build_excess_class(tp)
-    bc = compute_B(ec)
-    B = require_bernstein(bc)
+    B, witness = compute_B(ec)
 
     fit_rng = RngStream(seed, FIT_STREAM)
     fits = {
-        "m_without": _fit_modulus(ec, bc, m, WITHOUT, fit_rng.substream(0), trials),
-        "m_with": _fit_modulus(ec, bc, m, WITH, fit_rng.substream(1), trials),
-        "u_without": _fit_modulus(ec, bc, u, WITHOUT, fit_rng.substream(2), trials),
-        "u_with": _fit_modulus(ec, bc, u, WITH, fit_rng.substream(3), trials),
+        "m_without": _fit_modulus(ec, B, m, WITHOUT, fit_rng.substream(0), trials),
+        "m_with": _fit_modulus(ec, B, m, WITH, fit_rng.substream(1), trials),
+        "u_without": _fit_modulus(ec, B, u, WITHOUT, fit_rng.substream(2), trials),
+        "u_with": _fit_modulus(ec, B, u, WITH, fit_rng.substream(3), trials),
     }
     r_m, r_u = fits["m_without"]["r_star"], fits["u_without"]["r_star"]
     r_m_w, r_u_w = fits["m_with"]["r_star"], fits["u_with"]["r_star"]
@@ -451,7 +441,7 @@ def run_localize(
         "thm9": lambda t: excess_bound_thm9(B, r_m_w, m, t),
         "cor10": lambda t: excess_bound_cor10(B, r_m, r_u, n, m, u, t),
         "cor11": lambda t: excess_bound_cor11(B, r_m_w, r_u_w, n, m, u, t, K=1.0),
-        "appD": lambda t: stability_bound_appD(B, appd_K, r_m, r_u, n, m, u, t),
+        "appD": lambda t: stability_bound_appD(B, DEFAULT_APPD_K, r_m, r_u, n, m, u, t),
     }
     bounds_at_t = {
         f"t={float(t)}": {name: fn(float(t)) for name, fn in bound_fns.items()}
@@ -483,7 +473,7 @@ def run_localize(
         "m": m,
         "u": u,
         "B": B,
-        "B_witness": bc.witness,
+        "B_witness": witness,
         "star_index": star,
         "fits": fits,
         "bounds": bounds_at_t,
@@ -493,7 +483,7 @@ def run_localize(
             "thm9_numerator": 901,
             "thm9_t_term": "(16 + 25B)/(3m)",
             "appD": [2, 16],
-            "appd_K": appd_K,
+            "appd_K": DEFAULT_APPD_K,
             "cor11_K": 1.0,
             "cor11_K_note": "K unquantified in the source statement; default 1",
         },
@@ -505,21 +495,11 @@ def run_localize(
     }
 
 
-def run_kernel_bound(
-    points,
-    kind: str = "gaussian",
-    bandwidth: float = 1.0,
-    degree: int = 2,
-    offset: float = 0.0,
-    k: int = 1,
-    c_L: float = 1.0,
-    inclusive: bool = False,
-) -> dict:
-    spec = KernelSpec(kind=kind, bandwidth=bandwidth, degree=degree, offset=offset)
-    gram = gram_matrix(points, spec)
+def run_kernel_bound(gram: np.ndarray, kind: str, k: int, c_L: float) -> dict:
+    """Spectrum and tailsum bound of a Gram matrix built with the `kind` kernel."""
     spectrum = eigen_spectrum(gram)
-    value, theta = tailsum_bound(spectrum, k, c_L=c_L, inclusive=inclusive)
-    structural, _ = tailsum_bound(spectrum, k, c_L=1.0, inclusive=inclusive)
+    value, theta = tailsum_bound(spectrum, k, c_L=c_L)
+    structural, _ = tailsum_bound(spectrum, k, c_L=1.0)
     return {
         "passed": True,
         "N": gram.shape[0],
@@ -531,5 +511,5 @@ def run_kernel_bound(
         "tailsum_bound": value,
         "tailsum_bound_structural": structural,
         "theta_star": theta,
-        "theta_convention": "inclusive" if inclusive else "exclusive",
+        "theta_convention": "exclusive",
     }

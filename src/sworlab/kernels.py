@@ -106,27 +106,27 @@ def eigen_spectrum(gram: np.ndarray) -> EigenSpectrum:
     return EigenSpectrum(lambdas=lam)
 
 
-def tailsum_bound(
-    spectrum: EigenSpectrum, k: int, c_L: float = 1.0, inclusive: bool = False
-) -> tuple[float, int]:
-    """min over integer theta in [0, k] of
-    c_L (theta/k + sqrt((1/k) sum of eigenvalues beyond theta)).
+def tailsum_bound(spectrum: EigenSpectrum, k: int, c_L: float = 1.0) -> tuple[float, int]:
+    """(value, minimizing theta): the min over integer theta in [0, k] of
+    c_L (theta/k + sqrt((1/k) sum_{i > theta} lambda_i)).
 
-    By default the tailsum excludes the theta largest eigenvalues (so
-    theta = N gives 0); `inclusive` switches to the convention that keeps
-    the theta-th one.  Returns (value, minimizing theta).
+    lambda_1 >= lambda_2 >= ... are the eigenvalues of the normalized Gram
+    matrix.  k is the sample size the complexity averages over, c_L the
+    Lipschitz constant of the loss (it scales the whole bound), and theta
+    the number of leading eigenvalues left out of the tailsum, each
+    charged 1/k instead.  The tailsum always excludes the theta largest
+    eigenvalues, so theta = N gives 0.
     """
     if k < 1:
         raise ConfigurationError("k must be >= 1")
-    if c_L <= 0:
-        raise ConfigurationError("c_L must be positive")
+    if not 0 < c_L < math.inf:
+        raise ConfigurationError(f"c_L must be positive and finite, got {c_L}")
     lam = spectrum.lambdas
     n = lam.size
     suffix = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])  # suffix[i] = sum lam[i:]
     best_val, best_theta = math.inf, 0
     for theta in range(min(k, n) + 1):
-        start = theta if not inclusive else max(theta - 1, 0)
-        tail = max(suffix[min(start, n)], 0.0)
+        tail = max(suffix[theta], 0.0)
         val = c_L * (theta / k + math.sqrt(tail / k))
         if val < best_val - 1e-15:
             best_val, best_theta = val, theta

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +34,6 @@ ZERO_TOL = 1e-12
 class ExcessLossClass:
     """Rows f_h = loss_h - loss_{h*}, where h* minimizes the overall risk."""
 
-    base: TransductiveProblem
     star_index: int
     rows: np.ndarray
 
@@ -50,67 +49,46 @@ class ExcessLossClass:
 
 
 @dataclass(frozen=True)
-class BernsteinConstant:
-    B: float
-    witness: int
-    satisfied: bool
-    violator: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class SubRootBound:
     """A certified majorant psi(r) = c*sqrt(r) with fixed point r* = c^2."""
 
     c: float
     r_star: float
     grid: list  # (r, psi_hat, std_error) triples
-    flavor: SampleMode
 
 
 def build_excess_class(tp: TransductiveProblem) -> ExcessLossClass:
     """Subtract the overall-risk minimizer's loss row (index tie-break)."""
     star = int(np.argmin(tp.overall_risk))
     rows = tp.loss_table - tp.loss_table[star]
-    return ExcessLossClass(base=tp, star_index=star, rows=rows)
+    return ExcessLossClass(star_index=star, rows=rows)
 
 
-def compute_B(ec: ExcessLossClass) -> BernsteinConstant:
-    """Smallest B with E f^2 <= B E f across the class, computed exactly.
+def compute_B(ec: ExcessLossClass) -> tuple[float, int]:
+    """(B, witness): the smallest B with E f^2 <= B E f across the class,
+    computed exactly, and the row attaining it.
 
     A row with E f = 0 but E f^2 > 0 (a distinct hypothesis tied in
-    overall risk) admits no finite B: satisfied is False and the violating
-    hypothesis is named.
+    overall risk) admits no finite B: BernsteinConditionError names it.
     """
     means = ec.means
     seconds = ec.second_moments
     zero_mean = means <= ZERO_TOL
     violators = np.flatnonzero(zero_mean & (seconds > ZERO_TOL))
     if violators.size:
-        return BernsteinConstant(
-            B=math.inf, witness=int(violators[0]), satisfied=False,
-            violator=int(violators[0]),
+        raise BernsteinConditionError(
+            f"hypothesis {int(violators[0])} has zero mean excess loss but positive "
+            "second moment; no finite variance-to-mean constant exists"
         )
     positive = ~zero_mean
     if not positive.any():
-        return BernsteinConstant(B=1.0, witness=ec.star_index, satisfied=True)
+        return 1.0, ec.star_index
     ratios = seconds[positive] / means[positive]
     local = int(np.argmax(ratios))
-    witness = int(np.flatnonzero(positive)[local])
-    return BernsteinConstant(B=float(ratios[local]), witness=witness, satisfied=True)
+    return float(ratios[local]), int(np.flatnonzero(positive)[local])
 
 
-def require_bernstein(bc: BernsteinConstant) -> float:
-    if not bc.satisfied:
-        raise BernsteinConditionError(
-            f"hypothesis {bc.violator} has zero mean excess loss but positive "
-            "second moment; no finite variance-to-mean constant exists"
-        )
-    return bc.B
-
-
-def _as_B(B: Union[float, BernsteinConstant]) -> float:
-    if isinstance(B, BernsteinConstant):
-        return require_bernstein(B)
+def _as_B(B: float) -> float:
     if B <= 0 or not math.isfinite(B):
         raise ConfigurationError(f"B must be a positive finite number, got {B}")
     return B
@@ -128,7 +106,7 @@ def estimate_modulus(
     flavor: SampleMode,
     trials: int,
     rng: RngStream,
-    B: Union[float, BernsteinConstant] = 1.0,
+    B: float = 1.0,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> SupremumStats:
     """psi_hat(r): B times the expected slice supremum of
@@ -151,16 +129,16 @@ def estimate_modulus(
     return SupremumStats(mean, std_error, stats.provenance)
 
 
-def default_r_grid(ec: ExcessLossClass, n_points: int = 12) -> np.ndarray:
-    """Geometric grid spanning the nonzero second moments of the class."""
+def default_r_grid(ec: ExcessLossClass) -> np.ndarray:
+    """Geometric 12-point grid spanning the nonzero second moments of the class."""
     seconds = ec.second_moments
     nonzero = seconds[seconds > ZERO_TOL]
     if nonzero.size == 0:
         return np.array([1.0])
-    return np.geomspace(nonzero.min() / 2.0, seconds.max() * 2.0, n_points)
+    return np.geomspace(nonzero.min() / 2.0, seconds.max() * 2.0, 12)
 
 
-def fit_subroot(grid_evals, flavor: SampleMode) -> SubRootBound:
+def fit_subroot(grid_evals) -> SubRootBound:
     """Fit the smallest c with c*sqrt(r) >= psi_hat(r) + 2 se on the grid."""
     grid = [(float(r), float(p), float(se)) for r, p, se in grid_evals]
     if not grid:
@@ -170,7 +148,7 @@ def fit_subroot(grid_evals, flavor: SampleMode) -> SubRootBound:
         if r <= 0:
             raise ConfigurationError("grid radii must be positive")
         c = max(c, (p + 2.0 * se) / math.sqrt(r))
-    return SubRootBound(c=c, r_star=c * c, grid=grid, flavor=flavor)
+    return SubRootBound(c=c, r_star=c * c, grid=grid)
 
 
 def fixed_point(
@@ -178,9 +156,8 @@ def fixed_point(
     r_lo: float,
     r_hi: float,
     tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> float:
-    """Unique positive fixed point of a sub-root psi, by bisection.
+    """Unique positive fixed point of a sub-root psi, by at most 200 bisection steps.
 
     psi(r) - r crosses zero exactly once on (0, inf) because psi(r)/r is
     strictly decreasing; the bracket [r_lo, r_hi] must exhibit the sign
@@ -193,7 +170,7 @@ def fixed_point(
             f"no sign change: psi(r)-r is {g_lo:.3g} at r_lo and {g_hi:.3g} at r_hi"
         )
     lo, hi = r_lo, r_hi
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         g = psi(mid) - mid
         if abs(g) <= tol:
@@ -208,24 +185,20 @@ def fixed_point(
     return mid
 
 
-def excess_bound_thm8(
-    B: Union[float, BernsteinConstant], r_star: float, N: int, m: int, t: float
-) -> float:
+def excess_bound_thm8(B: float, r_star: float, N: int, m: int, t: float) -> float:
     """51 r*/B + 17 B t (N/m^2); without-replacement localized bound."""
     b = _as_B(B)
     return 51.0 * r_star / b + 17.0 * b * t * (N / m**2)
 
 
-def excess_bound_thm9(
-    B: Union[float, BernsteinConstant], r_star: float, m: int, t: float
-) -> float:
+def excess_bound_thm9(B: float, r_star: float, m: int, t: float) -> float:
     """901 r*/B + t (16 + 25 B)/(3 m); with-replacement-flavor bound."""
     b = _as_B(B)
     return 901.0 * r_star / b + t * (16.0 + 25.0 * b) / (3.0 * m)
 
 
 def excess_bound_cor10(
-    B: Union[float, BernsteinConstant],
+    B: float,
     r_star_m: float,
     r_star_u: float,
     N: int,
@@ -241,7 +214,7 @@ def excess_bound_cor10(
 
 
 def excess_bound_cor11(
-    B: Union[float, BernsteinConstant],
+    B: float,
     r_star_m: float,
     r_star_u: float,
     N: int,
@@ -258,7 +231,7 @@ def excess_bound_cor11(
 
 
 def stability_bound_appD(
-    B: Union[float, BernsteinConstant],
+    B: float,
     K: float,
     r_star_m: float,
     r_star_u: float,

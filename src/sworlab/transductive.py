@@ -118,7 +118,7 @@ def gen_bound_thm5(
     """Uniform bound on L_N(h) - train risk at confidence t: sup_expectation
     plus the sub-Gaussian deviation of the centered class, over m."""
     p = BoundParams(N=tp.N, m=m, sigma2=sigma2_H(tp), t=t)
-    return sup_expectation + deviation_subgaussian(p).value / m
+    return sup_expectation + deviation_subgaussian(p) / m
 
 
 def gen_bound_thm6(tp: TransductiveProblem, m: int, t: float, e_m: float) -> float:

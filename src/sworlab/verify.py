@@ -19,7 +19,8 @@ from . import bounds as bank
 from .bounds import BoundParams, Center
 from .errors import ConfigurationError, ContractError
 
-DEFAULT_DELTA = 0.01
+#: confidence level of every binomial bound
+DELTA = 0.01
 
 
 def _checked_counts(k, n: int) -> np.ndarray:
@@ -33,35 +34,35 @@ def _float_or_array(x: np.ndarray) -> float | np.ndarray:
     return float(x) if x.ndim == 0 else x
 
 
-def binomial_upper_ci(k, n: int, delta: float = DEFAULT_DELTA) -> float | np.ndarray:
+def binomial_upper_ci(k, n: int) -> float | np.ndarray:
     """One-sided exact upper confidence bound for a binomial proportion.
 
     Smallest p whose lower tail probability of seeing <= k successes is
-    delta; equals 1 when k = n.  k may be an array of counts.
+    DELTA; equals 1 when k = n.  k may be an array of counts.
     """
     k = _checked_counts(k, n)
     upper = np.ones(k.shape)
     below = k < n
     if below.any():  # beta.ppf costs ~0.1 ms even on no arguments
-        upper[below] = beta.ppf(1.0 - delta, k[below] + 1, n - k[below])
+        upper[below] = beta.ppf(1.0 - DELTA, k[below] + 1, n - k[below])
     return _float_or_array(upper)
 
 
-def binomial_lower_ci(k, n: int, delta: float = DEFAULT_DELTA) -> float | np.ndarray:
+def binomial_lower_ci(k, n: int) -> float | np.ndarray:
     """One-sided exact lower confidence bound; equals 0 when k = 0."""
     k = _checked_counts(k, n)
     lower = np.zeros(k.shape)
     above = k > 0
     if above.any():
-        lower[above] = beta.ppf(delta, k[above], n - k[above] + 1)
+        lower[above] = beta.ppf(DELTA, k[above], n - k[above] + 1)
     return _float_or_array(lower)
 
 
-def default_eps_grid(m: int, sigma2: float, n_points: int = 20) -> np.ndarray:
-    """Geometric grid spanning the sub-Gaussian shoulder into the deep tail."""
+def default_eps_grid(m: int, sigma2: float) -> np.ndarray:
+    """Geometric 20-point grid spanning the sub-Gaussian shoulder into the deep tail."""
     lo = 0.05 * math.sqrt(max(m * sigma2, 1e-12))
     hi = 3.0 * m * sigma2 + 3.0
-    return np.geomspace(lo, hi, n_points)
+    return np.geomspace(lo, hi, 20)
 
 
 @dataclass
@@ -76,7 +77,6 @@ class TailCurve:
     center: Center
     center_value: float
     center_std_error: float
-    delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
         if np.any(np.diff(self.eps_grid) <= 0):
@@ -96,7 +96,7 @@ class TailCurve:
             "center": self.center.name,
             "center_value": self.center_value,
             "center_std_error": self.center_std_error,
-            "delta": self.delta,
+            "delta": DELTA,
         }
 
 
@@ -128,7 +128,6 @@ def tail_curve_from_draws(
     center: Center,
     center_value: float,
     center_std_error: float = 0.0,
-    delta: float = DEFAULT_DELTA,
 ) -> TailCurve:
     """Build a TailCurve from precomputed supremum draws."""
     eps_grid = np.asarray(eps_grid, dtype=float)
@@ -140,13 +139,12 @@ def tail_curve_from_draws(
     return TailCurve(
         eps_grid=eps_grid,
         tail_estimate=ks / n,
-        upper_ci=binomial_upper_ci(ks, n, delta),
-        lower_ci=binomial_lower_ci(ks, n, delta),
+        upper_ci=binomial_upper_ci(ks, n),
+        lower_ci=binomial_lower_ci(ks, n),
         trials=n,
         center=center,
         center_value=center_value,
         center_std_error=center_std_error,
-        delta=delta,
     )
 
 
@@ -181,7 +179,7 @@ def check_domination(
             eq_m=params.eq_m,
             eps=float(eps),
         )
-        bound = tail_fn(p).value
+        bound = tail_fn(p)
         if lo > bound:
             report.violations.append((float(eps), float(lo), float(bound)))
     return report

@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 
 from sworlab.bounds import (
     BOUND_CENTERS,
-    BoundKind,
     BoundParams,
-    BoundValue,
     Center,
     compare_exponents,
     deviation_bousquet,
@@ -53,82 +51,82 @@ class TestElementaryFunctions:
 class TestSubgaussian:
     def test_eps_zero(self):
         p = BoundParams(N=10, m=5, sigma2=0.2, eps=0.0)
-        assert tail_subgaussian(p).value == 1.0
+        assert tail_subgaussian(p) == 1.0
 
     def test_degenerate_class(self):
         p = BoundParams(N=10, m=5, sigma2=0.0, eps=0.1)
-        assert tail_subgaussian(p).value == 0.0
+        assert tail_subgaussian(p) == 0.0
 
     def test_direct_substitution(self):
         p = BoundParams(N=100, m=50, sigma2=0.25, eps=10.0)
-        assert tail_subgaussian(p).value == pytest.approx(math.exp(-0.51))
+        assert tail_subgaussian(p) == pytest.approx(math.exp(-0.51))
 
     def test_deviation_examples(self):
-        assert deviation_subgaussian(BoundParams(N=8, m=4, sigma2=0.25, t=0.0)).value == 0.0
-        val = deviation_subgaussian(BoundParams(N=8, m=4, sigma2=0.25, t=2.0)).value
+        assert deviation_subgaussian(BoundParams(N=8, m=4, sigma2=0.25, t=0.0)) == 0.0
+        val = deviation_subgaussian(BoundParams(N=8, m=4, sigma2=0.25, t=2.0))
         assert val == pytest.approx(2 * math.sqrt(8))
 
     def test_deviation_sqrt_t_scaling(self):
-        v1 = deviation_subgaussian(BoundParams(N=20, m=5, sigma2=0.1, t=1.0)).value
-        v2 = deviation_subgaussian(BoundParams(N=20, m=5, sigma2=0.1, t=2.0)).value
+        v1 = deviation_subgaussian(BoundParams(N=20, m=5, sigma2=0.1, t=1.0))
+        v2 = deviation_subgaussian(BoundParams(N=20, m=5, sigma2=0.1, t=2.0))
         assert v2 == pytest.approx(math.sqrt(2) * v1)
 
 
 class TestTalagrandSwor:
     def test_eps_zero_both_forms(self):
         p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, eps=0.0)
-        assert tail_talagrand_swor(p).value == 1.0
-        assert tail_bousquet(p).value == 1.0
+        assert tail_talagrand_swor(p) == 1.0
+        assert tail_bousquet(p) == 1.0
 
     def test_direct_substitution(self):
         # v = 50*0.1 + 2*2 = 9, eps=6 -> exp(-9 h(2/3))
         p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, eps=6.0)
         h = (5 / 3) * math.log(5 / 3) - 2 / 3
         assert p.v == pytest.approx(9.0)
-        assert tail_talagrand_swor(p).value == pytest.approx(math.exp(-9 * h))
+        assert tail_talagrand_swor(p) == pytest.approx(math.exp(-9 * h))
 
     def test_deviation_examples(self):
         p0 = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, t=0.0)
-        assert deviation_talagrand_swor(p0).value == 0.0
+        assert deviation_talagrand_swor(p0) == 0.0
         p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, t=2.0)
-        assert deviation_talagrand_swor(p).value == pytest.approx(6 + 2 / 3)
+        assert deviation_talagrand_swor(p) == pytest.approx(6 + 2 / 3)
 
     def test_degenerate_v(self):
         p = BoundParams(N=10, m=5, sigma2=0.0, eq_m=0.0, eps=0.5)
-        assert tail_talagrand_swor(p).value == 0.0
+        assert tail_talagrand_swor(p) == 0.0
 
 
 class TestBousquet:
     def test_bitwise_equality_with_swor_twin(self):
         for eps in (0.0, 0.3, 2.0, 17.5):
             p = BoundParams(N=200, m=60, sigma2=0.17, eq_m=1.3, eps=eps)
-            assert tail_bousquet(p).value == tail_talagrand_swor(p).value
+            assert tail_bousquet(p) == tail_talagrand_swor(p)
 
     def test_deviation_value(self):
         # v = 9, t = 2 -> sqrt(36) + 2/3 = 6.6667
         p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, t=2.0)
-        assert deviation_bousquet(p).value == pytest.approx(6.666666666, rel=1e-6)
+        assert deviation_bousquet(p) == pytest.approx(6.666666666, rel=1e-6)
 
 
 class TestElYanivPechyony:
     def test_eps_zero(self):
         p = BoundParams(N=100, m=50, sigma2=0.1, eps=0.0)
-        assert tail_elyaniv_pechyony(p).value == 1.0
+        assert tail_elyaniv_pechyony(p) == 1.0
 
     def test_direct_substitution(self):
         p = BoundParams(N=100, m=50, sigma2=0.1, eps=10.0)
         expo = -(100 / 100) * (99.5 / 50) * (1 - 1 / 100)
         assert expo == pytest.approx(-1.9701)
-        assert tail_elyaniv_pechyony(p).value == pytest.approx(math.exp(-1.9701))
+        assert tail_elyaniv_pechyony(p) == pytest.approx(math.exp(-1.9701))
 
     def test_variance_independent(self):
         a = tail_elyaniv_pechyony(BoundParams(N=100, m=50, sigma2=0.01, eps=3.0))
         b = tail_elyaniv_pechyony(BoundParams(N=100, m=50, sigma2=0.25, eps=3.0))
-        assert a.value == b.value
+        assert a == b
 
     def test_exhaustive_sample_degenerate(self):
-        assert tail_elyaniv_pechyony(BoundParams(N=5, m=5, sigma2=0.1, eps=0.5)).value == 0.0
-        assert tail_elyaniv_pechyony(BoundParams(N=5, m=5, sigma2=0.1, eps=0.0)).value == 1.0
+        assert tail_elyaniv_pechyony(BoundParams(N=5, m=5, sigma2=0.1, eps=0.5)) == 0.0
+        assert tail_elyaniv_pechyony(BoundParams(N=5, m=5, sigma2=0.1, eps=0.0)) == 1.0
 
 
 class TestDuality:
@@ -137,18 +135,18 @@ class TestDuality:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
     def test_subgaussian(self, t):
         for n, m, s2 in [(20, 10, 0.25), (100, 50, 0.1), (1000, 100, 0.01)]:
-            eps = deviation_subgaussian(BoundParams(N=n, m=m, sigma2=s2, t=t)).value
-            tail = tail_subgaussian(BoundParams(N=n, m=m, sigma2=s2, eps=eps)).value
+            eps = deviation_subgaussian(BoundParams(N=n, m=m, sigma2=s2, t=t))
+            tail = tail_subgaussian(BoundParams(N=n, m=m, sigma2=s2, eps=eps))
             assert tail <= math.exp(-t) * (1 + 1e-9)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
     def test_talagrand(self, t):
         for n, m, s2, eq in [(20, 10, 0.25, 0.5), (100, 50, 0.1, 2.0), (400, 300, 0.2, 1.0)]:
             p_t = BoundParams(N=n, m=m, sigma2=s2, eq_m=eq, t=t)
-            eps = deviation_talagrand_swor(p_t).value
+            eps = deviation_talagrand_swor(p_t)
             tail = tail_talagrand_swor(
                 BoundParams(N=n, m=m, sigma2=s2, eq_m=eq, eps=eps)
-            ).value
+            )
             assert tail <= math.exp(-t) * (1 + 1e-9)
 
 
@@ -160,8 +158,8 @@ class TestShapeProperties:
     def test_tails_nonincreasing_in_eps(self, e1, e2):
         lo, hi = sorted([e1, e2])
         for fn in (tail_subgaussian, tail_talagrand_swor, tail_elyaniv_pechyony):
-            a = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, eps=lo)).value
-            b = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, eps=hi)).value
+            a = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, eps=lo))
+            b = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, eps=hi))
             assert b <= a + 1e-12
 
     @given(
@@ -171,15 +169,15 @@ class TestShapeProperties:
     def test_deviations_nondecreasing_in_t(self, t1, t2):
         lo, hi = sorted([t1, t2])
         for fn in (deviation_subgaussian, deviation_talagrand_swor, deviation_bousquet):
-            a = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, t=lo)).value
-            b = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, t=hi)).value
+            a = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, t=lo))
+            b = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, t=hi))
             assert a <= b + 1e-12
-            assert fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, t=0.0)).value == 0.0
+            assert fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, t=0.0)) == 0.0
 
     def test_tail_values_in_unit_interval(self):
         for eps in np.linspace(0, 100, 31):
             for fn in (tail_subgaussian, tail_talagrand_swor, tail_elyaniv_pechyony):
-                v = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, eps=float(eps))).value
+                v = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, eps=float(eps)))
                 assert 0.0 <= v <= 1.0
 
 
@@ -232,7 +230,7 @@ class TestCompareExponents:
                         p = BoundParams(N=n, m=m, sigma2=s2, eq_m=eq, eps=eps)
                         for tag, tail in TAIL_BOUNDS.items():
                             expo = ex["exponents"][tag]
-                            assert min(1.0, math.exp(expo)) == tail(p).value, (tag, m, s2, eq, eps)
+                            assert min(1.0, math.exp(expo)) == tail(p), (tag, m, s2, eq, eps)
 
     def test_degenerate_inputs_report_log_one_at_eps_zero(self):
         ex = compare_exponents(N=10, m=10, sigma2=0.0, eps=0.0)["exponents"]
@@ -249,22 +247,15 @@ class TestCompareExponents:
         assert report["tightest"] == min(compared, key=compared.get)
 
 
-class TestBoundValueValidation:
-    def test_tail_probability_range(self):
-        with pytest.raises(ConfigurationError):
-            BoundValue(BoundKind.TAIL_PROBABILITY, 1.5, "x")
-
-    def test_deviation_nonnegative(self):
-        with pytest.raises(ConfigurationError):
-            BoundValue(BoundKind.DEVIATION_LEVEL, -0.1, "x")
-
+class TestBoundParamsValidation:
     def test_params_validation(self):
         with pytest.raises(ConfigurationError):
             BoundParams(N=5, m=6, sigma2=0.1)
         with pytest.raises(ConfigurationError):
             BoundParams(N=5, m=2, sigma2=1.5)
-        with pytest.raises(ConfigurationError):
-            BoundParams(N=5, m=2, sigma2=0.5, t=-1.0)
+        for bad in ({"t": -1.0}, {"t": math.nan}, {"eps": math.inf}, {"eq_m": math.nan}):
+            with pytest.raises(ConfigurationError):
+                BoundParams(N=5, m=2, sigma2=0.5, **bad)
 
     def test_negative_eq_m_rejected(self):
         # v = m sigma2 + 2 E[Q] < 0 would make the Bennett tail 0 at every eps
@@ -296,4 +287,4 @@ def test_every_tail_bound_dominates_the_exact_tail(n, m, s2):
         p = BoundParams(N=n, m=m, sigma2=sigma2, eq_m=max(eq_m, 0.0), eps=float(eps))
         for tag, tail in TAIL_BOUNDS.items():
             exact = float(weights[sups - centres[BOUND_CENTERS[tag]] >= eps].sum())
-            assert exact <= tail(p).value * (1 + 1e-9), (tag, eps, exact)
+            assert exact <= tail(p) * (1 + 1e-9), (tag, eps, exact)

@@ -7,7 +7,6 @@ from sworlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
-    load_config_file,
     run,
 )
 
@@ -22,18 +21,25 @@ class TestConfigFile:
         path.write_text(
             "# a comment\n"
             "n = 40\n"
+            "m = 20\n"
             "sigma2=0.1  # trailing comment\n"
             "t-grid = 1,2\n"
-            "full-grid = true\n"
+            "corrupt-thm1 = true\n"
+            "trials = 2000\n"
         )
-        cfg = load_config_file(path)
-        assert cfg == {"n": 40, "sigma2": 0.1, "t_grid": "1,2", "full_grid": True}
+        out = tmp_path / "o"
+        # the weakened sub-Gaussian bound fails: the switch was read as on
+        assert run(["verify-bounds", "--config", str(path), "--out", str(out)]) == EXIT_CHECK_FAILED
+        config = read_report(out)["config"]
+        expected = {"n": 40, "m": 20, "sigma2": 0.1, "t_grid": "1,2", "corrupt_thm1": True}
+        assert {key: config[key] for key in expected} == expected
 
-    def test_bad_line(self, tmp_path):
+    def test_bad_line(self, tmp_path, capsys):
         path = tmp_path / "cfg"
         path.write_text("just some words\n")
-        with pytest.raises(ValueError):
-            load_config_file(path)
+        code = run(["verify-bounds", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "expected key=value, got 'just some words'" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path):
         path = tmp_path / "cfg"
@@ -146,11 +152,23 @@ class TestInputErrors:
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--n-max", "1", "n_max must be >= 2"), ("--max-funcs", "0", "max_funcs must be >= 1")],
+        "argv, message",
+        [
+            (["oracle-check", "--n-max", "1"], "n_max must be >= 2"),
+            (["oracle-check", "--max-funcs", "0"], "max_funcs must be >= 1"),
+            (["compare-exponents", "--eps", "nan"], "t and eps must be nonnegative and finite"),
+            (["compare-exponents", "--eps", "inf"], "t and eps must be nonnegative and finite"),
+            (
+                ["verify-bounds", "--trials", "100", "--t-grid", "nan"],
+                "t and eps must be nonnegative and finite",
+            ),
+            (["localize", "--t-grid", "nan"], "t and eps must be nonnegative and finite"),
+            (["transductive-erm", "--t-grid", "inf"], "t and eps must be nonnegative and finite"),
+            (["kernel-bound", "--c-l", "inf"], "c_L must be positive and finite"),
+        ],
     )
-    def test_oracle_check_out_of_range_exits_2(self, tmp_path, capsys, flag, value, message):
-        code = run(["oracle-check", flag, value, "--out", str(tmp_path / "o")])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv, message):
+        code = run([*argv, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
         assert f"config error: {message}" in capsys.readouterr().err
 

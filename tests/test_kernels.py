@@ -186,21 +186,10 @@ class TestTailsumBound:
         assert v3 == pytest.approx(3 * v1)
         assert t1 == t3
 
-    def test_inclusive_convention_keeps_theta_th_eigenvalue(self):
-        spec = self.spectrum([0.9, 0.1])
-        # exclusive at theta=1 drops 0.9; inclusive keeps it
-        k = 4
-        excl = 1 / k + math.sqrt(0.1 / k)
-        incl = 1 / k + math.sqrt(1.0 / k)
-        v_ex, _ = tailsum_bound(spec, k)
-        assert v_ex == pytest.approx(min(excl, math.sqrt(1.0 / k), 2 / k))
-        v_in, _ = tailsum_bound(spec, k, inclusive=True)
-        assert v_in <= math.sqrt(1.0 / k) + 1e-12
-        assert v_in >= v_ex - 1e-12
-
     def test_validation(self):
         spec = self.spectrum([0.5])
         with pytest.raises(ConfigurationError):
             tailsum_bound(spec, 0)
-        with pytest.raises(ConfigurationError):
-            tailsum_bound(spec, 3, c_L=0.0)
+        for c_L in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                tailsum_bound(spec, 3, c_L=c_L)

@@ -17,7 +17,6 @@ from sworlab.localization import (
     excess_bound_thm9,
     fit_subroot,
     fixed_point,
-    require_bernstein,
     slice_indices,
     stability_bound_appD,
 )
@@ -55,32 +54,27 @@ class TestBuildExcessClass:
 class TestComputeB:
     def test_vacuous_class_defaults_to_one(self):
         ec = build_excess_class(TransductiveProblem(np.array([[0.5, 0.5]])))
-        bc = compute_B(ec)
-        assert bc.satisfied and bc.B == 1.0
+        assert compute_B(ec) == (1.0, 0)
 
     def test_single_spike_ratio(self):
         table = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         ec = build_excess_class(TransductiveProblem(table))
-        bc = compute_B(ec)
+        B, witness = compute_B(ec)
         # excess row (1,0,0,0): E f = 1/4, E f^2 = 1/4 -> ratio 1
-        assert bc.satisfied
-        assert bc.B == pytest.approx(1.0)
-        assert bc.witness == 1
+        assert B == pytest.approx(1.0)
+        assert witness == 1
 
     def test_equal_risks_unsatisfiable(self):
         table = np.array([[0.0, 1.0], [1.0, 0.0]])  # same overall risk, different rows
         ec = build_excess_class(TransductiveProblem(table))
-        bc = compute_B(ec)
-        assert not bc.satisfied
         with pytest.raises(BernsteinConditionError, match="hypothesis 1"):
-            require_bernstein(bc)
+            compute_B(ec)
 
     def test_condition_holds_with_computed_B(self):
         gen = np.random.default_rng(1)
         ec = build_excess_class(TransductiveProblem(gen.uniform(size=(6, 9))))
-        bc = compute_B(ec)
-        if bc.satisfied:
-            assert np.all(ec.second_moments <= bc.B * ec.means + 1e-9)
+        B, _ = compute_B(ec)
+        assert np.all(ec.second_moments <= B * ec.means + 1e-9)
 
 
 class TestEstimateModulus:
@@ -134,12 +128,12 @@ class TestEstimateModulus:
 
 class TestFitSubroot:
     def test_zero_grid(self):
-        sub = fit_subroot([(0.1, 0.0, 0.0), (1.0, 0.0, 0.0)], WITHOUT)
+        sub = fit_subroot([(0.1, 0.0, 0.0), (1.0, 0.0, 0.0)])
         assert sub.c == 0.0 and sub.r_star == 0.0
 
     def test_noiseless_subroot_recovered(self):
         grid = [(r, 0.5 * math.sqrt(r), 0.0) for r in np.geomspace(0.01, 4.0, 10)]
-        sub = fit_subroot(grid, WITHOUT)
+        sub = fit_subroot(grid)
         assert sub.c == pytest.approx(0.5)
         assert sub.r_star == pytest.approx(0.25)
 
@@ -149,12 +143,12 @@ class TestFitSubroot:
             (float(r), float(0.3 * math.sqrt(r) * gen.uniform(0.5, 1.0)), 0.01)
             for r in np.geomspace(0.05, 2.0, 8)
         ]
-        sub = fit_subroot(grid, WITH)
+        sub = fit_subroot(grid)
         for r, p, se in sub.grid:
             assert sub.c * math.sqrt(r) >= p + 2 * se - 1e-12
 
     def test_r_star_is_c_squared(self):
-        sub = fit_subroot([(0.5, 0.2, 0.05)], WITHOUT)
+        sub = fit_subroot([(0.5, 0.2, 0.05)])
         assert sub.r_star == sub.c**2
 
 
@@ -245,16 +239,15 @@ class TestExcessBoundFormulas:
             1.5, 0.03, 60, 20, 1.0
         )
 
-    def test_unsatisfied_B_refused_everywhere(self):
-        table = np.array([[0.0, 1.0], [1.0, 0.0]])
-        bc = compute_B(build_excess_class(TransductiveProblem(table)))
+    @pytest.mark.parametrize("b", [math.inf, 0.0])
+    def test_infinite_or_zero_B_refused_everywhere(self, b):
         for call in (
-            lambda: excess_bound_thm8(bc, 0.01, 100, 50, 1.0),
-            lambda: excess_bound_thm9(bc, 0.01, 50, 1.0),
-            lambda: excess_bound_cor10(bc, 0.01, 0.01, 100, 50, 50, 1.0),
-            lambda: stability_bound_appD(bc, 1.1, 0.01, 0.01, 100, 50, 50, 1.0),
+            lambda: excess_bound_thm8(b, 0.01, 100, 50, 1.0),
+            lambda: excess_bound_thm9(b, 0.01, 50, 1.0),
+            lambda: excess_bound_cor10(b, 0.01, 0.01, 100, 50, 50, 1.0),
+            lambda: stability_bound_appD(b, 1.1, 0.01, 0.01, 100, 50, 50, 1.0),
         ):
-            with pytest.raises(BernsteinConditionError):
+            with pytest.raises(ConfigurationError, match="B must be a positive finite"):
                 call()
 
 

@@ -44,12 +44,12 @@ class TestClopperPearson:
         delta = 0.01
         if k < n:
             upper = bisect(lambda p: binom.cdf(k, n, p) - delta, 1e-12, 1 - 1e-12)
-            assert binomial_upper_ci(k, n, delta) == pytest.approx(upper, abs=1e-9)
+            assert binomial_upper_ci(k, n) == pytest.approx(upper, abs=1e-9)
         if k > 0:
             lower = bisect(
                 lambda p: binom.sf(k - 1, n, p) - delta, 1e-12, 1 - 1e-12
             )
-            assert binomial_lower_ci(k, n, delta) == pytest.approx(lower, abs=1e-9)
+            assert binomial_lower_ci(k, n) == pytest.approx(lower, abs=1e-9)
 
     def test_interval_orders(self):
         for k in range(0, 21):
@@ -284,7 +284,7 @@ def test_deviation_exceedance_calibrated():
     center = expected_sup(fc, scheme, trials, RngStream(11), budget=0)
     draws = simulate_suprema(fc, scheme, trials, RngStream(12))
     for t in (1.0, 2.0, 4.0):
-        level = deviation_subgaussian(BoundParams(N=n, m=m, sigma2=sigma2, t=t)).value
+        level = deviation_subgaussian(BoundParams(N=n, m=m, sigma2=sigma2, t=t))
         k = int((draws - center.mean > level).sum())
         assert binomial_lower_ci(k, trials) <= math.exp(-t)
 
@@ -304,7 +304,7 @@ def test_monte_carlo_harness_agrees_with_the_exact_law(n, m):
     misses = np.zeros(grid.size, dtype=int)
     for seed in range(seeds):
         draws = simulate_suprema(fc, scheme, trials, RngStream(seed))
-        curve = tail_curve_from_draws(draws, grid, Center.AROUND_EQ_PRIME, mean, 0.0, 0.01)
+        curve = tail_curve_from_draws(draws, grid, Center.AROUND_EQ_PRIME, mean)
         misses += curve.upper_ci < exact_tail
         assert abs(draws.mean() - mean) <= 4 * draws.std(ddof=1) / math.sqrt(trials), seed
     for eps, k in zip(grid, misses):
