@@ -38,12 +38,13 @@ CENTER_TOL = 1e-12
 #: vectors over its level sets, and runs Monte Carlo otherwise
 DEFAULT_ENUM_BUDGET = 10**6
 #: Monte Carlo samples a class with L level sets over those sets when
-#: LEVEL_RATIO * L <= N without replacement (a population sample draws N
-#: random keys) or LEVEL_RATIO * L <= min(N, m) with replacement (m
-#: indices).  A level sample draws one hypergeometric or binomial variate
-#: per set, each costing several keys or indices; at 32 the level path was
-#: at least 1.9x faster wherever the rule picks it, over M in {2, 64}, N in
-#: {100, 1000, 4000}, m/N in {0.1, 0.5, 0.9} and N/L from 1 to 64.
+#: LEVEL_RATIO * L <= N without replacement (timed against a population
+#: sample of N random keys) or LEVEL_RATIO * L <= min(N, m) with
+#: replacement (m indices).  A level sample draws one hypergeometric or
+#: binomial variate per set, each costing several keys or indices; at 32
+#: the level path was at least 1.9x faster wherever the rule picks it, over
+#: M in {2, 64}, N in {100, 1000, 4000}, m/N in {0.1, 0.5, 0.9} and N/L
+#: from 1 to 64.
 LEVEL_RATIO = 32
 
 
@@ -251,10 +252,13 @@ def expected_sup(
     for the antipodal class.  Within `budget` the mean is exact, std_error 0;
     budget = 0 always takes Monte Carlo (verify-bounds passes it).  Else
     `trials` draws from `rng` give the mean and std_error = sample std /
-    sqrt(trials); with trials = 0 it raises OracleScaleError.  provenance
-    holds route ("exact" or "monte_carlo"), enumeration_size (the count),
-    budget and trials.
+    sqrt(trials); with trials = 0 it raises OracleScaleError, and trials < 0
+    is a ConfigurationError on either route.  provenance holds route
+    ("exact" or "monte_carlo"), enumeration_size (the count), budget and
+    trials.
     """
+    if trials < 0:
+        raise ConfigurationError(f"trials must be >= 0, got {trials}")
     scheme.validate_for(fc.n_points)
     levels = fc.level_sets
     size = _vector_count(levels.sizes, scheme.m, scheme.mode)

@@ -98,6 +98,8 @@ def run_oracle_check(
         raise ConfigurationError(f"n_max must be >= 2, got {n_max}")
     if max_funcs < 1:
         raise ConfigurationError(f"max_funcs must be >= 1, got {max_funcs}")
+    if n_classes < 1:
+        raise ConfigurationError(f"classes must be >= 1, got {n_classes}")
     cases = []
     passed = True
     stream = 0
@@ -239,6 +241,8 @@ def run_verify_bounds(
     full_grid: bool = False,
 ) -> dict:
     """Domination checks: a single configuration or the full 3x3x3 grid."""
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     configs = []
     if full_grid:
         for nn in ACCEPTANCE_GRID["N"]:

@@ -165,6 +165,10 @@ class TestInputErrors:
             (["localize", "--t-grid", "nan"], "t and eps must be nonnegative and finite"),
             (["transductive-erm", "--t-grid", "inf"], "t and eps must be nonnegative and finite"),
             (["kernel-bound", "--c-l", "inf"], "c_L must be positive and finite"),
+            (["oracle-check", "--classes", "0"], "classes must be >= 1"),
+            (["verify-bounds", "--trials", "0"], "trials must be >= 1"),
+            (["transductive-erm", "--trials", "-1"], "trials must be >= 0"),
+            (["localize", "--trials", "-1"], "trials must be >= 0"),
         ],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv, message):
@@ -388,10 +392,11 @@ class TestKernelBound:
         assert code == EXIT_CONFIG_ERROR
 
 
-def _wide_loss_csv(tmp_path) -> str:
-    """A 3 x 30 loss table: at m = 15 neither expectation can be enumerated."""
+def _wide_loss_csv(tmp_path, n=30) -> str:
+    """A 3 x n loss table: at n = 30, m = 15 and at n = 40, m = 6 neither
+    expectation can be enumerated."""
     path = tmp_path / "loss.csv"
-    np.savetxt(path, np.random.default_rng(3).uniform(size=(3, 30)), delimiter=",")
+    np.savetxt(path, np.random.default_rng(3).uniform(size=(3, n)), delimiter=",")
     return str(path)
 
 
@@ -408,6 +413,14 @@ DETERMINISM_RUNS = {
     "transductive-erm-monte-carlo": (
         lambda tmp: [
             "transductive-erm", "--loss-csv", _wide_loss_csv(tmp), "--m", "15",
+            "--trials", "2000", "--splits", "500",
+        ],
+        "monte_carlo",
+    ),
+    # m = 6 of 40 draws its subsets by Floyd's algorithm, m = 15 of 30 by random keys
+    "transductive-erm-monte-carlo-floyd": (
+        lambda tmp: [
+            "transductive-erm", "--loss-csv", _wide_loss_csv(tmp, 40), "--m", "6",
             "--trials", "2000", "--splits", "500",
         ],
         "monte_carlo",
