@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .errors import SworlabError
+from .errors import ConfigurationError, SworlabError
 from .kernels import KernelSpec, gram_matrix
 
 EXIT_OK = 0
@@ -266,6 +266,9 @@ def run(argv=None) -> int:
             )
         elif args.command == "kernel-bound":
             if points is None:
+                for key in ("n", "dim"):
+                    if cfg[key] < 1:
+                        raise ConfigurationError(f"{key} must be >= 1, got {cfg[key]}")
                 gen = np.random.default_rng(cfg["seed"])
                 points = gen.standard_normal((cfg["n"], cfg["dim"]))
             spec = KernelSpec(

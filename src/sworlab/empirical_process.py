@@ -38,13 +38,14 @@ CENTER_TOL = 1e-12
 #: vectors over its level sets, and runs Monte Carlo otherwise
 DEFAULT_ENUM_BUDGET = 10**6
 #: Monte Carlo samples a class with L level sets over those sets when
-#: LEVEL_RATIO * L <= N without replacement (timed against a population
-#: sample of N random keys) or LEVEL_RATIO * L <= min(N, m) with
-#: replacement (m indices).  A level sample draws one hypergeometric or
-#: binomial variate per set, each costing several keys or indices; at 32
-#: the level path was at least 1.9x faster wherever the rule picks it, over
-#: M in {2, 64}, N in {100, 1000, 4000}, m/N in {0.1, 0.5, 0.9} and N/L
-#: from 1 to 64.
+#: LEVEL_RATIO * L <= N without replacement or LEVEL_RATIO * L <= min(N, m)
+#: with replacement (m indices).  A level sample draws one hypergeometric
+#: or binomial variate per set.  Against a population sample by Floyd's
+#: algorithm (one 10^4-row block, M = 2, N from 100 to 4000), the level
+#: path was 1.4-5.2x faster in every shape timed with m >= N / 2 or
+#: L <= N / 50.  At m = N / 10 with L near N / 32 it was slower: 0.7x at
+#: N = 1000 and 4000, 0.9x at N = 100, L = 3, and 0.7-1.2x from run to
+#: run at N = 400, L = 12.
 LEVEL_RATIO = 32
 
 

@@ -82,6 +82,10 @@ def make_random_centered_class(n: int, m_funcs: int, rng: RngStream) -> Function
 
 def make_random_problem(n: int, n_hyp: int, rng: RngStream) -> TransductiveProblem:
     """A random loss table with distinct overall risks (finite B)."""
+    if n < 1:
+        raise ConfigurationError(f"n must be >= 1, got {n}")
+    if n_hyp < 1:
+        raise ConfigurationError(f"hypotheses must be >= 1, got {n_hyp}")
     gen = rng.generator()
     while True:
         table = gen.uniform(0.0, 1.0, size=(n_hyp, n))

@@ -11,11 +11,8 @@ multinomial counts for m draws with replacement, drawn by
 `sample_counts`; `sample_level_counts` draws the per-set counts of larger
 sets directly.
 
-An m-subset is drawn by one of two routes, chosen by FLOYD_RATIO from N
-and m alone.  When the subset or its complement is small, Floyd's
-algorithm draws s = min(m, N - m) integers per sample; otherwise the
-subset is the m smallest of N i.i.d. uniform keys.  Both are exactly
-uniform, but they draw different subsets from one generator state.
+An m-subset is drawn by Floyd's algorithm, s = min(m, N - m) integers per
+sample: the subset itself or, for m > N / 2, its complement.
 """
 
 from __future__ import annotations
@@ -28,16 +25,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import ConfigurationError
-
-#: sample_counts draws an m-subset by Floyd's algorithm (s = min(m, N - m)
-#: integers per sample) when FLOYD_RATIO * s <= N, and otherwise as the m
-#: smallest of N random keys.  For m > N / 2 Floyd also pays one pass over
-#: a (rows, N) mask to take the complement.  At 4 Floyd was at least as
-#: fast as the keys wherever the rule picks it, over one 10^4-row block at
-#: N in {20, 100, 400, 1000, 4000} and m / N from 0.05 to 0.95; at 3 it
-#: lost at N = 4000, m = 2800.
-FLOYD_RATIO = 4
-
 
 class SampleMode(Enum):
     WITH_REPLACEMENT = "with_replacement"
@@ -110,37 +97,30 @@ def sample_counts(
     """Draw `count` independent uniform samples of size m as a count matrix.
 
     Without replacement each row is the 0/1 indicator of a uniform
-    m-subset.  When FLOYD_RATIO * min(m, n - m) <= n it comes from Floyd's
-    algorithm, run on all rows at once: it picks s = min(m, n - m) points,
-    the subset itself or, for m > n / 2, its complement (m = n picks none).
-    Otherwise the subset is chosen by random-key selection, the m smallest
-    of n i.i.d. uniform keys.  With replacement each row holds the
+    m-subset, drawn by Floyd's algorithm on all rows at once: it picks
+    s = min(m, n - m) points, the subset itself or, for m > n / 2, its
+    complement (m = n picks none).  With replacement each row holds the
     multinomial counts of m i.i.d. uniform indices.
     """
     SampleScheme(mode, m).validate_for(n)
-    s = min(m, n - m)
     if mode is SampleMode.WITH_REPLACEMENT:
-        idx = gen.integers(0, n, size=(count, m)).astype(np.int32)
-    elif FLOYD_RATIO * s <= n:
-        # Floyd's algorithm on all rows at once: step j draws t uniform in
-        # [0, j] and takes j in its place when t is already taken
-        taken = np.zeros(count * n, dtype=bool)
-        offsets = np.arange(count) * n
-        picks = np.empty((s, count), dtype=np.int32)
-        for i, j in enumerate(range(n - s, n)):
-            t = gen.integers(0, j + 1, size=count)
-            t[taken[offsets + t]] = j
-            taken[offsets + t] = True
-            picks[i] = t
-        idx = picks.T
-        if s < m:  # the sample is the complement of the picks
-            np.logical_not(taken, out=taken)
-            columns = np.broadcast_to(np.arange(n, dtype=np.int32), (count, n))
-            idx = columns[taken.reshape(count, n)].reshape(count, m)
-    else:
-        # the keys and the full argpartition are temporaries, freed before
-        # the matrix is built
-        idx = np.argpartition(gen.random((count, n)), m, axis=1)[:, :m].astype(np.int32)
+        return counts_matrix(gen.integers(0, n, size=(count, m)).astype(np.int32), n)
+    # step j draws t uniform in [0, j] and takes j in its place when t is
+    # already taken
+    s = min(m, n - m)
+    taken = np.zeros(count * n, dtype=bool)
+    offsets = np.arange(count) * n
+    picks = np.empty((s, count), dtype=np.int32)
+    for i, j in enumerate(range(n - s, n)):
+        t = gen.integers(0, j + 1, size=count)
+        t[taken[offsets + t]] = j
+        taken[offsets + t] = True
+        picks[i] = t
+    idx = picks.T
+    if s < m:  # the sample is the complement of the picks
+        np.logical_not(taken, out=taken)
+        columns = np.broadcast_to(np.arange(n, dtype=np.int32), (count, n))
+        idx = columns[taken.reshape(count, n)].reshape(count, m)
     return counts_matrix(idx, n)
 
 

@@ -81,7 +81,7 @@ def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
+    if pts.ndim != 2 or pts.size == 0:
         raise ConfigurationError("points must form a nonempty 2-D array")
     if not np.all(np.isfinite(pts)):
         raise ConfigurationError("points must be finite")

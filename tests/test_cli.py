@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sworlab
 from sworlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -169,12 +174,30 @@ class TestInputErrors:
             (["verify-bounds", "--trials", "0"], "trials must be >= 1"),
             (["transductive-erm", "--trials", "-1"], "trials must be >= 0"),
             (["localize", "--trials", "-1"], "trials must be >= 0"),
+            (["transductive-erm", "--n", "-1"], "n must be >= 1"),
+            (["transductive-erm", "--hypotheses", "-1"], "hypotheses must be >= 1"),
+            (["localize", "--hypotheses", "-2"], "hypotheses must be >= 1"),
+            (["kernel-bound", "--n", "-1"], "n must be >= 1"),
+            (["kernel-bound", "--dim", "-1"], "dim must be >= 1"),
+            (["kernel-bound", "--dim", "0"], "dim must be >= 1"),
         ],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv, message):
         code = run([*argv, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transductive-erm", "localize"])
+    def test_empty_population_exits_2_without_hanging(self, tmp_path, command):
+        # a separate process with a timeout, so a hang fails instead of stalling the suite
+        env = {**os.environ, "PYTHONPATH": str(Path(sworlab.__file__).parents[1])}
+        argv = [command, "--n", "0", "--out", str(tmp_path / "o")]
+        done = subprocess.run(
+            [sys.executable, "-m", "sworlab.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == EXIT_CONFIG_ERROR
+        assert "config error: n must be >= 1" in done.stderr
 
     def test_negative_eq_m_exits_2(self, tmp_path, capsys):
         code = run(
@@ -417,7 +440,7 @@ DETERMINISM_RUNS = {
         ],
         "monte_carlo",
     ),
-    # m = 6 of 40 draws its subsets by Floyd's algorithm, m = 15 of 30 by random keys
+    # Floyd's algorithm at a small m / N (6 of 40) beside m = N / 2 (15 of 30) above
     "transductive-erm-monte-carlo-floyd": (
         lambda tmp: [
             "transductive-erm", "--loss-csv", _wide_loss_csv(tmp, 40), "--m", "6",

@@ -9,7 +9,6 @@ from scipy.stats import multinomial, multivariate_hypergeom
 
 from sworlab.errors import ConfigurationError
 from sworlab.ground_set import (
-    FLOYD_RATIO,
     RngStream,
     SampleMode,
     SampleScheme,
@@ -67,11 +66,6 @@ def test_pair_frequencies_uniform():
         assert abs(c / draws - 1 / 6) < 0.01, (pair, c)
 
 
-def floyd_route(n, m):
-    return FLOYD_RATIO * min(m, n - m) <= n
-
-
-# (4, 2), (5, 3) and (6, 3) draw random keys; the rest run Floyd's algorithm
 @pytest.mark.parametrize("n,m", [(4, 2), (5, 3), (6, 3), (9, 2), (9, 7), (12, 3), (5, 5)])
 def test_subset_uniformity_four_sigma(n, m):
     draws = 50_000
@@ -104,17 +98,6 @@ def test_sample_counts_rows_sum_to_m(mode, n, m):
         assert np.all((dense == 0) | (dense == 1))
 
 
-@pytest.mark.parametrize("n,m", [(10, 5), (12, 4), (100, 50)])
-def test_sample_counts_selects_the_random_key_subsets(n, m):
-    # same subsets as random-key selection on the same generator state
-    assert not floyd_route(n, m)
-    k = 300
-    counts = sample_counts(n, m, k, WITHOUT, np.random.default_rng(42))
-    ref = np.argpartition(np.random.default_rng(42).random((k, n)), m, axis=1)[:, :m]
-    got = [np.flatnonzero(row) for row in counts.toarray()]
-    assert np.array_equal(np.array(got), np.sort(ref, axis=1))
-
-
 def floyd_reference(n, m, k, gen):
     """k subsets by Floyd's algorithm, one row at a time, drawing each
     step's k integers as one vector as the sampler does."""
@@ -128,10 +111,12 @@ def floyd_reference(n, m, k, gen):
     return [sorted(row) for row in rows]
 
 
-@pytest.mark.parametrize("n,m", [(5, 1), (9, 2), (9, 7), (100, 90), (400, 40), (6, 6)])
+@pytest.mark.parametrize(
+    "n,m",
+    [(5, 1), (9, 2), (9, 7), (10, 5), (12, 4), (100, 50), (100, 90), (400, 40), (6, 6)],
+)
 def test_sample_counts_selects_the_floyd_subsets(n, m):
     # same subsets as plain Floyd on the same generator state
-    assert floyd_route(n, m)
     k = 300
     counts = sample_counts(n, m, k, WITHOUT, np.random.default_rng(42))
     ref = floyd_reference(n, m, k, np.random.default_rng(42))
@@ -152,33 +137,32 @@ class AllDrawSequences:
         return self.sequences[:, high - 1 - self.first].copy()
 
 
-@pytest.mark.parametrize("m", [2, 7])
-def test_floyd_route_draws_every_subset_equally_often(m):
-    # the 72 equally likely sequences of two steps at N = 9 map onto the
-    # 36 subsets, each exactly twice, for the subset and its complement
-    n = 9
-    assert floyd_route(n, m)
+@pytest.mark.parametrize("n,m,multiplicity", [(9, 2, 2), (9, 7, 2), (8, 4, 24), (9, 5, 24)])
+def test_floyd_route_draws_every_subset_equally_often(n, m, multiplicity):
+    # the N! / (N - s)! equally likely sequences of s = min(m, N - m) steps
+    # map onto the C(N, m) subsets, each N! / (N - s)! / C(N, m) = s! times,
+    # for the subset and its complement
     gen = AllDrawSequences(n, min(m, n - m))
     counts = sample_counts(n, m, len(gen.sequences), WITHOUT, gen)
     freqs = subset_frequencies(counts)
     subsets = {tuple(int(i in c) for i in range(n)) for c in combinations(range(n), m)}
     assert set(freqs) == subsets
-    assert set(freqs.values()) == {2}
+    assert set(freqs.values()) == {multiplicity}
 
 
 def test_floyd_inclusion_frequencies_four_sigma():
     # each of N = 400 points lies in an m = 40 subset with probability m / N
     n, m, draws = 400, 40, 10_000
-    assert floyd_route(n, m)
     counts = sample_counts(n, m, draws, WITHOUT, RngStream(400).generator())
     p = m / n
     freq = np.asarray(counts.sum(axis=0)).ravel() / draws
     assert np.all(np.abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / draws))
 
 
-@pytest.mark.parametrize("m,limit_mb", [(40, 16), (360, 61)])
+@pytest.mark.parametrize("m,limit_mb", [(40, 16), (200, 40), (220, 40), (360, 61)])
 def test_traced_peak_of_a_block_stays_small(m, limit_mb):
-    # one 10^4-row block at N = 400; random keys peaked at 61 MB
+    # one 10^4-row block at N = 400: Floyd's (rows, N) mask, the picks or
+    # the complement's indices, and the count matrix
     tracemalloc.start()
     try:
         counts = sample_counts(400, m, 10_000, WITHOUT, RngStream(1).generator())

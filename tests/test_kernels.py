@@ -63,6 +63,8 @@ class TestGramMatrix:
         with pytest.raises(ConfigurationError):
             gram_matrix(np.empty((0, 2)), KernelSpec("delta"))
         with pytest.raises(ConfigurationError):
+            gram_matrix(np.empty((3, 0)), KernelSpec("delta"))
+        with pytest.raises(ConfigurationError):
             gram_matrix(np.array([[np.nan]]), KernelSpec("delta"))
 
 
