@@ -39,13 +39,13 @@ from .localization import (
     SubRootBound,
     build_excess_class,
     compute_B,
-    estimate_modulus,
     excess_bound_cor10,
     excess_bound_cor11,
     excess_bound_thm8,
     excess_bound_thm9,
     fit_subroot,
     fixed_point,
+    modulus_curve,
     stability_bound_appD,
 )
 from .transductive import (

@@ -17,6 +17,7 @@ import functools
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,14 @@ def _parse_grid(text: str) -> tuple:
 
 def _read_csv(path):
     """A numeric CSV as a 2-D array, or None when no path is given."""
-    return np.loadtxt(path, delimiter=",", ndmin=2) if path else None
+    if not path:
+        return None
+    with warnings.catch_warnings():  # an empty file is a config error, below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(path, delimiter=",", ndmin=2)
+    if table.size == 0:
+        raise ValueError(f"{path} holds no numbers")
+    return table
 
 
 def _write_report(out_dir, experiment: str, config: dict, payload: dict, elapsed: float):
@@ -242,19 +250,12 @@ def run(argv=None) -> int:
                 max_funcs=cfg["max_funcs"],
                 seed=cfg["seed"],
             )
-        elif args.command == "transductive-erm":
-            payload = experiments.run_transductive_erm(
-                n=cfg["n"],
-                n_hyp=cfg["hypotheses"],
-                m=cfg["m"],
-                splits=cfg["splits"],
-                seed=cfg["seed"],
-                t_grid=t_grid,
-                loss_table=loss,
-                trials=cfg["trials"],
-            )
-        elif args.command == "localize":
-            payload = experiments.run_localize(
+        elif args.command in ("transductive-erm", "localize"):
+            split_experiment = {
+                "transductive-erm": experiments.run_transductive_erm,
+                "localize": experiments.run_localize,
+            }[args.command]
+            payload = split_experiment(
                 n=cfg["n"],
                 n_hyp=cfg["hypotheses"],
                 m=cfg["m"],

@@ -108,8 +108,8 @@ class SupremumStats:
     was obtained: provenance holds route ("exact" or "monte_carlo"),
     enumeration_size, budget and trials (see expected_sup)."""
 
-    mean: float
-    std_error: float
+    mean: float | np.ndarray
+    std_error: float | np.ndarray
     provenance: dict
 
 
@@ -133,10 +133,16 @@ def center_class(raw: np.ndarray) -> FunctionClass:
     return FunctionClass(vals, centered=True)
 
 
-def sup_sums(values: np.ndarray, counts) -> np.ndarray:
+def sup_sums(values: np.ndarray, counts, ends=None) -> np.ndarray:
     """Per sample (row of a count matrix), the sup over the rows of the
-    (M, N) table `values` of the count-weighted sum: (C V^T).max(axis=1)."""
-    return np.asarray(counts @ values.T).max(axis=1)
+    (M, N) table `values` of the count-weighted sum C V^T, or with `ends`
+    (prefix lengths >= 1) over each prefix of the rows: the running max,
+    taken in place, at the prefix's end.  The plain sup is the prefix that
+    ends at the last row, which a max finds 4x faster at M = 64."""
+    sums = np.asarray(counts @ values.T)
+    if ends is None:
+        return sums.max(axis=1)
+    return np.maximum.accumulate(sums, axis=1, out=sums)[:, np.asarray(ends) - 1]
 
 
 def class_variance(fc: FunctionClass) -> float:
@@ -201,15 +207,16 @@ def _count_vectors(sizes: tuple, m: int, mode: SampleMode) -> tuple[csr_matrix, 
     return csr_matrix((vals.astype(float), sets, indptr), (indptr.size - 1, s.size)), weights
 
 
-def exact_law(fc: FunctionClass, scheme: SampleScheme) -> tuple[np.ndarray, np.ndarray]:
+def exact_law(fc: FunctionClass, scheme: SampleScheme, ends=None) -> tuple[np.ndarray, np.ndarray]:
     """The law of Q: (sups, weights) over every count vector k of the level
     sets with sum m (k_i <= s_i without replacement), weighted by
     prod C(s_i, k_i) / C(N, m) without replacement, m!/prod k_i! prod
-    (s_i/N)^k_i with.  E[Q] = weights @ sups; P{Q >= x} sums weights."""
+    (s_i/N)^k_i with.  E[Q] = weights @ sups; P{Q >= x} sums weights.
+    `ends` gives sups a column per row prefix (see sup_sums)."""
     scheme.validate_for(fc.n_points)
     levels = fc.level_sets
     counts, weights = _count_vectors(tuple(levels.sizes.tolist()), scheme.m, scheme.mode)
-    return sup_sums(levels.columns, counts), weights
+    return sup_sums(levels.columns, counts, ends), weights
 
 
 def simulate_suprema(
@@ -218,8 +225,10 @@ def simulate_suprema(
     trials: int,
     rng: RngStream,
     block: int = 10_000,
+    ends=None,
 ) -> np.ndarray:
-    """Draw `trials` independent suprema, vectorized in fixed-size blocks.
+    """Draw `trials` independent suprema (per row prefix with `ends`, see
+    sup_sums), vectorized in fixed-size blocks.
 
     A supremum depends on a sample only through how many points it takes
     from each level set, so a class with few level sets (see LEVEL_RATIO)
@@ -236,7 +245,8 @@ def simulate_suprema(
     else:
         table, draw = fc.values, partial(sample_counts, n)
     blocks = block_generators(trials, rng, block)
-    return np.concatenate([sup_sums(table, draw(m, rows, mode, gen)) for rows, gen in blocks])
+    sups = [sup_sums(table, draw(m, rows, mode, gen), ends) for rows, gen in blocks]
+    return np.concatenate(sups)
 
 
 def expected_sup(
@@ -245,8 +255,10 @@ def expected_sup(
     trials: int = 0,
     rng: Optional[RngStream] = None,
     budget: int = DEFAULT_ENUM_BUDGET,
+    ends=None,
 ) -> SupremumStats:
-    """E[Q] for the sampling scheme, from exact_law or Monte Carlo.
+    """E[Q] for the sampling scheme, from exact_law or Monte Carlo: floats,
+    or with `ends` arrays over the row prefixes from one law or draw.
 
     The route is decided once, by counting the vectors exact_law would
     list: C(N, m) or C(N + m - 1, m) on distinct columns, at most m + 1
@@ -265,16 +277,20 @@ def expected_sup(
     size = _vector_count(levels.sizes, scheme.m, scheme.mode)
     provenance = {"route": "exact", "enumeration_size": size, "budget": budget, "trials": 0}
     if size <= budget:
-        sups, weights = exact_law(fc, scheme)
-        return SupremumStats(float(weights @ sups), 0.0, provenance)
-    if trials < 1:
+        sups, weights = exact_law(fc, scheme, ends)
+        mean, se = weights @ sups, np.zeros(np.shape(ends))
+    elif trials < 1:
         raise OracleScaleError(
             f"{size} count vectors over {levels.sizes.size} level sets exceed the"
             f" enumeration budget {budget} and no Monte Carlo trials were given"
         )
-    if rng is None:
+    elif rng is None:
         raise ConfigurationError("Monte Carlo needs an rng")
-    draws = simulate_suprema(fc, scheme, trials, rng)
-    se = float(draws.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    provenance.update(route="monte_carlo", trials=trials)
-    return SupremumStats(float(draws.mean()), se, provenance)
+    else:
+        draws = simulate_suprema(fc, scheme, trials, rng, ends=ends)
+        mean = draws.mean(axis=0)
+        se = draws.std(ddof=1, axis=0) / math.sqrt(trials) if trials > 1 else np.zeros_like(mean)
+        provenance.update(route="monte_carlo", trials=trials)
+    if ends is None:  # one supremum: plain floats for the callers
+        mean, se = float(mean), float(se)
+    return SupremumStats(mean, se, provenance)

@@ -2,11 +2,11 @@
 constant B, sub-root majorants with their fixed points, and the localized
 excess-risk bound formulas.
 
-The modulus of continuity is estimated on variance slices
-{f : E f^2 <= r} of the excess loss class and majorized within the c*sqrt(r)
-family, whose fixed point is c^2 exactly.  Upper-confidence fitting
-(estimate + 2 standard errors) keeps the majorant statistically
-conservative when the modulus is only estimated.
+The modulus of continuity is estimated on the nested variance slices
+{f : E f^2 <= r} of the excess loss class, all radii from one draw, and
+majorized within the c*sqrt(r) family, whose fixed point is c^2 exactly.
+Upper-confidence fitting (estimate + 2 standard errors) keeps the majorant
+statistically conservative when the modulus is only estimated.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .empirical_process import (
-    DEFAULT_ENUM_BUDGET,
     FunctionClass,
     SupremumStats,
     expected_sup,
@@ -94,39 +93,32 @@ def _as_B(B: float) -> float:
     return B
 
 
-def slice_indices(ec: ExcessLossClass, r: float) -> np.ndarray:
-    """Rows of the variance slice {f : E f^2 <= r} (always contains h*)."""
-    return np.flatnonzero(ec.second_moments <= r + ZERO_TOL)
-
-
-def estimate_modulus(
+def modulus_curve(
     ec: ExcessLossClass,
-    r: float,
     m: int,
     flavor: SampleMode,
     trials: int,
     rng: RngStream,
     B: float = 1.0,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> SupremumStats:
-    """psi_hat(r): B times the expected slice supremum of
+) -> tuple[np.ndarray, SupremumStats]:
+    """(radii, psi_hat): at every r of default_r_grid(ec), B times the
+    expected supremum over the slice {f : E f^2 <= r} of
     E f - (empirical mean of f over the size-m sample).
 
-    The expectation comes from expected_sup, exact when enumeration fits
-    the budget and otherwise the mean of `trials` seeded draws; its mean
-    and std_error are scaled by B/m, and its provenance is kept.
+    With the rows sorted by E f^2 each slice is a prefix (h* at least), so
+    one expected_sup call, exact or `trials` draws from `rng`, gives every
+    radius, nondecreasing in r; means and std_errors are scaled by B/m.
     """
-    if r <= 0:
-        raise ConfigurationError("slice radius r must be positive")
     b_val = _as_B(B)
-    idx = slice_indices(ec, r)
-    sub = ec.rows[idx]
-    means = sub.mean(axis=1)
+    radii = default_r_grid(ec)
+    order = np.argsort(ec.second_moments, kind="stable")
+    ends = np.searchsorted(ec.second_moments[order], radii + ZERO_TOL, "right")
+    rows = ec.rows[order]
     # per-sample statistic: sup over slice rows of the sum of g = Ef - f
-    gfc = FunctionClass(means[:, None] - sub)
-    stats = expected_sup(gfc, SampleScheme(flavor, m), trials, rng, budget)
+    gfc = FunctionClass(rows.mean(axis=1, keepdims=True) - rows)
+    stats = expected_sup(gfc, SampleScheme(flavor, m), trials, rng, ends=ends)
     mean, std_error = (b_val * x / m for x in (stats.mean, stats.std_error))
-    return SupremumStats(mean, std_error, stats.provenance)
+    return radii, SupremumStats(mean, std_error, stats.provenance)
 
 
 def default_r_grid(ec: ExcessLossClass) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,16 +132,32 @@ class TestInputErrors:
         assert code == EXIT_CONFIG_ERROR
         assert "config error: t-grid must be comma-separated numbers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command, flag",
-        [("transductive-erm", "--loss-csv"), ("localize", "--loss-csv"), ("kernel-bound", "--points-csv")],
-    )
+    CSV_FLAGS = [
+        ("transductive-erm", "--loss-csv"),
+        ("localize", "--loss-csv"),
+        ("kernel-bound", "--points-csv"),
+    ]
+
+    @pytest.mark.parametrize("command, flag", CSV_FLAGS)
     def test_missing_csv_exits_2(self, tmp_path, capsys, command, flag):
         missing = str(tmp_path / "nonexistent.csv")
         code = run([command, flag, missing, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag", CSV_FLAGS)
+    @pytest.mark.parametrize(
+        "text", ["", "\n\n", "# only a comment\n"], ids=["empty", "blank", "comment"]
+    )
+    def test_empty_csv_exits_2_with_one_line(self, tmp_path, capsys, command, flag, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked warning fails the run
+            code = run([command, flag, str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {path} holds no numbers\n"
 
     def test_single_point_antipodal_class_exits_2(self, tmp_path, capsys):
         # one point has no antipodal pair: sigma2 would silently become 0

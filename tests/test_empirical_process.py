@@ -226,6 +226,21 @@ class TestRouteDecision:
         assert stats.std_error > 0.0
         assert stats.std_error == pytest.approx(draws.std(ddof=1) / math.sqrt(500))
 
+    @pytest.mark.parametrize("budget", [0, DEFAULT_ENUM_BUDGET])
+    def test_one_supremum_gives_python_floats(self, budget):
+        stats = expected_sup(_budget_class(), SampleScheme(WITHOUT, 3), 500, RngStream(2), budget)
+        assert type(stats.mean) is float and type(stats.std_error) is float
+
+    @pytest.mark.parametrize("budget", [0, DEFAULT_ENUM_BUDGET])
+    def test_prefix_ends_share_one_law_or_one_draw(self, budget):
+        fc, scheme = _budget_class(), SampleScheme(WITH, 3)
+        curve = expected_sup(fc, scheme, 500, RngStream(3), budget, ends=[1, 2, 3])
+        assert curve.mean.shape == curve.std_error.shape == (3,)
+        assert np.all(np.diff(curve.mean) >= 0)
+        whole = expected_sup(fc, scheme, 500, RngStream(3), budget)
+        assert curve.mean[-1] == pytest.approx(whole.mean, rel=1e-12)
+        assert curve.std_error[-1] == pytest.approx(whole.std_error, rel=1e-12)
+
     @pytest.mark.parametrize("mode", [WITHOUT, WITH])
     def test_count_above_budget_without_trials_raises(self, mode):
         size = self.SIZES[mode]
@@ -248,6 +263,29 @@ class TestSupSums:
             idx = [np.repeat(np.arange(9), row.astype(int)) for row in counts.toarray()]
             expected = [values[:, i].sum(axis=1).max() for i in idx]
             assert np.allclose(sup_sums(values, counts), expected, atol=1e-12)
+
+    def test_prefix_ends_give_each_prefix_sup(self):
+        gen = np.random.default_rng(11)
+        values = gen.uniform(-1, 1, size=(5, 8))
+        counts = sample_counts(8, 4, 60, WITHOUT, gen)
+        ends = [1, 3, 3, 5]
+        per_prefix = np.column_stack([sup_sums(values[:e], counts) for e in ends])
+        assert np.array_equal(sup_sums(values, counts, ends), per_prefix)
+        assert np.array_equal(sup_sums(values, counts, [5])[:, 0], sup_sums(values, counts))
+
+    def test_running_max_is_taken_in_place(self):
+        # a second copy of the (K, M) sums would take the peak past 2 tables
+        gen = np.random.default_rng(12)
+        values = gen.uniform(-1, 1, size=(16, 6))
+        counts = gen.integers(0, 3, size=(20_000, 6)).astype(float)
+        table = counts.shape[0] * values.shape[0] * 8
+        tracemalloc.start()
+        try:
+            sup_sums(values, counts, ends=[1, 8, 16])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table
 
     @pytest.mark.parametrize("mode", [WITHOUT, WITH])
     def test_exact_antipodal_at_n1000_is_sparse_and_matches_closed_form(self, mode):

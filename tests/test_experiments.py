@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sworlab import experiments
+from sworlab import experiments, localization
 from sworlab.errors import OracleScaleError
 from sworlab.experiments import (
     EXAMPLE_STREAM,
@@ -69,3 +69,19 @@ def test_localize_fits_do_not_share_draws_across_seeds():
         return [point["psi_hat"] for point in out["fits"][fit]["grid"]]
 
     assert psi_grid(0, "u_without") != psi_grid(2, "m_without")
+
+
+def test_each_modulus_fit_makes_one_oracle_call(monkeypatch):
+    # four fits (m and u, with and without replacement), every radius of a
+    # fit's grid from the same call
+    calls = []
+    oracle = localization.expected_sup
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["ends"].size)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(localization, "expected_sup", counting)
+    out = run_localize(loss_table=TABLE, m=4, splits=50, trials=200)
+    assert calls == [12] * 4
+    assert all(len(fit["grid"]) == 12 for fit in out["fits"].values())

@@ -1,23 +1,25 @@
 import math
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from sworlab import localization
+from sworlab.empirical_process import FunctionClass, expected_sup
 from sworlab.errors import BernsteinConditionError, ConfigurationError
-from sworlab.ground_set import RngStream, SampleMode
+from sworlab.ground_set import RngStream, SampleMode, SampleScheme
 from sworlab.localization import (
     build_excess_class,
     compute_B,
     default_r_grid,
-    estimate_modulus,
     excess_bound_cor10,
     excess_bound_cor11,
     excess_bound_thm8,
     excess_bound_thm9,
     fit_subroot,
     fixed_point,
-    slice_indices,
+    modulus_curve,
     stability_bound_appD,
 )
 from sworlab.transductive import TransductiveProblem
@@ -77,22 +79,42 @@ class TestComputeB:
         assert np.all(ec.second_moments <= B * ec.means + 1e-9)
 
 
-class TestEstimateModulus:
+def slice_reference(ec, r, m, flavor, B):
+    """psi_hat(r) from expected_sup on the slice's own class, built from
+    the rows with E f^2 <= r alone."""
+    sub = ec.rows[ec.second_moments <= r + 1e-12]
+    gfc = FunctionClass(sub.mean(axis=1)[:, None] - sub)
+    return B * expected_sup(gfc, SampleScheme(flavor, m)).mean / m
+
+
+class TestModulusCurve:
     def make_ec(self):
         gen = np.random.default_rng(2)
         return build_excess_class(TransductiveProblem(gen.uniform(size=(4, 6))))
 
-    def test_saturated_slice(self):
+    def make_tied_ec(self):
+        # h* is the zero-loss row 0, so f_h is row h: row 2 repeats row 1,
+        # and row 4, row 3 reversed, ties it in E f^2 (quarter steps: exact)
+        table = np.random.default_rng(5).integers(0, 5, size=(6, 8)) / 4.0
+        table[0] = 0.0
+        table[2] = table[1]
+        table[4] = table[3][::-1]
+        ec = build_excess_class(TransductiveProblem(table))
+        assert ec.star_index == 0 and ec.second_moments[3] == ec.second_moments[4]
+        return ec
+
+    def test_last_slice_is_the_whole_class(self):
         ec = self.make_ec()
-        r = float(ec.second_moments.max()) + 1.0
-        assert slice_indices(ec, r).size == ec.rows.shape[0]
+        radii, psi = modulus_curve(ec, 3, WITHOUT, 0, RngStream(0))
+        assert radii[-1] > ec.second_moments.max()
+        assert psi.mean[-1] == pytest.approx(slice_reference(ec, math.inf, 3, WITHOUT, 1.0))
 
     def test_tiny_slice_is_zero(self):
         ec = self.make_ec()
+        radii, psi = modulus_curve(ec, 3, WITHOUT, 100, RngStream(0))
         nonzero = ec.second_moments[ec.second_moments > 1e-12]
-        r = float(nonzero.min()) / 4.0
-        psi = estimate_modulus(ec, r, 3, WITHOUT, 100, RngStream(0))
-        assert psi.mean == 0.0 and psi.std_error == 0.0
+        assert radii[0] < nonzero.min()
+        assert psi.mean[0] == 0.0 and psi.std_error[0] == 0.0
         assert psi.provenance["route"] == "exact"
 
     def test_exact_matches_enumeration(self):
@@ -100,30 +122,54 @@ class TestEstimateModulus:
         tp = TransductiveProblem(gen.uniform(size=(3, 4)))
         ec = build_excess_class(tp)
         m = 2
-        r = float(ec.second_moments.max()) + 1.0
-        psi = estimate_modulus(ec, r, m, WITHOUT, 0, RngStream(0), B=2.0)
-        assert psi.std_error == 0.0 and psi.provenance["enumeration_size"] == 6
-        # direct oracle over the 6 splits
+        _, psi = modulus_curve(ec, m, WITHOUT, 0, RngStream(0), B=2.0)
+        assert np.all(psi.std_error == 0.0) and psi.provenance["enumeration_size"] == 6
+        # direct oracle over the 6 splits, on the last slice: the whole class
         vals = []
         for subset in combinations(range(4), m):
             vals.append(max((ec.means - ec.rows[:, list(subset)].mean(axis=1)).max(), 0.0))
         # the zero row is always in the slice, so the sup is >= 0 already
         expected = 2.0 * float(np.mean(vals))
-        assert psi.mean == pytest.approx(expected)
+        assert psi.mean[-1] == pytest.approx(expected)
 
-    def test_monte_carlo_agrees_with_exact(self):
+    def test_monte_carlo_agrees_with_exact(self, monkeypatch):
         ec = self.make_ec()
         m = 3
-        r = float(ec.second_moments.max()) + 1.0
-        exact = estimate_modulus(ec, r, m, WITHOUT, 0, RngStream(0))
-        mc = estimate_modulus(ec, r, m, WITHOUT, 20_000, RngStream(1), budget=0)
+        _, exact = modulus_curve(ec, m, WITHOUT, 0, RngStream(0))
+        monkeypatch.setattr(localization, "expected_sup", partial(expected_sup, budget=0))
+        _, mc = modulus_curve(ec, m, WITHOUT, 20_000, RngStream(1))
         assert exact.provenance["route"] == "exact"
         assert mc.provenance["route"] == "monte_carlo"
-        assert abs(mc.mean - exact.mean) <= 4 * mc.std_error
+        assert abs(mc.mean[-1] - exact.mean[-1]) <= 4 * mc.std_error[-1]
 
-    def test_r_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            estimate_modulus(self.make_ec(), 0.0, 2, WITHOUT, 10, RngStream(0))
+    def test_radii_are_positive_and_B_is_checked(self):
+        ec = self.make_ec()
+        radii, _ = modulus_curve(ec, 2, WITHOUT, 0, RngStream(0))
+        assert radii.size == 12 and np.all(radii > 0)
+        with pytest.raises(ConfigurationError, match="B must be"):
+            modulus_curve(ec, 2, WITHOUT, 0, RngStream(0), B=0.0)
+
+    @pytest.mark.parametrize("flavor", [WITHOUT, WITH])
+    def test_every_radius_matches_its_own_slice(self, flavor):
+        ec = self.make_tied_ec()
+        m, B = 3, 1.5
+        radii, psi = modulus_curve(ec, m, flavor, 0, RngStream(0), B=B)
+        assert psi.provenance["route"] == "exact"
+        # the grid cuts the class at several places, the ties included
+        sizes = [int(np.sum(ec.second_moments <= r + 1e-12)) for r in radii]
+        assert len(set(sizes)) >= 4
+        for r, p in zip(radii, psi.mean):
+            assert p == pytest.approx(slice_reference(ec, r, m, flavor, B), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("flavor", [WITHOUT, WITH])
+    def test_monte_carlo_curve_is_monotone_and_near_exact(self, monkeypatch, flavor):
+        ec = self.make_tied_ec()
+        _, exact = modulus_curve(ec, 3, flavor, 0, RngStream(0))
+        monkeypatch.setattr(localization, "expected_sup", partial(expected_sup, budget=0))
+        _, mc = modulus_curve(ec, 3, flavor, 20_000, RngStream(4))
+        assert mc.provenance["route"] == "monte_carlo"
+        assert np.all(np.diff(mc.mean) >= 0)
+        assert np.all(np.abs(mc.mean - exact.mean) <= 4 * mc.std_error)
 
 
 class TestFitSubroot:
