@@ -36,7 +36,6 @@ from .ground_set import (
 from .kernels import EigenSpectrum, KernelSpec, eigen_spectrum, gram_matrix, tailsum_bound
 from .localization import (
     ExcessLossClass,
-    SubRootBound,
     build_excess_class,
     compute_B,
     excess_bound_cor10,
@@ -49,7 +48,6 @@ from .localization import (
     stability_bound_appD,
 )
 from .transductive import (
-    ErmOutcome,
     TransductiveProblem,
     erm,
     gen_bound_thm5,
@@ -57,7 +55,6 @@ from .transductive import (
     sigma2_H,
 )
 from .verify import (
-    DominationReport,
     TailCurve,
     binomial_lower_ci,
     binomial_upper_ci,

@@ -94,8 +94,6 @@ def _read_csv(path):
 
 
 def _write_report(out_dir, experiment: str, config: dict, payload: dict, elapsed: float):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = {
         "experiment": experiment,
         "config": {k: v for k, v in sorted(config.items())},
@@ -103,7 +101,7 @@ def _write_report(out_dir, experiment: str, config: dict, payload: dict, elapsed
         "passed": payload.get("passed", True),
         "wall_time_s": round(elapsed, 3),
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (Path(out_dir) / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -222,6 +220,7 @@ def run(argv=None) -> int:
         t_grid = _parse_grid(cfg["t_grid"]) if "t_grid" in cfg else None
         loss = _read_csv(cfg.get("loss_csv"))
         points = _read_csv(cfg.get("points_csv"))
+        Path(cfg["out"]).mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -284,7 +283,7 @@ def run(argv=None) -> int:
                 np.savetxt(cfg["gram_csv"], gram, delimiter=",")
         else:  # pragma: no cover
             raise AssertionError(args.command)
-    except SworlabError as exc:
+    except (SworlabError, OSError) as exc:  # OSError: --gram-csv cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

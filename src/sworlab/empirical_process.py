@@ -224,11 +224,10 @@ def simulate_suprema(
     scheme: SampleScheme,
     trials: int,
     rng: RngStream,
-    block: int = 10_000,
     ends=None,
 ) -> np.ndarray:
     """Draw `trials` independent suprema (per row prefix with `ends`, see
-    sup_sums), vectorized in fixed-size blocks.
+    sup_sums), vectorized in blocks of ground_set.BLOCK_ROWS trials.
 
     A supremum depends on a sample only through how many points it takes
     from each level set, so a class with few level sets (see LEVEL_RATIO)
@@ -244,7 +243,7 @@ def simulate_suprema(
         table, draw = levels.columns, partial(sample_level_counts, levels.sizes)
     else:
         table, draw = fc.values, partial(sample_counts, n)
-    blocks = block_generators(trials, rng, block)
+    blocks = block_generators(trials, rng)
     sups = [sup_sums(table, draw(m, rows, mode, gen), ends) for rows, gen in blocks]
     return np.concatenate(sups)
 

@@ -162,22 +162,22 @@ def _config_checks(
     cw = expected_sup(fc, scheme, trials, center_rng, budget=0)
     eq = expected_sup(fc, SampleScheme(WITH, m), trials, eq_rng, budget=0)
     eq_prime, eq_m = cw.mean, eq.mean
+    centers = {Center.AROUND_EQ_PRIME: cw, Center.AROUND_EQ: eq}
 
     draws = simulate_suprema(fc, scheme, trials, tail_rng)
     eps_grid = default_eps_grid(m, s2)
-    curve_prime = tail_curve_from_draws(
-        draws, eps_grid, Center.AROUND_EQ_PRIME, eq_prime, cw.std_error
-    )
-    curve_eq = tail_curve_from_draws(draws, eps_grid, Center.AROUND_EQ, eq_m, eq.std_error)
+    curves = {
+        center: tail_curve_from_draws(draws, eps_grid, center, stats.mean, stats.std_error)
+        for center, stats in centers.items()
+    }
 
     params = BoundParams(N=n, m=m, sigma2=s2, eq_m=max(eq_m, 0.0))
-    # the power check weakens the sub-Gaussian constant 8 to 0.08
-    weakened = (lambda p: bank.tail_subgaussian(p, constant=0.08)) if corrupt_thm1 else None
-    reports = {
-        "subgaussian": check_domination(curve_prime, "subgaussian", params, weakened),
-        "elyaniv_pechyony": check_domination(curve_prime, "elyaniv_pechyony", params),
-        "talagrand_swor": check_domination(curve_eq, "talagrand_swor", params),
-        "bousquet": check_domination(curve_eq, "bousquet", params),
+    weakened = {}
+    if corrupt_thm1:  # the power check weakens the sub-Gaussian constant 8 to 0.08
+        weakened["subgaussian"] = lambda p: bank.tail_subgaussian(p, constant=0.08)
+    domination = {
+        tag: check_domination(curves[center], tag, params, weakened.get(tag))
+        for tag, center in bank.BOUND_CENTERS.items()
     }
 
     deviation = {}
@@ -186,12 +186,12 @@ def _config_checks(
         guarantee = math.exp(-float(t))
         for tag, fn in bank.DEVIATION_BOUNDS.items():
             level = fn(p_t)
-            center = eq_prime if bank.BOUND_CENTERS[tag] is Center.AROUND_EQ_PRIME else eq_m
+            center = centers[bank.BOUND_CENTERS[tag]].mean
             deviation[f"{tag}@t={t}"] = _exceedance(
                 ("level", "exceedance"), level, draws - center >= level, guarantee
             )
 
-    passed = all(r.passed for r in reports.values()) and all(
+    passed = all(r["passed"] for r in domination.values()) and all(
         d["ok"] for d in deviation.values()
     )
     return {
@@ -203,13 +203,10 @@ def _config_checks(
         "eq_prime_std_error": cw.std_error,
         "eq_m": eq_m,
         "eq_m_std_error": eq.std_error,
-        "domination": {tag: r.to_dict() for tag, r in reports.items()},
+        "domination": domination,
         "deviation": deviation,
         "passed": passed,
-        "curves": {
-            "around_eq_prime": curve_prime.to_dict(),
-            "around_eq": curve_eq.to_dict(),
-        },
+        "curves": {center.name.lower(): curve.to_dict() for center, curve in curves.items()},
     }
 
 
@@ -359,7 +356,6 @@ def run_transductive_erm(
     validity = _validity_frequencies(sup_gap, t_grid, bound_fns)
 
     train, test = next(sampled_split_risks(tp, m, 1, RngStream(seed, EXAMPLE_STREAM)))
-    outcome = erm(tp, train[0], test[0])
     passed = all(v["ok"] for v in validity.values())
     return {
         "passed": passed,
@@ -371,10 +367,7 @@ def run_transductive_erm(
         "E_m": e_m,
         "validity": validity,
         "example_split": {
-            "h_hat_m": outcome.h_hat_m,
-            "h_star_u": outcome.h_star_u,
-            "h_star_N": outcome.h_star_N,
-            "excess_risk": outcome.excess_risk,
+            **erm(tp, train[0], test[0]),
             "train_risk": [float(x) for x in train[0]],
             "test_risk": [float(x) for x in test[0]],
             "overall_risk": [float(x) for x in tp.overall_risk],
@@ -385,12 +378,13 @@ def run_transductive_erm(
 
 def _fit_modulus(ec, B, m, flavor, rng, trials) -> dict:
     radii, psi = modulus_curve(ec, m, flavor, trials, rng, B=B)
-    sub = fit_subroot(zip(radii, psi.mean, psi.std_error))
+    c = fit_subroot(radii, psi.mean, psi.std_error)
+    grid = zip(radii.tolist(), psi.mean.tolist(), psi.std_error.tolist())
     return {
         "flavor": flavor.value,
-        "grid": [{"r": r, "psi_hat": p, "std_error": s} for r, p, s in sub.grid],
-        "c": sub.c,
-        "r_star": sub.r_star,
+        "grid": [{"r": r, "psi_hat": p, "std_error": s} for r, p, s in grid],
+        "c": c,
+        "r_star": c * c,
         "exact": psi.provenance["route"] == "exact",
     }
 

@@ -26,6 +26,11 @@ from scipy.sparse import csr_matrix
 
 from .errors import ConfigurationError
 
+#: rows per block of a Monte Carlo run; block b draws from substream b, so
+#: a run's draws depend on this constant
+BLOCK_ROWS = 10_000
+
+
 class SampleMode(Enum):
     WITH_REPLACEMENT = "with_replacement"
     WITHOUT_REPLACEMENT = "without_replacement"
@@ -142,22 +147,11 @@ def sample_level_counts(
     return gen.multivariate_hypergeometric(sizes, m, size=count, method="marginals")
 
 
-def block_generators(
-    count: int, rng: RngStream, block: int = 10_000
-) -> Iterator[tuple[int, np.random.Generator]]:
-    """(rows, generator) for each block of at most `block` of `count` rows.
+def block_generators(count: int, rng: RngStream) -> Iterator[tuple[int, np.random.Generator]]:
+    """(rows, generator) for each block of at most BLOCK_ROWS of `count` rows.
 
     Block b draws from rng.substream(b), so the draws do not depend on how
     the blocks are scheduled.
     """
-    for b, start in enumerate(range(0, count, block)):
-        yield min(block, count - start), rng.substream(b).generator()
-
-
-def sample_blocks(
-    n: int, m: int, count: int, mode: SampleMode, rng: RngStream, block: int = 10_000
-) -> Iterator[csr_matrix]:
-    """`count` samples as count matrices of at most `block` rows each,
-    block b drawn from rng.substream(b)."""
-    for rows, gen in block_generators(count, rng, block):
-        yield sample_counts(n, m, rows, mode, gen)
+    for b, start in enumerate(range(0, count, BLOCK_ROWS)):
+        yield min(BLOCK_ROWS, count - start), rng.substream(b).generator()

@@ -86,7 +86,8 @@ def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ConfigurationError("points must be finite")
     n = pts.shape[0]
-    k = _raw_kernel_matrix(pts, spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # eigen_spectrum refuses inf and nan
+        k = _raw_kernel_matrix(pts, spec)
     k = 0.5 * (k + k.T)
     return k / n
 

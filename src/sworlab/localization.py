@@ -47,15 +47,6 @@ class ExcessLossClass:
         return (self.rows**2).mean(axis=1)
 
 
-@dataclass(frozen=True)
-class SubRootBound:
-    """A certified majorant psi(r) = c*sqrt(r) with fixed point r* = c^2."""
-
-    c: float
-    r_star: float
-    grid: list  # (r, psi_hat, std_error) triples
-
-
 def build_excess_class(tp: TransductiveProblem) -> ExcessLossClass:
     """Subtract the overall-risk minimizer's loss row (index tie-break)."""
     star = int(np.argmin(tp.overall_risk))
@@ -130,17 +121,14 @@ def default_r_grid(ec: ExcessLossClass) -> np.ndarray:
     return np.geomspace(nonzero.min() / 2.0, seconds.max() * 2.0, 12)
 
 
-def fit_subroot(grid_evals) -> SubRootBound:
-    """Fit the smallest c with c*sqrt(r) >= psi_hat(r) + 2 se on the grid."""
-    grid = [(float(r), float(p), float(se)) for r, p, se in grid_evals]
-    if not grid:
+def fit_subroot(radii: np.ndarray, psi_hat: np.ndarray, std_error: np.ndarray) -> float:
+    """The smallest c >= 0 with c*sqrt(r) >= psi_hat(r) + 2 se at every
+    radius of the grid: a certified majorant with fixed point r* = c^2."""
+    if radii.size == 0:
         raise ConfigurationError("empty modulus grid")
-    c = 0.0
-    for r, p, se in grid:
-        if r <= 0:
-            raise ConfigurationError("grid radii must be positive")
-        c = max(c, (p + 2.0 * se) / math.sqrt(r))
-    return SubRootBound(c=c, r_star=c * c, grid=grid)
+    if np.any(radii <= 0):
+        raise ConfigurationError("grid radii must be positive")
+    return max(0.0, float(np.max((psi_hat + 2.0 * std_error) / np.sqrt(radii))))
 
 
 def fixed_point(

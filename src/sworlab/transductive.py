@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import BoundParams, deviation_subgaussian
 from .empirical_process import FunctionClass, class_variance
 from .errors import ConfigurationError
-from .ground_set import RngStream, SampleMode, sample_blocks
+from .ground_set import RngStream, SampleMode, block_generators, sample_counts
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,6 @@ class TransductiveProblem:
         return FunctionClass(vals, centered=True)
 
 
-@dataclass(frozen=True)
-class ErmOutcome:
-    h_hat_m: int
-    h_star_u: int
-    h_star_N: int
-    excess_risk: float
-
-
 def require_split(tp: TransductiveProblem, m: int) -> None:
     """Refuse a training size that leaves no test point."""
     if not 1 <= m < tp.N:
@@ -78,33 +70,34 @@ def sampled_split_risks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Train and test risks of `splits` uniform splits, one block at a time.
 
-    Each block is a (block, N) 0/1 count matrix C from `sample_blocks`;
-    its (block, H) train risks are C L^T / m, and its test risks follow
+    Block b holds at most ground_set.BLOCK_ROWS splits, drawn from
+    rng.substream(b) as a (rows, N) 0/1 count matrix C by `sample_counts`;
+    its (rows, H) train risks are C L^T / m, and its test risks follow
     from N L_N = m L_m + u L_u without forming the complement.
     """
     require_split(tp, m)
     if splits < 1:
         raise ConfigurationError("splits must be >= 1")
     total = tp.N * tp.overall_risk
-    for counts in sample_blocks(tp.N, m, splits, SampleMode.WITHOUT_REPLACEMENT, rng):
+    for rows, gen in block_generators(splits, rng):
+        counts = sample_counts(tp.N, m, rows, SampleMode.WITHOUT_REPLACEMENT, gen)
         train = np.asarray(counts @ tp.loss_table.T) / m
         yield train, (total - m * train) / (tp.N - m)
 
 
-def erm(
-    tp: TransductiveProblem, train_risk: np.ndarray, test_risk: np.ndarray
-) -> ErmOutcome:
+def erm(tp: TransductiveProblem, train_risk: np.ndarray, test_risk: np.ndarray) -> dict:
     """Argmins of one split's train and test risks (a row pair of
-    sampled_split_risks) and of the overall risk; ties broken by lowest
-    hypothesis index."""
+    sampled_split_risks) and of the overall risk, ties broken by lowest
+    hypothesis index, as {"h_hat_m", "h_star_u", "h_star_N"}, and the
+    test excess risk of the ERM choice, "excess_risk"."""
     h_hat_m = int(np.argmin(train_risk))
     h_star_u = int(np.argmin(test_risk))
-    return ErmOutcome(
-        h_hat_m=h_hat_m,
-        h_star_u=h_star_u,
-        h_star_N=int(np.argmin(tp.overall_risk)),
-        excess_risk=float(test_risk[h_hat_m] - test_risk[h_star_u]),
-    )
+    return {
+        "h_hat_m": h_hat_m,
+        "h_star_u": h_star_u,
+        "h_star_N": int(np.argmin(tp.overall_risk)),
+        "excess_risk": float(test_risk[h_hat_m] - test_risk[h_star_u]),
+    }
 
 
 def sigma2_H(tp: TransductiveProblem) -> float:

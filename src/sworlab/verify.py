@@ -9,7 +9,7 @@ false alarms against a proved inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,28 +100,6 @@ class TailCurve:
         }
 
 
-@dataclass
-class DominationReport:
-    """Outcome of comparing an empirical tail against an analytic bound."""
-
-    theorem_tag: str
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem_tag": self.theorem_tag,
-            "passed": self.passed,
-            "violations": [
-                {"eps": e, "empirical_lower_ci": lo, "bound_value": b}
-                for e, lo, b in self.violations
-            ],
-        }
-
-
 def tail_curve_from_draws(
     draws: np.ndarray,
     eps_grid: np.ndarray,
@@ -153,8 +131,10 @@ def check_domination(
     theorem_tag: str,
     params: BoundParams,
     tail_fn: Optional[Callable] = None,
-) -> DominationReport:
-    """Compare an empirical tail curve against one theorem's bound.
+) -> dict:
+    """Compare an empirical tail curve against one theorem's bound:
+    {"theorem_tag", "passed", "violations": [{"eps", "empirical_lower_ci",
+    "bound_value"}]}.
 
     Refuses to compare when the curve's centering convention does not
     match the bound's.  A grid point is a violation when the exact lower
@@ -170,17 +150,9 @@ def check_domination(
         )
     if tail_fn is None:
         tail_fn = bank.TAIL_BOUNDS[theorem_tag]
-    report = DominationReport(theorem_tag=theorem_tag)
-    for eps, lo in zip(curve.eps_grid, curve.lower_ci):
-        p = BoundParams(
-            N=params.N,
-            m=params.m,
-            sigma2=params.sigma2,
-            eq_m=params.eq_m,
-            eps=float(eps),
-        )
-        bound = tail_fn(p)
+    violations = []
+    for eps, lo in zip(curve.eps_grid.tolist(), curve.lower_ci.tolist()):
+        bound = tail_fn(replace(params, eps=eps))
         if lo > bound:
-            report.violations.append((float(eps), float(lo), float(bound)))
-    return report
-
+            violations.append({"eps": eps, "empirical_lower_ci": lo, "bound_value": bound})
+    return {"theorem_tag": theorem_tag, "passed": not violations, "violations": violations}

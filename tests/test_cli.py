@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import sworlab
+from sworlab import experiments
 from sworlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    _cli,
     run,
 )
 
@@ -158,6 +160,23 @@ class TestInputErrors:
             code = run([command, flag, str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == f"config error: {path} holds no numbers\n"
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_at_or_under_a_file_exits_2_before_running(
+        self, tmp_path, capsys, monkeypatch, under
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(experiments, "run_compare_exponents", refuse)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "o" if under else blocker
+        code = run(["compare-exponents", "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     def test_single_point_antipodal_class_exits_2(self, tmp_path, capsys):
         # one point has no antipodal pair: sigma2 would silently become 0
@@ -409,21 +428,22 @@ class TestKernelBound:
     def test_overflowing_kernel_exits_2(self, tmp_path, capsys):
         points = tmp_path / "points.csv"
         points.write_text("10,0\n0,10\n6,8\n")
-        code = run(
-            [
-                "kernel-bound",
-                "--points-csv",
-                str(points),
-                "--kernel",
-                "polynomial",
-                "--degree",
-                "400",
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
+        argv = ["kernel-bound", "--points-csv", str(points), "--kernel", "polynomial"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked RuntimeWarning fails the run
+            code = run(argv + ["--degree", "400", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
-        assert "config error: gram must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: gram must be finite") and err.count("\n") == 1
+
+    def test_gram_csv_in_missing_directory_exits_2(self, tmp_path, capsys):
+        gram_path = tmp_path / "missing" / "gram.csv"
+        argv = ["kernel-bound", "--n", "6", "--gram-csv", str(gram_path)]
+        code = run(argv + ["--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(gram_path) in err
 
     def test_bad_kernel_exits_2(self, tmp_path):
         code = run(
@@ -507,3 +527,36 @@ class TestDeterminism:
             report = json.loads((out / "report.json").read_text())
             payloads.append(json.dumps(report["results"], sort_keys=True))
         assert payloads[0] != payloads[1]
+
+
+#: subcommand -> small-setting arguments; verify-bounds weakens Thm 1 so that
+#: its domination entries hold violations
+KEY_PATH_RUNS = {
+    "verify-bounds": ["--n", "20", "--m", "10", "--trials", "2000", "--corrupt-thm1"],
+    "compare-exponents": [],
+    "oracle-check": ["--n-max", "3", "--classes", "2"],
+    "transductive-erm": ["--n", "10", "--m", "5", "--splits", "200", "--trials", "200"],
+    "localize": ["--n", "10", "--m", "5", "--splits", "200", "--trials", "200"],
+    "kernel-bound": ["--n", "6", "--k", "3"],
+}
+
+
+def key_paths(node, prefix="") -> set:
+    """Every key path of a JSON value, a list's items written as []."""
+    if isinstance(node, dict):
+        return {p for k, v in node.items() for p in key_paths(v, f"{prefix}.{k}" if prefix else k)}
+    if isinstance(node, list):
+        return {p for v in node for p in key_paths(v, prefix + "[]")} or {prefix + "[]"}
+    return {prefix}
+
+
+class TestResultsKeys:
+    PINNED = json.loads((Path(__file__).parent / "results_key_paths.json").read_text())
+
+    def test_every_subcommand_is_pinned(self):
+        assert set(KEY_PATH_RUNS) == set(self.PINNED) == set(_cli()[1])
+
+    @pytest.mark.parametrize("command", list(KEY_PATH_RUNS))
+    def test_results_key_paths_are_pinned(self, tmp_path, command):
+        run([command, *KEY_PATH_RUNS[command], "--out", str(tmp_path)])
+        assert sorted(key_paths(read_report(tmp_path)["results"])) == self.PINNED[command]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, hypergeom
 
+from sworlab import ground_set
 from sworlab.empirical_process import (
     DEFAULT_ENUM_BUDGET,
     LEVEL_RATIO,
@@ -23,8 +24,8 @@ from sworlab.ground_set import (
     RngStream,
     SampleMode,
     SampleScheme,
+    block_generators,
     counts_matrix,
-    sample_blocks,
     sample_counts,
 )
 
@@ -308,11 +309,12 @@ class TestSupSums:
 
 
 class TestSimulateSuprema:
-    def test_block_structure_is_schedule_independent(self):
+    def test_block_structure_is_schedule_independent(self, monkeypatch):
+        monkeypatch.setattr(ground_set, "BLOCK_ROWS", 10)
         fc = center_class(np.random.default_rng(8).uniform(-1, 1, size=(2, 10)))
         scheme = SampleScheme(WITHOUT, 4)
-        a = simulate_suprema(fc, scheme, 25, RngStream(1), block=10)
-        b = simulate_suprema(fc, scheme, 25, RngStream(1), block=10)
+        a = simulate_suprema(fc, scheme, 25, RngStream(1))
+        b = simulate_suprema(fc, scheme, 25, RngStream(1))
         assert np.array_equal(a, b)
 
     def test_with_replacement_mode(self):
@@ -359,13 +361,15 @@ class TestLevelPath:
             assert abs(draws.mean() - closed) <= 5 * se, mode
 
     @pytest.mark.parametrize("mode,m", [(WITHOUT, 40), (WITH, 40)])
-    def test_distinct_columns_keep_the_population_draws(self, mode, m):
+    def test_distinct_columns_keep_the_population_draws(self, monkeypatch, mode, m):
+        monkeypatch.setattr(ground_set, "BLOCK_ROWS", 10)
         fc = center_class(np.random.default_rng(16).uniform(0, 1, size=(64, 400)))
         # 400 level sets: the 32 L rule picks the population in both modes
         assert LEVEL_RATIO * fc.level_sets.sizes.size > 400
         rng = RngStream(17, 3)
-        draws = simulate_suprema(fc, SampleScheme(mode, m), 25, rng, block=10)
-        blocks = sample_blocks(400, m, 25, mode, rng, block=10)
+        draws = simulate_suprema(fc, SampleScheme(mode, m), 25, rng)
+        blocks = [sample_counts(400, m, rows, mode, gen) for rows, gen in block_generators(25, rng)]
+        assert [counts.shape[0] for counts in blocks] == [10, 10, 5]
         expected = np.concatenate([sup_sums(fc.values, counts) for counts in blocks])
         assert np.array_equal(draws, expected)
 

@@ -85,3 +85,12 @@ def test_each_modulus_fit_makes_one_oracle_call(monkeypatch):
     out = run_localize(loss_table=TABLE, m=4, splits=50, trials=200)
     assert calls == [12] * 4
     assert all(len(fit["grid"]) == 12 for fit in out["fits"].values())
+
+
+def test_each_fit_reports_a_certified_c_and_r_star_c_squared():
+    out = run_localize(loss_table=TABLE, m=4, splits=50, trials=200)
+    for fit in out["fits"].values():
+        assert fit["r_star"] == fit["c"] ** 2
+        for point in fit["grid"]:
+            bound = fit["c"] * point["r"] ** 0.5
+            assert bound >= point["psi_hat"] + 2 * point["std_error"] - 1e-12

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from scipy.stats import multinomial, multivariate_hypergeom
 
+from sworlab import ground_set
 from sworlab.errors import ConfigurationError
 from sworlab.ground_set import (
     RngStream,
     SampleMode,
     SampleScheme,
+    block_generators,
     counts_matrix,
-    sample_blocks,
     sample_counts,
     sample_level_counts,
 )
@@ -188,9 +189,10 @@ def test_counts_matrix_sums_repeats_as_multiplicities():
     assert empty.toarray().tolist() == [[0, 0, 0]]
 
 
-def test_sample_blocks_draw_from_substreams():
+def test_block_generators_draw_from_substreams(monkeypatch):
+    monkeypatch.setattr(ground_set, "BLOCK_ROWS", 10)
     rng = RngStream(5, 2)
-    blocks = list(sample_blocks(9, 4, 25, WITHOUT, rng, block=10))
+    blocks = [sample_counts(9, 4, rows, WITHOUT, gen) for rows, gen in block_generators(25, rng)]
     assert [b.shape[0] for b in blocks] == [10, 10, 5]
     for i, block in enumerate(blocks):
         size = block.shape[0]

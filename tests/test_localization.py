@@ -174,28 +174,29 @@ class TestModulusCurve:
 
 class TestFitSubroot:
     def test_zero_grid(self):
-        sub = fit_subroot([(0.1, 0.0, 0.0), (1.0, 0.0, 0.0)])
-        assert sub.c == 0.0 and sub.r_star == 0.0
+        assert fit_subroot(np.array([0.1, 1.0]), np.zeros(2), np.zeros(2)) == 0.0
 
     def test_noiseless_subroot_recovered(self):
-        grid = [(r, 0.5 * math.sqrt(r), 0.0) for r in np.geomspace(0.01, 4.0, 10)]
-        sub = fit_subroot(grid)
-        assert sub.c == pytest.approx(0.5)
-        assert sub.r_star == pytest.approx(0.25)
+        radii = np.geomspace(0.01, 4.0, 10)
+        c = fit_subroot(radii, 0.5 * np.sqrt(radii), np.zeros(10))
+        assert c == pytest.approx(0.5)
+        assert c**2 == pytest.approx(0.25)
 
     def test_majorant_certificate(self):
         gen = np.random.default_rng(4)
-        grid = [
-            (float(r), float(0.3 * math.sqrt(r) * gen.uniform(0.5, 1.0)), 0.01)
-            for r in np.geomspace(0.05, 2.0, 8)
-        ]
-        sub = fit_subroot(grid)
-        for r, p, se in sub.grid:
-            assert sub.c * math.sqrt(r) >= p + 2 * se - 1e-12
+        radii = np.geomspace(0.05, 2.0, 8)
+        psi = 0.3 * np.sqrt(radii) * gen.uniform(0.5, 1.0, size=8)
+        se = np.full(8, 0.01)
+        c = fit_subroot(radii, psi, se)
+        assert np.all(c * np.sqrt(radii) >= psi + 2 * se - 1e-12)
+        # and it is the smallest such c: one radius is tight
+        assert np.any(c * np.sqrt(radii) <= psi + 2 * se + 1e-12)
 
-    def test_r_star_is_c_squared(self):
-        sub = fit_subroot([(0.5, 0.2, 0.05)])
-        assert sub.r_star == sub.c**2
+    def test_grid_must_be_nonempty_with_positive_radii(self):
+        with pytest.raises(ConfigurationError, match="empty modulus grid"):
+            fit_subroot(np.array([]), np.array([]), np.array([]))
+        with pytest.raises(ConfigurationError, match="radii must be positive"):
+            fit_subroot(np.array([0.5, 0.0]), np.zeros(2), np.zeros(2))
 
 
 class TestFixedPoint:

@@ -4,9 +4,16 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from sworlab import ground_set
 from sworlab.empirical_process import expected_sup
 from sworlab.errors import ConfigurationError
-from sworlab.ground_set import RngStream, SampleMode, SampleScheme, sample_blocks
+from sworlab.ground_set import (
+    RngStream,
+    SampleMode,
+    SampleScheme,
+    block_generators,
+    sample_counts,
+)
 from sworlab.transductive import (
     TransductiveProblem,
     erm,
@@ -26,11 +33,19 @@ def one_split(tp, m, rng):
     return train[0], test[0]
 
 
+def count_blocks(n, m, splits, rng):
+    """The 0/1 count matrix of each block of splits, as drawn from the
+    block's substream."""
+    return [
+        sample_counts(n, m, rows, WITHOUT, gen).toarray()
+        for rows, gen in block_generators(splits, rng)
+    ]
+
+
 def split_rows(tp, m, splits, rng):
     """Per split: the 0/1 indicator of its training points, its train risks
     and its test risks."""
-    blocks = sample_blocks(tp.N, m, splits, WITHOUT, rng)
-    indicators = np.vstack([counts.toarray() for counts in blocks])
+    indicators = np.vstack(count_blocks(tp.N, m, splits, rng))
     train, test = zip(*sampled_split_risks(tp, m, splits, rng))
     return indicators, np.vstack(train), np.vstack(test)
 
@@ -91,12 +106,15 @@ class TestSplitAndRisks:
             (point,) = np.flatnonzero(row == 0)
             assert np.allclose(te, tp.loss_table[:, point], atol=1e-12)
 
-    def test_sampled_blocks_match_per_split_risks(self):
+    def test_sampled_blocks_match_per_split_risks(self, monkeypatch):
+        monkeypatch.setattr(ground_set, "BLOCK_ROWS", 10)
         tp = TransductiveProblem(np.random.default_rng(7).uniform(size=(3, 11)))
         m, rng = 4, RngStream(12, 3)
-        blocks = sample_blocks(11, m, 25, WITHOUT, rng)
-        for (train, test), counts in zip(sampled_split_risks(tp, m, 25, rng), blocks):
-            for row, tr, te in zip(counts.toarray(), train, test):
+        blocks = count_blocks(11, m, 25, rng)
+        risks = list(sampled_split_risks(tp, m, 25, rng))
+        assert [len(train) for train, _ in risks] == [10, 10, 5]
+        for (train, test), counts in zip(risks, blocks):
+            for row, tr, te in zip(counts, train, test):
                 assert np.allclose(tr, tp.loss_table[:, row > 0].mean(axis=1), atol=1e-12)
                 assert np.allclose(te, tp.loss_table[:, row == 0].mean(axis=1), atol=1e-12)
 
@@ -113,20 +131,20 @@ class TestErm:
     def test_single_hypothesis(self):
         tp = TransductiveProblem(np.array([[0.2, 0.4, 0.6]]))
         out = erm(tp, *one_split(tp, 1, RngStream(0)))
-        assert out.h_hat_m == out.h_star_u == out.h_star_N == 0
-        assert out.excess_risk == 0.0
+        assert out["h_hat_m"] == out["h_star_u"] == out["h_star_N"] == 0
+        assert out["excess_risk"] == 0.0
 
     def test_train_test_disagreement(self):
         # h0 wins on train {0,1}, h1 wins on test {2,3}
         tp = TransductiveProblem(np.array([[0.0, 0.0, 1.0, 1.0], [0.5, 0.5, 0.0, 0.0]]))
         out = erm(tp, tp.loss_table[:, :2].mean(axis=1), tp.loss_table[:, 2:].mean(axis=1))
-        assert out.h_hat_m == 0 and out.h_star_u == 1
-        assert out.excess_risk == pytest.approx(1.0)
+        assert out["h_hat_m"] == 0 and out["h_star_u"] == 1
+        assert out["excess_risk"] == pytest.approx(1.0)
 
     def test_tie_broken_to_lowest_index(self):
         tp = TransductiveProblem(np.tile(np.array([0.1, 0.6, 0.2, 0.7]), (3, 1)))
         out = erm(tp, *one_split(tp, 2, RngStream(7)))
-        assert out.h_hat_m == out.h_star_u == out.h_star_N == 0
+        assert out["h_hat_m"] == out["h_star_u"] == out["h_star_N"] == 0
 
     def test_determinism(self):
         tp = TransductiveProblem(np.random.default_rng(8).uniform(size=(5, 8)))
@@ -137,8 +155,8 @@ class TestErm:
     def test_excess_risk_zero_when_erm_optimal(self):
         tp = TransductiveProblem(np.array([[0.0, 0.0, 0.0, 0.0], [0.9, 0.9, 0.9, 0.9]]))
         out = erm(tp, *one_split(tp, 2, RngStream(10)))
-        assert out.h_hat_m == out.h_star_u
-        assert out.excess_risk == 0.0
+        assert out["h_hat_m"] == out["h_star_u"]
+        assert out["excess_risk"] == 0.0
 
 
 class TestSigma2H:

@@ -152,7 +152,7 @@ class TestCheckDomination:
         curve = estimate_tail(fc, SampleScheme(WITHOUT, 3), grid, 1000, RngStream(4))
         params = BoundParams(N=6, m=3, sigma2=0.0)
         for tag in ("subgaussian", "elyaniv_pechyony"):
-            assert check_domination(curve, tag, params).passed
+            assert check_domination(curve, tag, params)["passed"]
 
     def test_theorems_pass_on_real_runs(self):
         n, m = 40, 20
@@ -166,8 +166,8 @@ class TestCheckDomination:
             RngStream(5),
         )
         params = BoundParams(N=n, m=m, sigma2=sigma2)
-        assert check_domination(curve, "subgaussian", params).passed
-        assert check_domination(curve, "elyaniv_pechyony", params).passed
+        assert check_domination(curve, "subgaussian", params)["passed"]
+        assert check_domination(curve, "elyaniv_pechyony", params)["passed"]
 
     def test_centering_mismatch_refused(self):
         fc = antipodal(8)
@@ -200,9 +200,9 @@ class TestCheckDomination:
             params,
             tail_fn=lambda p: tail_subgaussian(p, constant=0.08),
         )
-        assert honest.passed
-        assert not corrupted.passed
-        assert corrupted.violations
+        assert honest["passed"]
+        assert not corrupted["passed"]
+        assert corrupted["violations"]
 
     def test_unknown_tag(self):
         fc = antipodal(8)
@@ -243,8 +243,9 @@ class TestSerialization:
             500,
             RngStream(10),
         )
-        report = check_domination(curve, "subgaussian", BoundParams(N=8, m=4, sigma2=0.25))
-        d = report.to_dict()
+        d = check_domination(curve, "subgaussian", BoundParams(N=8, m=4, sigma2=0.25))
+        assert set(d) == {"theorem_tag", "passed", "violations"}
+        assert d["theorem_tag"] == "subgaussian"
         assert d["passed"] == (not d["violations"])
 
 
