@@ -27,6 +27,14 @@ from .empirical_process import (
     simulate_suprema,
     sup_sums,
 )
+from .experiments import (
+    run_compare_exponents,
+    run_kernel_bound,
+    run_localize,
+    run_oracle_check,
+    run_transductive_erm,
+    run_verify_bounds,
+)
 from .ground_set import (
     RngStream,
     SampleMode,

@@ -2,11 +2,16 @@
 
 Each run_* function is deterministic given its arguments (seed included),
 returns a plain-dict payload suitable for JSON, and reports pass/fail of
-its validity checks under a "passed" key.  The CLI is a thin wrapper.
+its validity checks under a "passed" key.
+
+Each run_<name> also declares the CLI subcommand <name> (dashes for
+underscores): its keyword-only parameters are the subcommand's options, and
+a positional parameter x is a table read from the CSV file at --x-csv.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +27,7 @@ from .empirical_process import (
 )
 from .errors import ConfigurationError
 from .ground_set import RngStream, SampleMode, SampleScheme
-from .kernels import eigen_spectrum, tailsum_bound
+from .kernels import KernelSpec, eigen_spectrum, gram_matrix, tailsum_bound
 from .localization import (
     DEFAULT_APPD_K,
     build_excess_class,
@@ -72,46 +77,48 @@ def make_antipodal_class(n: int, sigma2: float) -> FunctionClass:
     return FunctionClass(np.vstack([f, -f]), centered=True)
 
 
-def make_random_centered_class(n: int, m_funcs: int, rng: RngStream) -> FunctionClass:
-    """A randomized centered class for oracle sweeps."""
-    gen = rng.generator()
-    raw = gen.uniform(-1.0, 1.0, size=(m_funcs, n))
-    return center_class(raw)
+MAX_PROBLEM_DRAWS = 25
+"""Tables make_random_problem draws before it gives up on distinct risks."""
 
 
-def make_random_problem(n: int, n_hyp: int, rng: RngStream) -> TransductiveProblem:
-    """A random loss table with distinct overall risks (finite B)."""
+def make_random_problem(n: int, hypotheses: int, rng: RngStream) -> TransductiveProblem:
+    """A random loss table whose overall risks differ to 9 digits (finite B)."""
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    if n_hyp < 1:
-        raise ConfigurationError(f"hypotheses must be >= 1, got {n_hyp}")
+    if hypotheses < 1:
+        raise ConfigurationError(f"hypotheses must be >= 1, got {hypotheses}")
     gen = rng.generator()
-    while True:
-        table = gen.uniform(0.0, 1.0, size=(n_hyp, n))
+    for _ in range(MAX_PROBLEM_DRAWS):
+        table = gen.uniform(0.0, 1.0, size=(hypotheses, n))
         risks = table.mean(axis=1)
-        if np.unique(np.round(risks, 9)).size == n_hyp:
+        if np.unique(np.round(risks, 9)).size == hypotheses:
             return TransductiveProblem(table)
+    raise ConfigurationError(
+        f"no random table of {hypotheses} hypotheses on n={n} points with distinct"
+        f" risks in {MAX_PROBLEM_DRAWS} draws; lower --hypotheses or give --loss-csv"
+    )
 
 
 def run_oracle_check(
-    n_max: int = 6, n_classes: int = 20, max_funcs: int = 5, seed: int = 0
+    *, n_max: int = 6, classes: int = 20, max_funcs: int = 5, seed: int = 0
 ) -> dict:
     """Exhaustive check of E[Q'] <= E[Q] and the 2 m^3/N gap bound."""
     if n_max < 2:
         raise ConfigurationError(f"n_max must be >= 2, got {n_max}")
     if max_funcs < 1:
         raise ConfigurationError(f"max_funcs must be >= 1, got {max_funcs}")
-    if n_classes < 1:
-        raise ConfigurationError(f"classes must be >= 1, got {n_classes}")
+    if classes < 1:
+        raise ConfigurationError(f"classes must be >= 1, got {classes}")
     cases = []
     passed = True
     stream = 0
-    for _ in range(n_classes):
+    for _ in range(classes):
         rng = RngStream(seed, stream)
         gen = rng.generator()
         n = int(gen.integers(2, n_max + 1))
         m_funcs = int(gen.integers(1, max_funcs + 1))
-        fc = make_random_centered_class(n, m_funcs, RngStream(seed, stream + 1))
+        raw = RngStream(seed, stream + 1).generator().uniform(-1.0, 1.0, size=(m_funcs, n))
+        fc = center_class(raw)
         stream += 2
         for m in range(1, n + 1):
             without = expected_sup(fc, SampleScheme(WITHOUT, m)).mean
@@ -218,33 +225,30 @@ ACCEPTANCE_GRID = {
 
 
 def run_verify_bounds(
+    *,
     n: int = 100,
     m: int = 50,
     sigma2: float = 0.25,
     trials: int = 100_000,
-    seed: int = 0,
     t_grid=(1.0, 2.0, 4.0),
-    corrupt_thm1: bool = False,
     full_grid: bool = False,
+    corrupt_thm1: bool = False,
+    seed: int = 0,
 ) -> dict:
-    """Domination checks: a single configuration or the full 3x3x3 grid."""
+    """Domination checks: a single configuration or the full 3x3x3 grid.
+    corrupt_thm1, a power check, weakens the sub-Gaussian constant 8 to 0.08."""
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    configs = []
+    configs = [(n, m, sigma2)]
     if full_grid:
-        for nn in ACCEPTANCE_GRID["N"]:
-            for frac in ACCEPTANCE_GRID["m_frac"]:
-                for s2 in ACCEPTANCE_GRID["sigma2"]:
-                    configs.append((nn, max(1, int(round(frac * nn))), s2))
-    else:
-        configs.append((n, m, sigma2))
-    results = []
-    base = 0
-    for nn, mm, s2 in configs:
-        results.append(
-            _config_checks(nn, mm, s2, trials, seed, base, t_grid, corrupt_thm1)
-        )
-        base += 10
+        configs = [
+            (nn, max(1, int(round(frac * nn))), s2)
+            for nn, frac, s2 in itertools.product(*ACCEPTANCE_GRID.values())
+        ]
+    results = [  # config i draws from stream indices 10 i, 10 i + 1, 10 i + 2
+        _config_checks(nn, mm, s2, trials, seed, 10 * i, t_grid, corrupt_thm1)
+        for i, (nn, mm, s2) in enumerate(configs)
+    ]
     return {
         "passed": all(r["passed"] for r in results),
         "configurations": results,
@@ -257,11 +261,10 @@ def run_verify_bounds(
 
 
 def run_compare_exponents(
-    n: int, m: int, sigma2: float, eps: float, eq_m: float = 0.0
+    *, n: int = 100, m: int = 50, sigma2: float = 0.0625, eps: float = 1.0, eq_m: float = 0.0
 ) -> dict:
-    report = bank.compare_exponents(n, m, sigma2, eps, eq_m=eq_m)
-    report["passed"] = True
-    return report
+    """The bank's tail exponents compared at one deviation eps (no simulation)."""
+    return {**bank.compare_exponents(n, m, sigma2, eps, eq_m=eq_m), "passed": True}
 
 
 EXAMPLE_STREAM = 10**6
@@ -273,6 +276,15 @@ SPLIT_STREAM = 10**6 + 1
 FIT_STREAM = 10**6 + 2
 """Stream index of localize's modulus fits: substream j draws the j-th fit,
 every radius of its grid at once; no other draw uses it."""
+
+
+def _problem(loss, n: int, hypotheses: int, m: int, seed: int) -> TransductiveProblem:
+    """The hypotheses x points `loss` table, or else a random n-point table of
+    `hypotheses` rows; either must split at m."""
+    rng = RngStream(seed, 777)
+    tp = TransductiveProblem(loss) if loss is not None else make_random_problem(n, hypotheses, rng)
+    require_split(tp, m)
+    return tp
 
 
 def _split_statistics(
@@ -320,24 +332,20 @@ def _validity_frequencies(
 
 
 def run_transductive_erm(
+    loss=None,
+    *,
     n: int = 12,
-    n_hyp: int = 4,
     m: int = 6,
+    hypotheses: int = 4,
     splits: int = 10_000,
-    seed: int = 0,
-    t_grid=(1.0, 2.0, 3.0),
-    loss_table=None,
     trials: int = 50_000,
+    t_grid=(1.0, 2.0, 3.0),
+    seed: int = 0,
 ) -> dict:
     """Uniform-bound validity for the two generalization bounds, plus one
     fully reported ERM split."""
-    tp = (
-        TransductiveProblem(loss_table)
-        if loss_table is not None
-        else make_random_problem(n, n_hyp, RngStream(seed, 777))
-    )
+    tp = _problem(loss, n, hypotheses, m, seed)
     n = tp.N
-    require_split(tp, m)
     fc = tp.centered_class()
     expectations = {
         key: expected_sup(fc, SampleScheme(mode, m), trials, RngStream(seed, stream))
@@ -390,24 +398,20 @@ def _fit_modulus(ec, B, m, flavor, rng, trials) -> dict:
 
 
 def run_localize(
+    loss=None,
+    *,
     n: int = 12,
-    n_hyp: int = 4,
     m: int = 6,
+    hypotheses: int = 4,
     splits: int = 10_000,
-    seed: int = 0,
-    t_grid=(1.0, 2.0),
-    loss_table=None,
     trials: int = 20_000,
+    t_grid=(1.0, 2.0),
+    seed: int = 0,
 ) -> dict:
     """Localized bounds: B, sub-root fits for both flavors and both sample
     sizes, bound values, and empirical validity frequencies."""
-    tp = (
-        TransductiveProblem(loss_table)
-        if loss_table is not None
-        else make_random_problem(n, n_hyp, RngStream(seed, 777))
-    )
+    tp = _problem(loss, n, hypotheses, m, seed)
     n = tp.N
-    require_split(tp, m)
     u = n - m
     if not all(0.0 <= t < math.inf for t in t_grid):
         raise ConfigurationError("t and eps must be nonnegative and finite")
@@ -484,19 +488,43 @@ def run_localize(
     }
 
 
-def run_kernel_bound(gram: np.ndarray, kind: str, k: int, c_L: float) -> dict:
-    """Spectrum and tailsum bound of a Gram matrix built with the `kind` kernel."""
+def run_kernel_bound(
+    points=None,
+    *,
+    n: int = 32,
+    dim: int = 2,
+    kernel: str = "gaussian",
+    bandwidth: float = 1.0,
+    degree: int = 2,
+    offset: float = 0.0,
+    k: int = 16,
+    c_l: float = 1.0,
+    gram_csv=None,
+    seed: int = 0,
+) -> dict:
+    """Spectrum and tailsum bound of the Gram matrix of `points` (rows), or
+    else of n x dim standard normal points drawn from `seed`, under a
+    built-in kernel (see kernels.KernelSpec); written to gram_csv if given."""
+    if points is None:
+        for key, size in (("n", n), ("dim", dim)):
+            if size < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {size}")
+        points = np.random.default_rng(seed).standard_normal((n, dim))
+    spec = KernelSpec(kind=kernel, bandwidth=bandwidth, degree=degree, offset=offset)
+    gram = gram_matrix(points, spec)
     spectrum = eigen_spectrum(gram)
-    value, theta = tailsum_bound(spectrum, k, c_L=c_L)
+    value, theta = tailsum_bound(spectrum, k, c_L=c_l)
     structural, _ = tailsum_bound(spectrum, k, c_L=1.0)
+    if gram_csv:
+        np.savetxt(gram_csv, gram, delimiter=",")
     return {
         "passed": True,
         "N": gram.shape[0],
-        "kernel": kind,
+        "kernel": kernel,
         "eigenvalues": [float(x) for x in spectrum.lambdas],
         "trace": spectrum.trace,
         "k": k,
-        "c_L": c_L,
+        "c_L": c_l,
         "tailsum_bound": value,
         "tailsum_bound_structural": structural,
         "theta_star": theta,

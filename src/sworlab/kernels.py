@@ -32,10 +32,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "linear", "polynomial", "delta"):
             raise ConfigurationError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and self.bandwidth <= 0:
+        if self.kind == "gaussian" and not self.bandwidth > 0:  # nan too
             raise ConfigurationError("gaussian bandwidth must be positive")
         if self.kind == "polynomial" and self.degree < 1:
             raise ConfigurationError("polynomial degree must be >= 1")
+        if self.kind == "polynomial" and not math.isfinite(self.offset):
+            raise ConfigurationError(f"polynomial offset must be finite, got {self.offset}")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ def full_grid():
 
 def test_criterion_1_exact_oracle_sweep():
     start = time.perf_counter()
-    payload = run_oracle_check(n_max=6, n_classes=20, max_funcs=5, seed=0)
+    payload = run_oracle_check(n_max=6, classes=20, max_funcs=5, seed=0)
     elapsed = time.perf_counter() - start
     ok = (
         payload["passed"]
@@ -105,7 +105,7 @@ def test_criterion_4_exponent_regimes():
 def test_criterion_5_transductive_uniform_bounds():
     start = time.perf_counter()
     payload = run_transductive_erm(
-        n=12, n_hyp=4, m=6, splits=10_000, seed=0, t_grid=(1.0, 2.0, 3.0)
+        n=12, hypotheses=4, m=6, splits=10_000, seed=0, t_grid=(1.0, 2.0, 3.0)
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -138,7 +138,7 @@ def test_criterion_6_fixed_point_solver():
 def test_criterion_7_localized_bound_validity():
     start = time.perf_counter()
     payload = run_localize(
-        n=12, n_hyp=4, m=6, splits=10_000, seed=0, t_grid=(1.0, 2.0)
+        n=12, hypotheses=4, m=6, splits=10_000, seed=0, t_grid=(1.0, 2.0)
     )
     elapsed = time.perf_counter() - start
     names = {key.split("@")[0] for key in payload["validity"]}

@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -216,6 +218,15 @@ class TestInputErrors:
             (["kernel-bound", "--n", "-1"], "n must be >= 1"),
             (["kernel-bound", "--dim", "-1"], "dim must be >= 1"),
             (["kernel-bound", "--dim", "0"], "dim must be >= 1"),
+            (["kernel-bound", "--bandwidth", "nan"], "gaussian bandwidth must be positive"),
+            (
+                ["kernel-bound", "--kernel", "polynomial", "--offset", "nan"],
+                "polynomial offset must be finite, got nan",
+            ),
+            (
+                ["kernel-bound", "--kernel", "polynomial", "--offset", "inf"],
+                "polynomial offset must be finite, got inf",
+            ),
         ],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv, message):
@@ -223,17 +234,30 @@ class TestInputErrors:
         assert code == EXIT_CONFIG_ERROR
         assert f"config error: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["transductive-erm", "localize"])
-    def test_empty_population_exits_2_without_hanging(self, tmp_path, command):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["transductive-erm", "--n", "0"], "n must be >= 1", id="transductive-erm"
+            ),
+            pytest.param(["localize", "--n", "0"], "n must be >= 1", id="localize"),
+            # 200 000 risks of 2 points cannot be distinct to 9 digits
+            pytest.param(
+                ["transductive-erm", "--n", "2", "--m", "1", "--hypotheses", "200000"],
+                "no random table of 200000 hypotheses on n=2 points",
+                id="indistinct-risks",
+            ),
+        ],
+    )
+    def test_empty_population_exits_2_without_hanging(self, tmp_path, argv, message):
         # a separate process with a timeout, so a hang fails instead of stalling the suite
         env = {**os.environ, "PYTHONPATH": str(Path(sworlab.__file__).parents[1])}
-        argv = [command, "--n", "0", "--out", str(tmp_path / "o")]
         done = subprocess.run(
-            [sys.executable, "-m", "sworlab.cli", *argv],
+            [sys.executable, "-m", "sworlab.cli", *argv, "--out", str(tmp_path / "o")],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == EXIT_CONFIG_ERROR
-        assert "config error: n must be >= 1" in done.stderr
+        assert f"config error: {message}" in done.stderr
 
     def test_negative_eq_m_exits_2(self, tmp_path, capsys):
         code = run(
@@ -560,3 +584,97 @@ class TestResultsKeys:
     def test_results_key_paths_are_pinned(self, tmp_path, command):
         run([command, *KEY_PATH_RUNS[command], "--out", str(tmp_path)])
         assert sorted(key_paths(read_report(tmp_path)["results"])) == self.PINNED[command]
+
+
+SUBCOMMANDS = list(_cli()[1])
+
+
+def experiment(command: str):
+    return getattr(experiments, "run_" + command.replace("-", "_"))
+
+
+def declared_options(function) -> dict:
+    """flag -> (default, argparse type, is a switch), as the experiment's
+    signature declares them: its keyword-only parameters, a CSV path for
+    each positional (table) parameter, and --seed and --out."""
+    options = {"--seed": (0, int, False), "--out": ("out", None, False)}
+    for param in inspect.signature(function).parameters.values():
+        default = param.default
+        if param.kind is not param.KEYWORD_ONLY:
+            options[f"--{param.name}-csv"] = (None, None, False)
+            continue
+        if isinstance(default, bool):
+            option = (default, None, True)
+        elif isinstance(default, tuple):
+            option = (",".join(f"{x:g}" for x in default), None, False)
+        elif isinstance(default, (int, float)):
+            option = (default, type(default), False)
+        else:
+            option = (default, None, False)
+        options["--" + param.name.replace("_", "-")] = option
+    return options
+
+
+class TestOptionContract:
+    #: each subcommand's default config block, generated from the code in
+    #: which every option was written out by hand in the CLI
+    PINNED = json.loads((Path(__file__).parent / "default_configs.json").read_text())
+
+    def test_every_experiment_is_a_subcommand(self):
+        functions = {name for name in vars(experiments) if name.startswith("run_")}
+        assert functions == {experiment(command).__name__ for command in SUBCOMMANDS}
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_flags_are_the_experiment_parameters(self, command):
+        sub = _cli()[1][command]
+        parsed = {
+            action.option_strings[-1]: (sub.defaults[action.dest], action.type, action.nargs == 0)
+            for action in sub.parser._actions
+            if action.dest not in ("help", "config")
+        }
+        assert "--config" in sub.parser._option_string_actions
+        assert parsed == declared_options(experiment(command))
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_lists_every_option(self, capsys, command):
+        with pytest.raises(SystemExit) as done:
+            run([command, "--help"])
+        assert done.value.code == EXIT_OK
+        listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert {"--config", *declared_options(experiment(command))} <= listed
+
+    @pytest.mark.parametrize("command", sorted(PINNED))
+    def test_default_config_is_pinned(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        name = "run_" + command.replace("-", "_")
+        monkeypatch.setattr(experiments, name, lambda *args, **kwargs: {"passed": True})
+        assert run([command]) == EXIT_OK
+        config = read_report(tmp_path / "out")["config"]
+        # compared as JSON text, so that 1 and 1.0 differ
+        pinned = self.PINNED[command]
+        assert json.dumps(config, sort_keys=True) == json.dumps(pinned, sort_keys=True)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_defaults_reach_the_experiment_as_declared(self, tmp_path, monkeypatch, command):
+        calls = []
+        signature = inspect.signature(experiment(command))
+        monkeypatch.setattr(
+            experiments,
+            experiment(command).__name__,
+            lambda **kwargs: calls.append(kwargs) or {"passed": True},
+        )
+        assert run([command, "--out", str(tmp_path)]) == EXIT_OK
+        assert calls == [{name: p.default for name, p in signature.parameters.items()}]
+
+    def test_experiment_is_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        _cli()  # the parser is built before the experiment is replaced
+        calls = []
+
+        def replacement(**kwargs):
+            calls.append(kwargs)
+            return {"passed": False}
+
+        monkeypatch.setattr(experiments, "run_localize", replacement)
+        assert run(["localize", "--m", "5", "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+        assert [call["m"] for call in calls] == [5]
+        assert read_report(tmp_path)["passed"] is False
