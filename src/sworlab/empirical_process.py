@@ -8,8 +8,9 @@ without-replacement variants differ only in how the sample is drawn.
 
 Points with identical columns form a level set, and Q depends on a sample
 only through its count vector over the level sets: exact_law lists them
-all, and Monte Carlo draws them when a class has few level sets.  The
-population, where every point is its own level set, is the general case.
+all, and Monte Carlo draws them when that costs less than drawing samples
+of the population (see LEVEL_COST).  The population, where every point is
+its own level set, is the general case.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property, lru_cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix, issparse
 from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigurationError, OracleScaleError
@@ -37,16 +38,21 @@ CENTER_TOL = 1e-12
 #: expected_sup is exact when the class has at most this many count
 #: vectors over its level sets, and runs Monte Carlo otherwise
 DEFAULT_ENUM_BUDGET = 10**6
-#: Monte Carlo samples a class with L level sets over those sets when
-#: LEVEL_RATIO * L <= N without replacement or LEVEL_RATIO * L <= min(N, m)
-#: with replacement (m indices).  A level sample draws one hypergeometric
-#: or binomial variate per set.  Against a population sample by Floyd's
-#: algorithm (one 10^4-row block, M = 2, N from 100 to 4000), the level
-#: path was 1.4-5.2x faster in every shape timed with m >= N / 2 or
-#: L <= N / 50.  At m = N / 10 with L near N / 32 it was slower: 0.7x at
-#: N = 1000 and 4000, 0.9x at N = 100, L = 3, and 0.7-1.2x from run to
-#: run at N = 400, L = 12.
-LEVEL_RATIO = 32
+#: Monte Carlo draws a class's counts over its L level sets, not samples
+#: of its N points, when that is the cheaper draw.  A level sample takes
+#: L - 1 variates (hypergeometric without replacement, binomial with); the
+#: first is set against the population path's fixed cost (a sparse count
+#: matrix and product).  Counted in with-replacement index draws, the
+#: population path draws m indices with replacement, and without takes
+#: s = min(m, N - m) Floyd steps plus, for m > N / 2, a complement pass of
+#: about one unit per point:
+#:   with:     LEVEL_COST * (L - 2) <= m
+#:   without:  LEVEL_COST * (L - 2) <= FLOYD_COST * s + N [m > N / 2]
+#: Fitted to the time of one 10^4-row block in 63 shapes (M = 2, N from 20
+#: to 4000; table in CHANGES.md): the slower path in 3 of them, by at most
+#: 1.13x.  Two level sets, as in the antipodal class, always qualify.
+LEVEL_COST = 24
+FLOYD_COST = 6
 
 
 class LevelSets(NamedTuple):
@@ -138,11 +144,24 @@ def sup_sums(values: np.ndarray, counts, ends=None) -> np.ndarray:
     (M, N) table `values` of the count-weighted sum C V^T, or with `ends`
     (prefix lengths >= 1) over each prefix of the rows: the running max,
     taken in place, at the prefix's end.  The plain sup is the prefix that
-    ends at the last row, which a max finds 4x faster at M = 64."""
-    sums = np.asarray(counts @ values.T)
+    ends at the last row, which a max finds 4x faster at M = 64.
+
+    The sums are held as (M, samples) and reduced along the sample axis,
+    which is contiguous for dense (level) counts: a max across each row of
+    a C-ordered (10^4, 2) block cost 70x more.  Dense counts multiply a
+    sparse copy of `values`, so each sum adds its terms in the order, and
+    with the rounding, of the sparse product: the same counts give the same
+    sups either way, where a BLAS product would fuse multiply-adds."""
+    if issparse(counts):
+        sums = np.asarray(counts @ values.T).T
+    else:
+        n_funcs, width = values.shape
+        columns = np.tile(np.arange(width), n_funcs)
+        table = csr_array((values.ravel(), columns, width * np.arange(n_funcs + 1)), values.shape)
+        sums = table @ counts.T
     if ends is None:
-        return sums.max(axis=1)
-    return np.maximum.accumulate(sums, axis=1, out=sums)[:, np.asarray(ends) - 1]
+        return sums.max(axis=0)
+    return np.maximum.accumulate(sums, axis=0, out=sums)[np.asarray(ends) - 1].T
 
 
 def class_variance(fc: FunctionClass) -> float:
@@ -230,16 +249,19 @@ def simulate_suprema(
     sup_sums), vectorized in blocks of ground_set.BLOCK_ROWS trials.
 
     A supremum depends on a sample only through how many points it takes
-    from each level set, so a class with few level sets (see LEVEL_RATIO)
-    draws those counts directly; any other class draws samples of the
-    population.  Block b uses rng.substream(b), so the result is
-    bit-identical however the blocks are scheduled.
+    from each level set, so a class whose level counts cost less to draw
+    than a population sample (see LEVEL_COST) draws those counts directly;
+    any other class draws samples of the population.  Block b uses
+    rng.substream(b), so the result is bit-identical however the blocks
+    are scheduled.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     m, mode, levels, n = scheme.m, scheme.mode, fc.level_sets, fc.n_points
-    population_draws = n if mode is SampleMode.WITHOUT_REPLACEMENT else min(n, m)
-    if LEVEL_RATIO * levels.sizes.size <= population_draws:
+    population_cost = m
+    if mode is SampleMode.WITHOUT_REPLACEMENT:
+        population_cost = FLOYD_COST * min(m, n - m) + (n if 2 * m > n else 0)
+    if LEVEL_COST * (levels.sizes.size - 2) <= population_cost:
         table, draw = levels.columns, partial(sample_level_counts, levels.sizes)
     else:
         table, draw = fc.values, partial(sample_counts, n)

@@ -34,10 +34,21 @@ class KernelSpec:
             raise ConfigurationError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian" and not self.bandwidth > 0:  # nan too
             raise ConfigurationError("gaussian bandwidth must be positive")
+        if self.kind == "gaussian" and not self.scale > 0:
+            raise ConfigurationError(
+                f"gaussian bandwidth {self.bandwidth!r} is too small: 2 * bandwidth**2 underflows to 0"
+            )
         if self.kind == "polynomial" and self.degree < 1:
             raise ConfigurationError("polynomial degree must be >= 1")
         if self.kind == "polynomial" and not math.isfinite(self.offset):
             raise ConfigurationError(f"polynomial offset must be finite, got {self.offset}")
+
+    @property
+    def scale(self) -> float:
+        """2 * bandwidth**2, the gaussian kernel's denominator; inf when it
+        overflows, where every entry is exp(-0) = 1."""
+        with np.errstate(over="ignore"):
+            return 2.0 * np.float64(self.bandwidth) ** 2
 
 
 @dataclass(frozen=True)
@@ -66,7 +77,7 @@ def _raw_kernel_matrix(points: np.ndarray, spec: KernelSpec) -> np.ndarray:
         return np.eye(points.shape[0])
     if spec.kind == "gaussian":
         sq = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+        return np.exp(-sq / spec.scale)
     inner = points @ points.T
     if spec.kind == "linear":
         k = inner

@@ -227,12 +227,18 @@ class TestInputErrors:
                 ["kernel-bound", "--kernel", "polynomial", "--offset", "inf"],
                 "polynomial offset must be finite, got inf",
             ),
+            (
+                ["kernel-bound", "--bandwidth", "1e-200"],
+                "gaussian bandwidth 1e-200 is too small: 2 * bandwidth**2 underflows to 0",
+            ),
         ],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv, message):
         code = run([*argv, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
-        assert f"config error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert "Warning" not in err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -4,12 +4,14 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.stats import binom, hypergeom
 
 from sworlab import ground_set
 from sworlab.empirical_process import (
     DEFAULT_ENUM_BUDGET,
-    LEVEL_RATIO,
+    FLOYD_COST,
+    LEVEL_COST,
     FunctionClass,
     center_class,
     class_variance,
@@ -19,7 +21,7 @@ from sworlab.empirical_process import (
     sup_sums,
 )
 from sworlab.errors import ConfigurationError, OracleScaleError
-from sworlab.experiments import make_antipodal_class
+from sworlab.experiments import ACCEPTANCE_GRID, make_antipodal_class
 from sworlab.ground_set import (
     RngStream,
     SampleMode,
@@ -27,6 +29,7 @@ from sworlab.ground_set import (
     block_generators,
     counts_matrix,
     sample_counts,
+    sample_level_counts,
 )
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
@@ -274,6 +277,20 @@ class TestSupSums:
         assert np.array_equal(sup_sums(values, counts, ends), per_prefix)
         assert np.array_equal(sup_sums(values, counts, [5])[:, 0], sup_sums(values, counts))
 
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    @pytest.mark.parametrize("n_functions,ends", [(2, [1, 2, 2]), (64, [1, 17, 40, 64])])
+    def test_dense_level_counts_match_the_same_counts_held_sparse(self, mode, n_functions, ends):
+        # the dense block is reduced along its sample axis, the sparse one as
+        # it always was: the same counts must give the same bits either way
+        gen = np.random.default_rng(13)
+        sizes = gen.integers(1, 40, size=12)
+        values = gen.uniform(-1, 1, size=(n_functions, sizes.size))
+        counts = sample_level_counts(sizes, 60, 500, mode, gen)
+        sparse = csr_matrix(counts.astype(float))
+        assert np.array_equal(sup_sums(values, counts), sup_sums(values, sparse))
+        assert np.array_equal(sup_sums(values, counts, ends), sup_sums(values, sparse, ends))
+        assert sup_sums(values, counts, ends).shape == (500, len(ends))
+
     def test_running_max_is_taken_in_place(self):
         # a second copy of the (K, M) sums would take the peak past 2 tables
         gen = np.random.default_rng(12)
@@ -324,10 +341,19 @@ class TestSimulateSuprema:
         assert np.all(draws <= 3.0 + 1e-12)
 
 
+def level_draws(fc, scheme, trials, rng):
+    """The suprema simulate_suprema gives on the level path, drawn block by
+    block from the level-count sampler itself."""
+    levels = fc.level_sets
+    blocks = [
+        sample_level_counts(levels.sizes, scheme.m, rows, scheme.mode, gen)
+        for rows, gen in block_generators(trials, rng)
+    ]
+    return np.concatenate([sup_sums(levels.columns, counts) for counts in blocks])
+
+
 class TestLevelPath:
-    @pytest.mark.parametrize(
-        "mode,m,repeats", [(WITHOUT, 3, (16, 48, 32)), (WITH, 3 * LEVEL_RATIO, (32, 32, 32))]
-    )
+    @pytest.mark.parametrize("mode,m,repeats", [(WITHOUT, 40, (16, 48, 32)), (WITH, 96, (32, 32, 32))])
     def test_repeated_columns_agree_with_exact_mean(self, mode, m, repeats):
         # three distinct columns shared by 96 points in shuffled order
         base = center_class(np.random.default_rng(14).uniform(-1, 1, size=(4, 3)))
@@ -345,6 +371,8 @@ class TestLevelPath:
         assert exact.provenance["route"] == "exact"
         trials = 20_000
         draws = simulate_suprema(fc, SampleScheme(mode, m), trials, RngStream(15))
+        # the draws come from the level path
+        assert np.array_equal(draws, level_draws(fc, SampleScheme(mode, m), trials, RngStream(15)))
         se = draws.std(ddof=1) / math.sqrt(trials)
         assert abs(draws.mean() - exact.mean) <= 4 * se
 
@@ -360,12 +388,36 @@ class TestLevelPath:
             se = draws.std(ddof=1) / math.sqrt(trials)
             assert abs(draws.mean() - closed) <= 5 * se, mode
 
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    @pytest.mark.parametrize(
+        "n,frac", [(n, frac) for n in ACCEPTANCE_GRID["N"] for frac in ACCEPTANCE_GRID["m_frac"]]
+    )
+    def test_antipodal_grid_takes_the_level_path(self, monkeypatch, mode, n, frac):
+        # every verify-bounds shape draws level counts, centres and tail alike
+        monkeypatch.setattr(ground_set, "BLOCK_ROWS", 10)
+        fc = make_antipodal_class(n, 0.1)
+        scheme = SampleScheme(mode, max(1, round(frac * n)))
+        rng = RngStream(18, 5)
+        assert np.array_equal(simulate_suprema(fc, scheme, 25, rng), level_draws(fc, scheme, 25, rng))
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    def test_level_draws_land_on_the_exact_atoms(self, mode):
+        # dense level counts add in the sparse product's order, so every draw
+        # is bit for bit one of the values exact_law enumerates
+        fc = make_antipodal_class(100, 0.1)
+        scheme = SampleScheme(mode, 10)
+        sups, _ = exact_law(fc, scheme)
+        draws = simulate_suprema(fc, scheme, 2_000, RngStream(19))
+        assert np.isin(draws, sups).all()
+
     @pytest.mark.parametrize("mode,m", [(WITHOUT, 40), (WITH, 40)])
     def test_distinct_columns_keep_the_population_draws(self, monkeypatch, mode, m):
         monkeypatch.setattr(ground_set, "BLOCK_ROWS", 10)
         fc = center_class(np.random.default_rng(16).uniform(0, 1, size=(64, 400)))
-        # 400 level sets: the 32 L rule picks the population in both modes
-        assert LEVEL_RATIO * fc.level_sets.sizes.size > 400
+        # 400 level sets: 398 variates per sample cost more than 40 Floyd
+        # steps or 40 indices, so the population path draws in both modes
+        population_cost = FLOYD_COST * m if mode is WITHOUT else m
+        assert LEVEL_COST * (fc.level_sets.sizes.size - 2) > population_cost
         rng = RngStream(17, 3)
         draws = simulate_suprema(fc, SampleScheme(mode, m), 25, rng)
         blocks = [sample_counts(400, m, rows, mode, gen) for rows, gen in block_generators(25, rng)]

@@ -10,9 +10,11 @@ from sworlab.experiments import (
     run_kernel_bound,
     run_localize,
     run_transductive_erm,
+    run_verify_bounds,
 )
 from sworlab.ground_set import RngStream
 from sworlab.kernels import KernelSpec, gram_matrix
+from sworlab.verify import binomial_lower_ci
 
 TABLE = np.random.default_rng(0).uniform(size=(3, 8))
 
@@ -104,3 +106,22 @@ def test_kernel_bound_without_points_draws_them_from_the_seed(tmp_path):
     assert drawn == run_kernel_bound(points)
     gram = np.loadtxt(tmp_path / "gram.csv", delimiter=",")
     assert np.allclose(gram, gram_matrix(points, KernelSpec("gaussian")), rtol=0, atol=1e-15)
+
+
+def test_batched_lower_limits_equal_each_entry_alone():
+    # each table's limits come from one binomial_lower_ci call; every entry
+    # must read what a call for its own count would give
+    config = run_verify_bounds(n=20, m=10, trials=2000, t_grid=(0.0, 0.5, 1.0), seed=3)
+    tables = [(config["configurations"][0]["deviation"], "exceedance", 2000)]
+    for experiment in (run_transductive_erm, run_localize):
+        report = experiment(splits=2000, t_grid=(0.0, 0.5), seed=1)
+        tables.append((report["validity"], "violation_frequency", 2000))
+    counts = []
+    for table, key, n in tables:
+        assert len(table) > 1
+        for entry in table.values():
+            k = round(entry[key] * n)
+            assert entry[key] == k / n
+            assert entry["lower_ci"] == binomial_lower_ci(k, n)
+            counts.append(k)
+    assert len(set(counts)) > 3  # the check sees distinct nonzero counts

@@ -23,6 +23,12 @@ class TestKernelSpec:
         with pytest.raises(ConfigurationError):
             KernelSpec("gaussian", bandwidth=0.0)
 
+    @pytest.mark.parametrize("bandwidth", [1e-200, 5e-163])
+    def test_bandwidth_whose_square_underflows_is_named(self, bandwidth):
+        # 2 * bandwidth**2 == 0 would make the Gram diagonal 0 / 0
+        with pytest.raises(ConfigurationError, match=f"bandwidth {bandwidth!r} is too small"):
+            KernelSpec("gaussian", bandwidth=bandwidth)
+
     def test_bad_degree(self):
         with pytest.raises(ConfigurationError):
             KernelSpec("polynomial", degree=0)
@@ -40,6 +46,13 @@ class TestGramMatrix:
         assert np.allclose(np.diag(g), 1 / 6)
         assert np.allclose(g, g.T)
         assert np.all(g > 0)
+
+    def test_gaussian_bandwidth_whose_square_overflows_gives_ones(self):
+        # 2 * bandwidth**2 is inf: every entry is exp(-0) = 1, with no
+        # OverflowError from the float power and no numpy warning
+        pts = np.random.default_rng(1).normal(size=(4, 2))
+        g = gram_matrix(pts, KernelSpec("gaussian", bandwidth=1e200))
+        assert np.array_equal(g, np.full((4, 4), 0.25))
 
     def test_linear_two_unit_vectors(self):
         # unit vectors at angle theta: off-diagonal is cos(theta)/N
