@@ -60,7 +60,6 @@ from .transductive import (
     erm,
     gen_bound_thm5,
     gen_bound_thm6,
-    sigma2_H,
 )
 from .verify import (
     TailCurve,

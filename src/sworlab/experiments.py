@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,13 +48,13 @@ from .transductive import (
     gen_bound_thm6,
     require_split,
     sampled_split_risks,
-    sigma2_H,
 )
 from .verify import (
     binomial_lower_ci,
     check_domination,
     default_eps_grid,
-    tail_curve_from_draws,
+    exceedances,
+    tail_curves,
 )
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
@@ -97,6 +98,13 @@ def make_random_problem(n: int, hypotheses: int, rng: RngStream) -> Transductive
         f"no random table of {hypotheses} hypotheses on n={n} points with distinct"
         f" risks in {MAX_PROBLEM_DRAWS} draws; lower --hypotheses or give --loss-csv"
     )
+
+
+def _check_t_grid(t_grid) -> None:
+    """Refuse a --t-grid value that is negative or not finite, before any draw."""
+    for t in t_grid:
+        if not 0.0 <= t < math.inf:
+            raise ConfigurationError(f"--t-grid values must be nonnegative and finite, got {t:g}")
 
 
 def run_oracle_check(
@@ -171,30 +179,27 @@ def _config_checks(
     eq_prime, eq_m = cw.mean, eq.mean
     centers = {Center.AROUND_EQ_PRIME: cw, Center.AROUND_EQ: eq}
 
-    draws = simulate_suprema(fc, scheme, trials, tail_rng)
+    draws = np.sort(simulate_suprema(fc, scheme, trials, tail_rng))
     eps_grid = default_eps_grid(m, s2)
-    curves = {
-        center: tail_curve_from_draws(draws, eps_grid, center, stats.mean, stats.std_error)
-        for center, stats in centers.items()
-    }
+    curves = tail_curves(draws, eps_grid, centers)
 
     params = BoundParams(N=n, m=m, sigma2=s2, eq_m=max(eq_m, 0.0))
+    grid_params = [replace(params, eps=eps) for eps in eps_grid.tolist()]
     weakened = {}
     if corrupt_thm1:  # the power check weakens the sub-Gaussian constant 8 to 0.08
         weakened["subgaussian"] = lambda p: bank.tail_subgaussian(p, constant=0.08)
     domination = {
-        tag: check_domination(curves[center], tag, params, weakened.get(tag))
+        tag: check_domination(curves[center], tag, grid_params, weakened.get(tag))
         for tag, center in bank.BOUND_CENTERS.items()
     }
 
     table = {}
-    for t in t_grid:
-        p_t = BoundParams(N=n, m=m, sigma2=s2, eq_m=max(eq_m, 0.0), t=float(t))
-        for tag, fn in bank.DEVIATION_BOUNDS.items():
-            level = fn(p_t)
-            center = centers[bank.BOUND_CENTERS[tag]].mean
-            exceeded = int((draws - center >= level).sum())
-            table[f"{tag}@t={t}"] = level, exceeded, math.exp(-float(t))
+    t_params = [replace(params, t=float(t)) for t in t_grid]
+    for tag, fn in bank.DEVIATION_BOUNDS.items():
+        levels = [fn(p) for p in t_params]
+        center = centers[bank.BOUND_CENTERS[tag]].mean
+        for t, level, k in zip(t_grid, levels, exceedances(draws, center, levels).tolist()):
+            table[f"{tag}@t={t}"] = level, k, math.exp(-float(t))
     deviation = _exceedance(("level", "exceedance"), table, draws.size)
 
     passed = all(r["passed"] for r in domination.values()) and all(
@@ -236,6 +241,7 @@ def run_verify_bounds(
 ) -> dict:
     """Domination checks: a single configuration or the full 3x3x3 grid.
     corrupt_thm1, a power check, weakens the sub-Gaussian constant 8 to 0.08."""
+    _check_t_grid(t_grid)
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     configs = [(n, m, sigma2)]
@@ -344,9 +350,10 @@ def run_transductive_erm(
 ) -> dict:
     """Uniform-bound validity for the two generalization bounds, plus one
     fully reported ERM split."""
+    _check_t_grid(t_grid)
     tp = _problem(loss, n, hypotheses, m, seed)
     n = tp.N
-    fc = tp.centered_class()
+    fc = tp.centered_class
     expectations = {
         key: expected_sup(fc, SampleScheme(mode, m), trials, RngStream(seed, stream))
         for key, mode, stream in (("sup_expectation", WITHOUT, 888), ("E_m", WITH, 889))
@@ -370,7 +377,7 @@ def run_transductive_erm(
         "N": n,
         "m": m,
         "n_hypotheses": tp.n_hypotheses,
-        "sigma2_H": sigma2_H(tp),
+        "sigma2_H": tp.sigma2_H,
         "sup_expectation": sup_exp,
         "E_m": e_m,
         "validity": validity,
@@ -410,11 +417,10 @@ def run_localize(
 ) -> dict:
     """Localized bounds: B, sub-root fits for both flavors and both sample
     sizes, bound values, and empirical validity frequencies."""
+    _check_t_grid(t_grid)
     tp = _problem(loss, n, hypotheses, m, seed)
     n = tp.N
     u = n - m
-    if not all(0.0 <= t < math.inf for t in t_grid):
-        raise ConfigurationError("t and eps must be nonnegative and finite")
     ec = build_excess_class(tp)
     B, witness = compute_B(ec)
 

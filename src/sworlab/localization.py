@@ -7,13 +7,19 @@ The modulus of continuity is estimated on the nested variance slices
 majorized within the c*sqrt(r) family, whose fixed point is c^2 exactly.
 Upper-confidence fitting (estimate + 2 standard errors) keeps the majorant
 statistically conservative when the modulus is only estimated.
+
+The slices are a property of the class alone: its radii, its rows sorted
+by E f^2 and the prefix end of each slice are built once per class
+(ExcessLossClass.slices), so the four fits of a localize report (m and u,
+with and without replacement) share one sorted class and its level sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +35,16 @@ from .transductive import TransductiveProblem
 ZERO_TOL = 1e-12
 
 
+class VarianceSlices(NamedTuple):
+    """The slices {f : E f^2 <= r} at the radii of default_r_grid: with
+    the rows sorted by E f^2 (stable), the slice at radii[i] is the first
+    ends[i] rows (h* at least) of gclass, whose rows are g = E f - f."""
+
+    radii: np.ndarray
+    ends: np.ndarray
+    gclass: FunctionClass
+
+
 @dataclass(frozen=True)
 class ExcessLossClass:
     """Rows f_h = loss_h - loss_{h*}, where h* minimizes the overall risk."""
@@ -41,10 +57,21 @@ class ExcessLossClass:
         """E f per row (all >= 0 by optimality of h*)."""
         return self.rows.mean(axis=1)
 
-    @property
+    @cached_property
     def second_moments(self) -> np.ndarray:
         """E f^2 per row."""
         return (self.rows**2).mean(axis=1)
+
+    @cached_property
+    def slices(self) -> VarianceSlices:
+        """The variance slices, built once per class, so that every
+        modulus fit on it shares one sorted g-class and its level sets."""
+        radii = default_r_grid(self)
+        order = np.argsort(self.second_moments, kind="stable")
+        ends = np.searchsorted(self.second_moments[order], radii + ZERO_TOL, "right")
+        rows = self.rows[order]
+        # per-sample statistic: sup over slice rows of the sum of g = Ef - f
+        return VarianceSlices(radii, ends, FunctionClass(rows.mean(axis=1, keepdims=True) - rows))
 
 
 def build_excess_class(tp: TransductiveProblem) -> ExcessLossClass:
@@ -96,18 +123,13 @@ def modulus_curve(
     expected supremum over the slice {f : E f^2 <= r} of
     E f - (empirical mean of f over the size-m sample).
 
-    With the rows sorted by E f^2 each slice is a prefix (h* at least), so
-    one expected_sup call, exact or `trials` draws from `rng`, gives every
-    radius, nondecreasing in r; means and std_errors are scaled by B/m.
+    Each slice is a row prefix of ec.slices, so one expected_sup call,
+    exact or `trials` draws from `rng`, gives every radius, nondecreasing
+    in r; means and std_errors are scaled by B/m.
     """
     b_val = _as_B(B)
-    radii = default_r_grid(ec)
-    order = np.argsort(ec.second_moments, kind="stable")
-    ends = np.searchsorted(ec.second_moments[order], radii + ZERO_TOL, "right")
-    rows = ec.rows[order]
-    # per-sample statistic: sup over slice rows of the sum of g = Ef - f
-    gfc = FunctionClass(rows.mean(axis=1, keepdims=True) - rows)
-    stats = expected_sup(gfc, SampleScheme(flavor, m), trials, rng, ends=ends)
+    radii, ends, gclass = ec.slices
+    stats = expected_sup(gclass, SampleScheme(flavor, m), trials, rng, ends=ends)
     mean, std_error = (b_val * x / m for x in (stats.mean, stats.std_error))
     return radii, SupremumStats(mean, std_error, stats.provenance)
 

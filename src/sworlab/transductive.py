@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -49,14 +50,21 @@ class TransductiveProblem:
         """L_N per hypothesis: population mean of each loss row."""
         return self.loss_table.mean(axis=1)
 
+    @cached_property
     def centered_class(self) -> FunctionClass:
-        """The associated centered class f_h(X) = L_N(h) - loss_h(X).
+        """The associated centered class f_h(X) = L_N(h) - loss_h(X), built
+        once per problem.
 
         Its normalized supremum process is sup_h (L_N(h) - train risk),
         so expected suprema of the table problem reduce to E[Q]/m.
         """
         vals = self.overall_risk[:, None] - self.loss_table
         return FunctionClass(vals, centered=True)
+
+    @cached_property
+    def sigma2_H(self) -> float:
+        """Largest population variance of a loss row; always <= 1/4."""
+        return class_variance(self.centered_class)
 
 
 def require_split(tp: TransductiveProblem, m: int) -> None:
@@ -100,21 +108,15 @@ def erm(tp: TransductiveProblem, train_risk: np.ndarray, test_risk: np.ndarray) 
     }
 
 
-def sigma2_H(tp: TransductiveProblem) -> float:
-    """Largest population variance of a loss row; always <= 1/4."""
-    return class_variance(tp.centered_class())
-
-
 def gen_bound_thm5(
     tp: TransductiveProblem, m: int, t: float, sup_expectation: float
 ) -> float:
     """Uniform bound on L_N(h) - train risk at confidence t: sup_expectation
     plus the sub-Gaussian deviation of the centered class, over m."""
-    p = BoundParams(N=tp.N, m=m, sigma2=sigma2_H(tp), t=t)
+    p = BoundParams(N=tp.N, m=m, sigma2=tp.sigma2_H, t=t)
     return sup_expectation + deviation_subgaussian(p) / m
 
 
 def gen_bound_thm6(tp: TransductiveProblem, m: int, t: float, e_m: float) -> float:
     """With-replacement flavor: 2 E_m + sqrt(2 sigma2_H t / m) + 4t/(3m)."""
-    s2 = sigma2_H(tp)
-    return 2.0 * e_m + math.sqrt(2.0 * s2 * t / m) + 4.0 * t / (3.0 * m)
+    return 2.0 * e_m + math.sqrt(2.0 * tp.sigma2_H * t / m) + 4.0 * t / (3.0 * m)

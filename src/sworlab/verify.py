@@ -4,19 +4,27 @@ Empirical tails come with exact (Clopper-Pearson style) binomial
 confidence bounds; a bound is only flagged as violated when the lower
 confidence bound at delta = 0.01 exceeds it, so noise cannot produce
 false alarms against a proved inequality.
+
+The draws of a run are sorted once.  Rounding is monotone, so the sorted
+draws minus a centre are the sorted deviations around it, element for
+element: every count of deviations at or above a level, for any centre,
+is one searchsorted on them.  The curves around several centres share
+one binomial_upper_ci and one binomial_lower_ci call, and the checks of
+one grid share its per-eps BoundParams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.stats import beta
 
 from . import bounds as bank
 from .bounds import BoundParams, Center
+from .empirical_process import SupremumStats
 from .errors import ConfigurationError, ContractError
 
 #: confidence level of every binomial bound
@@ -100,42 +108,45 @@ class TailCurve:
         }
 
 
-def tail_curve_from_draws(
-    draws: np.ndarray,
-    eps_grid: np.ndarray,
-    center: Center,
-    center_value: float,
-    center_std_error: float = 0.0,
-) -> TailCurve:
-    """Build a TailCurve from precomputed supremum draws."""
+def exceedances(sorted_draws: np.ndarray, center: float, levels) -> np.ndarray:
+    """#{draw - center >= level} for each of `levels`, from the draws sorted
+    ascending: sorted_draws - center is sorted too, so one searchsorted
+    counts them all."""
+    return sorted_draws.size - np.searchsorted(sorted_draws - center, levels, side="left")
+
+
+def tail_curves(
+    sorted_draws: np.ndarray, eps_grid: np.ndarray, centers: dict[Center, SupremumStats]
+) -> dict[Center, TailCurve]:
+    """The TailCurve of the same supremum draws, sorted ascending, around
+    each centre (its mean and std_error), on one eps grid; one
+    binomial_upper_ci and one binomial_lower_ci call serve every curve."""
     eps_grid = np.asarray(eps_grid, dtype=float)
-    n = draws.size
+    n = sorted_draws.size
     if n < 1:
         raise ConfigurationError("need at least one draw")
-    dev = np.sort(draws - center_value)
-    ks = n - np.searchsorted(dev, eps_grid, side="left")  # #{dev >= eps}
-    return TailCurve(
-        eps_grid=eps_grid,
-        tail_estimate=ks / n,
-        upper_ci=binomial_upper_ci(ks, n),
-        lower_ci=binomial_lower_ci(ks, n),
-        trials=n,
-        center=center,
-        center_value=center_value,
-        center_std_error=center_std_error,
-    )
+    if np.any(sorted_draws[1:] < sorted_draws[:-1]):
+        raise ConfigurationError("tail curves need the draws sorted ascending")
+    ks = np.array([exceedances(sorted_draws, stats.mean, eps_grid) for stats in centers.values()])
+    upper, lower = binomial_upper_ci(ks, n), binomial_lower_ci(ks, n)
+    return {
+        center: TailCurve(eps_grid, k / n, up, lo, n, center, stats.mean, stats.std_error)
+        for (center, stats), k, up, lo in zip(centers.items(), ks, upper, lower)
+    }
 
 
 def check_domination(
     curve: TailCurve,
     theorem_tag: str,
-    params: BoundParams,
+    grid_params: Sequence[BoundParams],
     tail_fn: Optional[Callable] = None,
 ) -> dict:
     """Compare an empirical tail curve against one theorem's bound:
     {"theorem_tag", "passed", "violations": [{"eps", "empirical_lower_ci",
     "bound_value"}]}.
 
+    grid_params holds the bound's BoundParams at each eps of the curve's
+    grid, in order, so the checks of one grid can share them.
     Refuses to compare when the curve's centering convention does not
     match the bound's.  A grid point is a violation when the exact lower
     confidence bound of the empirical tail exceeds the analytic bound.
@@ -148,11 +159,13 @@ def check_domination(
             f"{theorem_tag} bounds deviations around {expected_center.value}, "
             f"but the curve is centered around {curve.center.value}"
         )
+    if [p.eps for p in grid_params] != curve.eps_grid.tolist():
+        raise ConfigurationError("grid_params must hold one BoundParams per eps of the curve")
     if tail_fn is None:
         tail_fn = bank.TAIL_BOUNDS[theorem_tag]
     violations = []
-    for eps, lo in zip(curve.eps_grid.tolist(), curve.lower_ci.tolist()):
-        bound = tail_fn(replace(params, eps=eps))
+    for p, lo in zip(grid_params, curve.lower_ci.tolist()):
+        bound = tail_fn(p)
         if lo > bound:
-            violations.append({"eps": eps, "empirical_lower_ci": lo, "bound_value": bound})
+            violations.append({"eps": p.eps, "empirical_lower_ci": lo, "bound_value": bound})
     return {"theorem_tag": theorem_tag, "passed": not violations, "violations": violations}

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import sworlab
-from sworlab import experiments
+from sworlab import empirical_process, experiments, localization
 from sworlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -203,10 +204,16 @@ class TestInputErrors:
             (["compare-exponents", "--eps", "inf"], "t and eps must be nonnegative and finite"),
             (
                 ["verify-bounds", "--trials", "100", "--t-grid", "nan"],
-                "t and eps must be nonnegative and finite",
+                "--t-grid values must be nonnegative and finite, got nan",
             ),
-            (["localize", "--t-grid", "nan"], "t and eps must be nonnegative and finite"),
-            (["transductive-erm", "--t-grid", "inf"], "t and eps must be nonnegative and finite"),
+            (
+                ["localize", "--t-grid", "nan"],
+                "--t-grid values must be nonnegative and finite, got nan",
+            ),
+            (
+                ["transductive-erm", "--t-grid", "inf"],
+                "--t-grid values must be nonnegative and finite, got inf",
+            ),
             (["kernel-bound", "--c-l", "inf"], "c_L must be positive and finite"),
             (["oracle-check", "--classes", "0"], "classes must be >= 1"),
             (["verify-bounds", "--trials", "0"], "trials must be >= 1"),
@@ -272,10 +279,23 @@ class TestInputErrors:
         assert code == EXIT_CONFIG_ERROR
         assert "config error: E[Q_m] must be nonnegative" in capsys.readouterr().err
 
-    def test_localize_negative_t_exits_2(self, tmp_path, capsys):
-        code = run(["localize", "--t-grid", "1,-1", "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("command", ["verify-bounds", "transductive-erm", "localize"])
+    @pytest.mark.parametrize("grid, bad", [("1,-1", "-1"), ("inf", "inf"), ("2,nan,1", "nan")])
+    def test_bad_t_grid_exits_2_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, command, grid, bad
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the experiment drew before checking --t-grid")
+
+        for module in (empirical_process, experiments, localization):
+            for name in ("expected_sup", "simulate_suprema"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(experiments, "make_random_problem", refuse)
+        code = run([command, f"--t-grid={grid}", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
-        assert "config error: t and eps must be nonnegative" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: --t-grid values must be nonnegative and finite, got {bad}\n"
+        )
 
     def test_localize_empty_test_set_names_m(self, tmp_path, capsys):
         code = run(["localize", "--m", "12", "--out", str(tmp_path / "o")])
@@ -580,16 +600,52 @@ def key_paths(node, prefix="") -> set:
     return {prefix}
 
 
+def small_run_results(command: str, out_dir) -> dict:
+    run([command, *KEY_PATH_RUNS[command], "--out", str(out_dir)])
+    return read_report(out_dir)["results"]
+
+
+def assert_matches_pin(pinned, got, path="results"):
+    """ints, bools and strings equal; floats within 1e-9 relative or 1e-12
+    absolute, so last-bit differences between hosts pass."""
+    if isinstance(pinned, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(pinned), path
+        for key, value in pinned.items():
+            assert_matches_pin(value, got[key], f"{path}.{key}")
+    elif isinstance(pinned, list):
+        assert isinstance(got, list) and len(got) == len(pinned), path
+        for i, (value, item) in enumerate(zip(pinned, got)):
+            assert_matches_pin(value, item, f"{path}[{i}]")
+    elif isinstance(pinned, float):
+        assert isinstance(got, float), (path, pinned, got)
+        both_nan = math.isnan(pinned) and math.isnan(got)
+        assert both_nan or math.isclose(got, pinned, rel_tol=1e-9, abs_tol=1e-12), (
+            path, pinned, got
+        )
+    else:
+        assert type(got) is type(pinned) and got == pinned, (path, pinned, got)
+
+
+VALUES_PIN = Path(__file__).parent / "results_values.json"
+
+
 class TestResultsKeys:
     PINNED = json.loads((Path(__file__).parent / "results_key_paths.json").read_text())
+    #: the results of the same small runs; a change that moves draws
+    #: regenerates it with `PYTHONPATH=src python tests/test_cli.py`
+    VALUES = json.loads(VALUES_PIN.read_text())
 
     def test_every_subcommand_is_pinned(self):
-        assert set(KEY_PATH_RUNS) == set(self.PINNED) == set(_cli()[1])
+        assert set(KEY_PATH_RUNS) == set(self.PINNED) == set(self.VALUES) == set(_cli()[1])
 
     @pytest.mark.parametrize("command", list(KEY_PATH_RUNS))
     def test_results_key_paths_are_pinned(self, tmp_path, command):
-        run([command, *KEY_PATH_RUNS[command], "--out", str(tmp_path)])
-        assert sorted(key_paths(read_report(tmp_path)["results"])) == self.PINNED[command]
+        results = small_run_results(command, tmp_path)
+        assert sorted(key_paths(results)) == self.PINNED[command]
+
+    @pytest.mark.parametrize("command", list(KEY_PATH_RUNS))
+    def test_results_values_are_pinned(self, tmp_path, command):
+        assert_matches_pin(self.VALUES[command], small_run_results(command, tmp_path))
 
 
 SUBCOMMANDS = list(_cli()[1])
@@ -684,3 +740,11 @@ class TestOptionContract:
         assert run(["localize", "--m", "5", "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
         assert [call["m"] for call in calls] == [5]
         assert read_report(tmp_path)["passed"] is False
+
+
+if __name__ == "__main__":  # regenerate the values pin from the code under src/
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pin = {command: small_run_results(command, Path(tmp) / command) for command in KEY_PATH_RUNS}
+    VALUES_PIN.write_text(json.dumps(pin, indent=1, sort_keys=True) + "\n")

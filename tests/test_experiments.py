@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sworlab import experiments, localization
+from sworlab import bounds, experiments, localization, transductive, verify
 from sworlab.errors import OracleScaleError
 from sworlab.experiments import (
     EXAMPLE_STREAM,
@@ -89,6 +89,67 @@ def test_each_modulus_fit_makes_one_oracle_call(monkeypatch):
     out = run_localize(loss=TABLE, m=4, splits=50, trials=200)
     assert calls == [12] * 4
     assert all(len(fit["grid"]) == 12 for fit in out["fits"].values())
+
+
+def test_one_localize_report_builds_the_variance_slices_once(monkeypatch):
+    # the four fits share one radius grid and one sorted g-class (and so
+    # its level sets)
+    grids, classes = [], []
+    r_grid, oracle = localization.default_r_grid, localization.expected_sup
+
+    def counting_grid(ec):
+        grids.append(ec)
+        return r_grid(ec)
+
+    def recording(fc, *args, **kwargs):
+        classes.append(fc)
+        return oracle(fc, *args, **kwargs)
+
+    monkeypatch.setattr(localization, "default_r_grid", counting_grid)
+    monkeypatch.setattr(localization, "expected_sup", recording)
+    run_localize(loss=TABLE, m=4, splits=50, trials=200)
+    assert len(grids) == 1
+    assert len(classes) == 4 and all(fc is classes[0] for fc in classes)
+
+
+def test_one_verify_bounds_config_sorts_once_and_batches_its_limits(monkeypatch):
+    # one sort of the tail draws; one upper and one lower Clopper-Pearson
+    # call for both curves, one lower call for the deviation table; the
+    # 20 per-eps BoundParams (and 3 per-t ones) built once for four checks
+    calls = {"sort": 0, "upper": 0, "lower": 0, "table": 0, "params": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    post_init = bounds.BoundParams.__post_init__
+    monkeypatch.setattr(np, "sort", counting("sort", np.sort))
+    monkeypatch.setattr(verify, "binomial_upper_ci", counting("upper", verify.binomial_upper_ci))
+    monkeypatch.setattr(verify, "binomial_lower_ci", counting("lower", verify.binomial_lower_ci))
+    monkeypatch.setattr(
+        experiments, "binomial_lower_ci", counting("table", experiments.binomial_lower_ci)
+    )
+    monkeypatch.setattr(bounds.BoundParams, "__post_init__", counting("params", post_init))
+    out = run_verify_bounds(n=20, m=10, trials=2000, t_grid=(1.0, 2.0, 4.0))
+    assert calls == {"sort": 1, "upper": 1, "lower": 1, "table": 1, "params": 1 + 20 + 3}
+    assert len(out["configurations"][0]["curves"]["around_eq"]["eps_grid"]) == 20
+
+
+def test_transductive_erm_builds_its_centred_class_once(monkeypatch):
+    built = []
+    function_class = transductive.FunctionClass
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return function_class(*args, **kwargs)
+
+    monkeypatch.setattr(transductive, "FunctionClass", counting)
+    out = run_transductive_erm(loss=TABLE, m=4, splits=50, trials=200, t_grid=(1.0, 2.0, 3.0))
+    assert len(built) == 1
+    assert len(out["validity"]) == 6
 
 
 def test_each_fit_reports_a_certified_c_and_r_star_c_squared():

@@ -21,7 +21,6 @@ from sworlab.transductive import (
     gen_bound_thm6,
     require_split,
     sampled_split_risks,
-    sigma2_H,
 )
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
@@ -161,17 +160,17 @@ class TestErm:
 
 class TestSigma2H:
     def test_constant_rows(self):
-        assert sigma2_H(TransductiveProblem(np.full((3, 5), 0.7))) == 0.0
+        assert TransductiveProblem(np.full((3, 5), 0.7)).sigma2_H == 0.0
 
     def test_half_half_row(self):
         tp = TransductiveProblem(np.array([[0.0, 0.0, 1.0, 1.0]]))
-        assert sigma2_H(tp) == pytest.approx(0.25)
+        assert tp.sigma2_H == pytest.approx(0.25)
 
     def test_never_exceeds_quarter(self):
         gen = np.random.default_rng(11)
         for _ in range(25):
             tp = TransductiveProblem(gen.uniform(size=(4, 7)))
-            assert sigma2_H(tp) <= 0.25 + 1e-12
+            assert tp.sigma2_H <= 0.25 + 1e-12
 
 
 def brute_sup_expectation(tp, m):
@@ -192,7 +191,7 @@ def brute_with_replacement(tp, m):
 
 def exact_sup_expectation(tp, m, mode=WITHOUT):
     """E[sup_h (L_N(h) - mean loss on the sample)], enumerated by expected_sup."""
-    stats = expected_sup(tp.centered_class(), SampleScheme(mode, m))
+    stats = expected_sup(tp.centered_class, SampleScheme(mode, m))
     assert stats.provenance["route"] == "exact"
     return stats.mean / m
 
@@ -220,7 +219,7 @@ class TestGenBounds:
         tp = TransductiveProblem(np.random.default_rng(14).uniform(size=(2, 4)))
         m, t = 2, 1.0
         sup_exp = exact_sup_expectation(tp, m)
-        expected = sup_exp + 2 * math.sqrt(2 * (4 / m**2) * sigma2_H(tp) * t)
+        expected = sup_exp + 2 * math.sqrt(2 * (4 / m**2) * tp.sigma2_H * t)
         assert gen_bound_thm5(tp, m, t, sup_exp) == pytest.approx(expected)
 
     def test_thm6_at_t_zero(self):
@@ -232,7 +231,7 @@ class TestGenBounds:
         tp = TransductiveProblem(np.random.default_rng(16).uniform(size=(2, 3)))
         m, t = 2, 1.5
         e_m = exact_with_replacement_expectation(tp, m)
-        expected = 2 * e_m + math.sqrt(2 * sigma2_H(tp) * t / m) + 4 * t / (3 * m)
+        expected = 2 * e_m + math.sqrt(2 * tp.sigma2_H * t / m) + 4 * t / (3 * m)
         assert gen_bound_thm6(tp, m, t, e_m) == pytest.approx(expected)
 
     def test_with_replacement_dominates_without(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,7 @@ from sworlab.bounds import BoundParams, Center, tail_subgaussian
 from sworlab.cli import _write_curves
 from sworlab.empirical_process import (
     FunctionClass,
+    SupremumStats,
     center_class,
     class_variance,
     exact_law,
@@ -25,7 +27,8 @@ from sworlab.verify import (
     binomial_upper_ci,
     check_domination,
     default_eps_grid,
-    tail_curve_from_draws,
+    exceedances,
+    tail_curves,
 )
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
@@ -81,10 +84,21 @@ def estimate_tail(fc, scheme, eps_grid, trials, rng):
     expected_sup (exact within the budget, else Monte Carlo on an
     independent substream), the curve from `trials` fresh draws."""
     centre = expected_sup(fc, scheme, trials, rng.substream(1_000_003))
-    draws = simulate_suprema(fc, scheme, trials, rng)
-    return tail_curve_from_draws(
-        draws, eps_grid, Center.AROUND_EQ_PRIME, centre.mean, centre.std_error
-    )
+    draws = np.sort(simulate_suprema(fc, scheme, trials, rng))
+    return tail_curves(draws, eps_grid, {Center.AROUND_EQ_PRIME: centre})[Center.AROUND_EQ_PRIME]
+
+
+def around(center_value: float) -> SupremumStats:
+    """An exact centre, as tail_curves takes it."""
+    return SupremumStats(center_value, 0.0, {})
+
+
+def on_grid(params, eps_grid):
+    return [replace(params, eps=eps) for eps in eps_grid]
+
+
+def domination(curve, tag, params, tail_fn=None):
+    return check_domination(curve, tag, on_grid(params, curve.eps_grid.tolist()), tail_fn)
 
 
 class TestEstimateTail:
@@ -152,7 +166,7 @@ class TestCheckDomination:
         curve = estimate_tail(fc, SampleScheme(WITHOUT, 3), grid, 1000, RngStream(4))
         params = BoundParams(N=6, m=3, sigma2=0.0)
         for tag in ("subgaussian", "elyaniv_pechyony"):
-            assert check_domination(curve, tag, params)["passed"]
+            assert domination(curve, tag, params)["passed"]
 
     def test_theorems_pass_on_real_runs(self):
         n, m = 40, 20
@@ -166,8 +180,8 @@ class TestCheckDomination:
             RngStream(5),
         )
         params = BoundParams(N=n, m=m, sigma2=sigma2)
-        assert check_domination(curve, "subgaussian", params)["passed"]
-        assert check_domination(curve, "elyaniv_pechyony", params)["passed"]
+        assert domination(curve, "subgaussian", params)["passed"]
+        assert domination(curve, "elyaniv_pechyony", params)["passed"]
 
     def test_centering_mismatch_refused(self):
         fc = antipodal(8)
@@ -179,7 +193,7 @@ class TestCheckDomination:
             RngStream(6),
         )
         with pytest.raises(ContractError):
-            check_domination(curve, "talagrand_swor", BoundParams(N=8, m=4, sigma2=0.25))
+            domination(curve, "talagrand_swor", BoundParams(N=8, m=4, sigma2=0.25))
 
     def test_corrupted_bound_detected(self):
         # dividing the sub-Gaussian constant by 100 must produce violations
@@ -193,8 +207,8 @@ class TestCheckDomination:
             RngStream(7),
         )
         params = BoundParams(N=n, m=m, sigma2=sigma2)
-        honest = check_domination(curve, "subgaussian", params)
-        corrupted = check_domination(
+        honest = domination(curve, "subgaussian", params)
+        corrupted = domination(
             curve,
             "subgaussian",
             params,
@@ -214,7 +228,7 @@ class TestCheckDomination:
             RngStream(8),
         )
         with pytest.raises(ConfigurationError):
-            check_domination(curve, "nonsense", BoundParams(N=8, m=4, sigma2=0.25))
+            domination(curve, "nonsense", BoundParams(N=8, m=4, sigma2=0.25))
 
 
 class TestSerialization:
@@ -243,7 +257,7 @@ class TestSerialization:
             500,
             RngStream(10),
         )
-        d = check_domination(curve, "subgaussian", BoundParams(N=8, m=4, sigma2=0.25))
+        d = domination(curve, "subgaussian", BoundParams(N=8, m=4, sigma2=0.25))
         assert set(d) == {"theorem_tag", "passed", "violations"}
         assert d["theorem_tag"] == "subgaussian"
         assert d["passed"] == (not d["violations"])
@@ -252,14 +266,48 @@ class TestSerialization:
 @pytest.mark.parametrize("n", [1, 2, 10, 10_000])
 def test_tail_curve_bands_equal_the_scalar_intervals(n):
     # suprema are discrete, so draws can equal grid points; the outer grid
-    # points give k = n and k = 0, the edge cases
+    # points give k = n and k = 0, the edge cases; both centres' limits come
+    # from one batched call per side and equal the per-count calls
     draws = np.random.default_rng(n).integers(-4, 5, n).astype(float)
     eps = np.concatenate([[-1e9], np.linspace(-4.0, 4.0, 17), [1e9]])
-    curve = tail_curve_from_draws(draws, eps, Center.AROUND_EQ_PRIME, 0.0)
-    ks = [int((draws >= e).sum()) for e in eps]
-    assert np.array_equal(curve.tail_estimate, np.array(ks) / n)
-    assert curve.upper_ci.tolist() == [binomial_upper_ci(k, n) for k in ks]
-    assert curve.lower_ci.tolist() == [binomial_lower_ci(k, n) for k in ks]
+    centres = {Center.AROUND_EQ_PRIME: around(0.0), Center.AROUND_EQ: around(0.5)}
+    curves = tail_curves(np.sort(draws), eps, centres)
+    for center, stats in centres.items():
+        curve = curves[center]
+        ks = [int((draws - stats.mean >= e).sum()) for e in eps]
+        assert curve.center is center and curve.center_value == stats.mean
+        assert np.array_equal(curve.tail_estimate, np.array(ks) / n)
+        assert curve.upper_ci.tolist() == [binomial_upper_ci(k, n) for k in ks]
+        assert curve.lower_ci.tolist() == [binomial_lower_ci(k, n) for k in ks]
+
+
+@pytest.mark.parametrize("center", [0.0, 0.1, -1.0 / 3.0, 1e-17, 2.5])
+def test_one_sort_counts_every_centre_exactly(center):
+    # rounding is monotone: sorted draws minus a centre are the sorted
+    # deviations, so the counts equal those of the unsorted deviations
+    gen = np.random.default_rng(17)
+    draws = np.concatenate([gen.normal(size=500), gen.integers(-3, 4, 500) / 3.0])
+    levels = np.concatenate([np.linspace(-3.0, 3.0, 61), draws[:50] - center])
+    direct = [int((draws - center >= level).sum()) for level in levels]
+    assert exceedances(np.sort(draws), center, levels).tolist() == direct
+
+
+def test_tail_curves_refuse_unsorted_or_no_draws():
+    centres = {Center.AROUND_EQ_PRIME: around(0.0)}
+    with pytest.raises(ConfigurationError, match="sorted ascending"):
+        tail_curves(np.array([1.0, 0.0]), np.array([0.5]), centres)
+    with pytest.raises(ConfigurationError, match="at least one draw"):
+        tail_curves(np.array([]), np.array([0.5]), centres)
+
+
+def test_domination_refuses_params_off_the_curve_grid():
+    fc = antipodal(8)
+    curve = estimate_tail(fc, SampleScheme(WITHOUT, 4), np.array([0.5, 1.0]), 500, RngStream(8))
+    params = BoundParams(N=8, m=4, sigma2=0.25)
+    with pytest.raises(ConfigurationError, match="one BoundParams per eps"):
+        check_domination(curve, "subgaussian", on_grid(params, [0.5]))
+    with pytest.raises(ConfigurationError, match="one BoundParams per eps"):
+        check_domination(curve, "subgaussian", on_grid(params, [0.5, 2.0]))
 
 
 def test_tail_curve_rejects_bad_grids():
@@ -292,7 +340,7 @@ def test_deviation_exceedance_calibrated():
 
 @pytest.mark.parametrize("n,m", [(20, 10), (100, 50)])
 def test_monte_carlo_harness_agrees_with_the_exact_law(n, m):
-    """Over 200 seeds, the delta = 0.01 upper band of tail_curve_from_draws
+    """Over 200 seeds, the delta = 0.01 upper band of tail_curves
     covers the exact tail at no less than the nominal rate (one-sided
     binomial test at each eps), and every simulate_suprema mean lies within
     4 standard errors of the exact mean.  N = 20 samples the population,
@@ -305,7 +353,9 @@ def test_monte_carlo_harness_agrees_with_the_exact_law(n, m):
     misses = np.zeros(grid.size, dtype=int)
     for seed in range(seeds):
         draws = simulate_suprema(fc, scheme, trials, RngStream(seed))
-        curve = tail_curve_from_draws(draws, grid, Center.AROUND_EQ_PRIME, mean)
+        curve = tail_curves(np.sort(draws), grid, {Center.AROUND_EQ_PRIME: around(mean)})[
+            Center.AROUND_EQ_PRIME
+        ]
         misses += curve.upper_ci < exact_tail
         assert abs(draws.mean() - mean) <= 4 * draws.std(ddof=1) / math.sqrt(trials), seed
     for eps, k in zip(grid, misses):
