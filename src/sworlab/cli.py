@@ -100,9 +100,10 @@ def _read_csv(path):
     """A numeric CSV as a 2-D array, or None when no path is given."""
     if not path:
         return None
-    with warnings.catch_warnings():  # an empty file is a config error, below
+    # an open file skips numpy's DataSource lookup; an empty one is a config error, below
+    with open(path) as lines, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        table = np.loadtxt(lines, delimiter=",", ndmin=2)
     if table.size == 0:
         raise ValueError(f"{path} holds no numbers")
     return table
@@ -116,7 +117,8 @@ def _write_report(out_dir, experiment: str, config: dict, payload: dict, elapsed
         "passed": payload.get("passed", True),
         "wall_time_s": round(elapsed, 3),
     }
-    (Path(out_dir) / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    # one line: with indent, json.dumps falls back to its pure-Python encoder
+    (Path(out_dir) / "report.json").write_text(json.dumps(report, sort_keys=True) + "\n")
     return report
 
 

