@@ -1,4 +1,4 @@
-"""The inequality bank: every tail / deviation bound as a pure formula.
+"""The inequality bank: every tail / deviation bound as one array formula.
 
 Each theorem family is typed once, as a log-tail: sub-Gaussian, Bennett
 (shared by the without-replacement Talagrand-type bound and Bousquet's
@@ -6,6 +6,11 @@ with-replacement original) and the El-Yaniv-Pechyony baseline.  A tail
 bound is min(1, exp(log-tail)), and `compare_exponents` reports the same
 log-tails.  A deterministic supremum (sigma2 = 0, v = 0 or m = N) has
 log-tail 0 at eps = 0 and -inf beyond.
+
+Array contract: `BoundParams` holds what a configuration fixes and is
+validated once; tail_*(p, eps) and deviation_*(p, t) take eps (or t) as a
+float or an array, check once that it is nonnegative and finite, and
+evaluate one numpy formula over it; overflow gives -inf log-tails, inf deviations.
 
 Centering conventions matter and are part of each bound's contract:
 
@@ -21,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -44,7 +51,7 @@ BOUND_CENTERS = {
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Inputs shared by the bound formulas.
+    """What one configuration fixes for the bound formulas.
 
     eq_m is E[Q_m], accepted as data (exact or estimated upstream); it is
     nonnegative for every centered class.
@@ -54,18 +61,14 @@ class BoundParams:
     m: int
     sigma2: float
     eq_m: float = 0.0
-    t: float = 0.0
-    eps: float = 0.0
 
     def __post_init__(self):
         if not 1 <= self.m <= self.N:
             raise ConfigurationError(f"need 1 <= m <= N, got m={self.m}, N={self.N}")
         if not 0.0 <= self.sigma2 <= 1.0:
             raise ConfigurationError(f"sigma2 must be in [0, 1], got {self.sigma2}")
-        if not 0.0 <= self.eq_m < math.inf:
-            raise ConfigurationError(f"E[Q_m] must be nonnegative and finite, got {self.eq_m}")
-        if not (0.0 <= self.t < math.inf and 0.0 <= self.eps < math.inf):
-            raise ConfigurationError("t and eps must be nonnegative and finite")
+        if not (0.0 <= self.eq_m and self.v < math.inf):  # v < inf: E[Q_m] is finite too
+            raise ConfigurationError(f"E[Q_m] must be nonnegative, 2 E[Q_m] finite: {self.eq_m}")
 
     @property
     def v(self) -> float:
@@ -73,85 +76,96 @@ class BoundParams:
         return self.m * self.sigma2 + 2.0 * self.eq_m
 
 
-def h_fn(u: float) -> float:
-    """h(u) = (1+u) log(1+u) - u, defined for u > -1."""
-    if u <= -1:
-        raise ConfigurationError(f"h(u) requires u > -1, got {u}")
-    return (1.0 + u) * math.log1p(u) - u
+def _checked(x) -> np.ndarray:
+    """eps or t as a float array, refused unless every value is nonnegative and finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x < np.inf)):
+        raise ConfigurationError("t and eps must be nonnegative and finite")
+    return x
 
 
-def _degenerate(eps: float) -> float:
-    """Log-tail of a deterministic supremum: log 1 at eps = 0, log 0 beyond."""
-    return 0.0 if eps == 0.0 else -math.inf
+@np.errstate(over="ignore")
+def h_fn(u):
+    """h(u) = (1+u) log(1+u) - u, elementwise for u > -1; h(inf) = inf."""
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= -1.0):
+        raise ConfigurationError(f"h(u) requires u > -1, got {u.min()}")
+    log1p = np.log1p(u)
+    return u * (log1p - 1.0) + log1p  # (1+u) log1p(u) - u, without inf - inf
 
 
-def _log_tail_subgaussian(p: BoundParams, constant: float = 8.0) -> float:
+@np.errstate(over="ignore")
+def _log_tail_subgaussian(p: BoundParams, eps, constant: float = 8.0) -> np.ndarray:
     """-(N+2) eps^2 / (constant N^2 sigma2); `constant` is 8 in the theorem."""
+    eps = _checked(eps)
     if p.sigma2 == 0.0:
-        return _degenerate(p.eps)
-    return -(p.N + 2) * p.eps**2 / (constant * p.N**2 * p.sigma2)
+        return np.where(eps == 0.0, 0.0, -np.inf)
+    return -(p.N + 2) * eps**2 / (constant * p.N**2 * p.sigma2)
 
 
-def _log_tail_bennett(p: BoundParams) -> float:
+@np.errstate(over="ignore")
+def _log_tail_bennett(p: BoundParams, eps) -> np.ndarray:
     """-v h(eps/v), v = m sigma2 + 2 E[Q]."""
-    v = p.v
+    eps, v = _checked(eps), p.v
     if v == 0.0:
-        return _degenerate(p.eps)
-    return -v * h_fn(p.eps / v)
+        return np.where(eps == 0.0, 0.0, -np.inf)
+    return -v * h_fn(eps / v)
 
 
-def _mcdiarmid_exponent(p: BoundParams) -> float:
-    """-(eps^2 / 2m) (N - 1/2)/(N - m), for m < N."""
-    return -(p.eps**2 / (2.0 * p.m)) * ((p.N - 0.5) / (p.N - p.m))
-
-
-def _log_tail_elyaniv_pechyony(p: BoundParams) -> float:
-    """The McDiarmid exponent times (1 - 1/(2 max(m, N-m)))."""
+@np.errstate(over="ignore")
+def _log_tail_elyaniv_pechyony(p: BoundParams, eps) -> np.ndarray:
+    """The McDiarmid exponent -(eps^2 / 2m) (N - 1/2)/(N - m) times
+    (1 - 1/(2 max(m, N-m)))."""
+    eps = _checked(eps)
     if p.m == p.N:  # exhaustive sample: Q' is deterministic
-        return _degenerate(p.eps)
-    return _mcdiarmid_exponent(p) * (1.0 - 1.0 / (2.0 * max(p.m, p.N - p.m)))
+        return np.where(eps == 0.0, 0.0, -np.inf)
+    mcdiarmid = -(eps**2 / (2.0 * p.m)) * ((p.N - 0.5) / (p.N - p.m))
+    return mcdiarmid * (1.0 - 1.0 / (2.0 * max(p.m, p.N - p.m)))
 
 
-def tail_subgaussian(p: BoundParams, constant: float = 8.0) -> float:
+def tail_subgaussian(p: BoundParams, eps, constant: float = 8.0):
     """Sub-Gaussian tail of Q' - E[Q'], either side: exp(-(N+2) eps^2 / (8 N^2 sigma2)).
 
     `constant` exists for corrupted-bound power checks.
     """
-    return min(1.0, math.exp(_log_tail_subgaussian(p, constant)))
+    return np.minimum(1.0, np.exp(_log_tail_subgaussian(p, eps, constant)))
 
 
-def deviation_subgaussian(p: BoundParams) -> float:
+@np.errstate(over="ignore")
+def deviation_subgaussian(p: BoundParams, t):
     """Deviation of Q' above E[Q'] at confidence t: 2 sqrt(2 N sigma2 t)."""
-    return 2.0 * math.sqrt(2.0 * p.N * p.sigma2 * p.t)
+    return 2.0 * np.sqrt(2.0 * p.N * p.sigma2 * _checked(t))
 
 
-def _bernstein_deviation(p: BoundParams) -> float:
+@np.errstate(over="ignore")
+def _bernstein_deviation(p: BoundParams, t):
     """sqrt(2 v t) + t/3, the Bennett tail's deviation at confidence t."""
-    return math.sqrt(2.0 * p.v * p.t) + p.t / 3.0
+    t = _checked(t)
+    return np.sqrt(2.0 * p.v * t) + t / 3.0
 
 
-def tail_talagrand_swor(p: BoundParams) -> float:
+def tail_talagrand_swor(p: BoundParams, eps):
     """Bennett-form tail of Q' above E[Q]: exp(-v h(eps/v)). Upper tail only."""
-    return min(1.0, math.exp(_log_tail_bennett(p)))
+    return np.minimum(1.0, np.exp(_log_tail_bennett(p, eps)))
 
 
-def deviation_talagrand_swor(p: BoundParams) -> float:
+def deviation_talagrand_swor(p: BoundParams, t):
     """Deviation of Q' above E[Q] (not E[Q'])."""
-    return _bernstein_deviation(p)
+    return _bernstein_deviation(p, t)
 
 
-def tail_bousquet(p: BoundParams) -> float:
+def tail_bousquet(p: BoundParams, eps):
     """Bousquet's with-replacement tail of Q above E[Q]: the same Bennett form."""
-    return min(1.0, math.exp(_log_tail_bennett(p)))
+    return np.minimum(1.0, np.exp(_log_tail_bennett(p, eps)))
 
 
-def deviation_bousquet(p: BoundParams) -> float:
-    return _bernstein_deviation(p)
+def deviation_bousquet(p: BoundParams, t):
+    return _bernstein_deviation(p, t)
 
 
-def tail_elyaniv_pechyony(p: BoundParams) -> float:
+def tail_elyaniv_pechyony(p: BoundParams, eps):
     """McDiarmid-style baseline for Q' - E[Q'], either side; variance-free."""
-    return min(1.0, math.exp(_log_tail_elyaniv_pechyony(p)))
+    return np.minimum(1.0, np.exp(_log_tail_elyaniv_pechyony(p, eps)))
 
 
 def gap_bound(N: int, m: int) -> float:
@@ -180,33 +194,29 @@ def compare_exponents(
 ) -> dict:
     """Compare the tail exponents of the three inequalities at one eps.
 
-    Reports, per tag of TAIL_BOUNDS, the log-tail its bound exponentiates;
-    the tightest bound is the one with the most negative exponent.  Two
-    comparison forms ride along: the sub-Gaussian -eps^2/(8 N sigma2) and
-    the El-Yaniv-Pechyony exponent without its 1 - 1/(2 max(m, N-m))
+    Reports, per tag of TAIL_BOUNDS, the log-tail its bound exponentiates,
+    and the tightest bound (most negative exponent; ties alphabetical).
+    Two comparison forms ride along: the sub-Gaussian -eps^2/(8 N sigma2)
+    and the El-Yaniv-Pechyony exponent without its 1 - 1/(2 max(m, N-m))
     factor.  The Bennett exponent uses eq_m as E[Q_m].
     """
-    p = BoundParams(N=N, m=m, sigma2=sigma2, eq_m=eq_m, eps=eps)
-    bennett = _log_tail_bennett(p)
+    p = BoundParams(N=N, m=m, sigma2=sigma2, eq_m=eq_m)
+    subgaussian = float(_log_tail_subgaussian(p, eps))
+    bennett = float(_log_tail_bennett(p, eps))
+    elyaniv_pechyony = float(_log_tail_elyaniv_pechyony(p, eps))
     exponents = {
-        "subgaussian": _log_tail_subgaussian(p),
+        "subgaussian": subgaussian,
         "talagrand_swor": bennett,
         "bousquet": bennett,
-        "elyaniv_pechyony": _log_tail_elyaniv_pechyony(p),
+        "elyaniv_pechyony": elyaniv_pechyony,
+        # the log-tails rescaled: -(N+2)/N^2 becomes -1/N, and the factor goes
+        "subgaussian_loose": subgaussian * (N / (N + 2)),
+        "elyaniv_pechyony_uncorrected": elyaniv_pechyony / (1.0 - 1.0 / (2.0 * max(m, N - m))),
     }
-    exponents["subgaussian_loose"] = (
-        -(eps**2) / (8.0 * N * sigma2) if sigma2 > 0.0 else exponents["subgaussian"]
-    )
-    exponents["elyaniv_pechyony_uncorrected"] = (
-        _mcdiarmid_exponent(p) if m < N else exponents["elyaniv_pechyony"]
-    )
-
-    compared = {k: exponents[k] for k in ("subgaussian", "talagrand_swor", "elyaniv_pechyony")}
-    best = min(compared.values())
-    tightest = sorted(k for k, val in compared.items() if val == best)
+    ranked = sorted(("elyaniv_pechyony", "subgaussian", "talagrand_swor"), key=exponents.get)
     return {
         "exponents": exponents,
-        "tightest": tightest[0],
-        "ties": tightest[1:],
+        "tightest": ranked[0],
+        "ties": [k for k in ranked[1:] if exponents[k] == exponents[ranked[0]]],
         "params": {"N": N, "m": m, "sigma2": sigma2, "eps": eps, "eq_m": eq_m},
     }

@@ -113,8 +113,8 @@ def gen_bound_thm5(
 ) -> float:
     """Uniform bound on L_N(h) - train risk at confidence t: sup_expectation
     plus the sub-Gaussian deviation of the centered class, over m."""
-    p = BoundParams(N=tp.N, m=m, sigma2=tp.sigma2_H, t=t)
-    return sup_expectation + deviation_subgaussian(p) / m
+    p = BoundParams(N=tp.N, m=m, sigma2=tp.sigma2_H)
+    return sup_expectation + float(deviation_subgaussian(p, t)) / m
 
 
 def gen_bound_thm6(tp: TransductiveProblem, m: int, t: float, e_m: float) -> float:

@@ -9,21 +9,21 @@ The draws of a run are sorted once.  Rounding is monotone, so the sorted
 draws minus a centre are the sorted deviations around it, element for
 element: every count of deviations at or above a level, for any centre,
 is one searchsorted on them.  The curves around several centres share
-one binomial_upper_ci and one binomial_lower_ci call, and the checks of
-one grid share its per-eps BoundParams.
+one binomial_upper_ci and one binomial_lower_ci call.  A check takes its
+bound's values on the whole grid, one array from one call of the bound,
+so the checks of one configuration share one BoundParams.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import betaincinv  # beta.ppf's own kernel; scipy.stats costs ~0.6 s to import
 
 from . import bounds as bank
-from .bounds import BoundParams, Center
+from .bounds import Center
 from .empirical_process import SupremumStats
 from .errors import ConfigurationError, ContractError
 
@@ -133,18 +133,11 @@ def tail_curves(
     }
 
 
-def check_domination(
-    curve: TailCurve,
-    theorem_tag: str,
-    grid_params: Sequence[BoundParams],
-    tail_fn: Optional[Callable] = None,
-) -> dict:
-    """Compare an empirical tail curve against one theorem's bound:
-    {"theorem_tag", "passed", "violations": [{"eps", "empirical_lower_ci",
-    "bound_value"}]}.
+def check_domination(curve: TailCurve, theorem_tag: str, bound) -> dict:
+    """Compare an empirical tail curve against one theorem's bound, its values
+    on the curve's eps grid: {"theorem_tag", "passed", "violations":
+    [{"eps", "empirical_lower_ci", "bound_value"}]}.
 
-    grid_params holds the bound's BoundParams at each eps of the curve's
-    grid, in order, so the checks of one grid can share them.
     Refuses to compare when the curve's centering convention does not
     match the bound's.  A grid point is a violation when the exact lower
     confidence bound of the empirical tail exceeds the analytic bound.
@@ -157,13 +150,12 @@ def check_domination(
             f"{theorem_tag} bounds deviations around {expected_center.value}, "
             f"but the curve is centered around {curve.center.value}"
         )
-    if [p.eps for p in grid_params] != curve.eps_grid.tolist():
-        raise ConfigurationError("grid_params must hold one BoundParams per eps of the curve")
-    if tail_fn is None:
-        tail_fn = bank.TAIL_BOUNDS[theorem_tag]
-    violations = []
-    for p, lo in zip(grid_params, curve.lower_ci.tolist()):
-        bound = tail_fn(p)
-        if lo > bound:
-            violations.append({"eps": p.eps, "empirical_lower_ci": lo, "bound_value": bound})
+    bound = np.asarray(bound, dtype=float)
+    if bound.shape != curve.eps_grid.shape:
+        raise ConfigurationError("the bound needs one value per eps of the curve's grid")
+    violations = [
+        {"eps": eps, "empirical_lower_ci": lo, "bound_value": b}
+        for eps, lo, b in zip(curve.eps_grid.tolist(), curve.lower_ci.tolist(), bound.tolist())
+        if lo > b
+    ]
     return {"theorem_tag": theorem_tag, "passed": not violations, "violations": violations}

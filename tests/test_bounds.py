@@ -9,6 +9,7 @@ from sworlab.bounds import (
     BoundParams,
     Center,
     compare_exponents,
+    DEVIATION_BOUNDS,
     deviation_bousquet,
     deviation_subgaussian,
     deviation_talagrand_swor,
@@ -38,6 +39,16 @@ class TestElementaryFunctions:
     def test_h_domain(self):
         with pytest.raises(ConfigurationError):
             h_fn(-1.0)
+        with pytest.raises(ConfigurationError):
+            h_fn(np.array([0.5, -1.5]))
+
+    def test_h_on_arrays_and_at_infinity(self):
+        u = np.array([0.0, math.e - 1, 1e300, 1e308, math.inf])
+        h = h_fn(u)
+        assert h.shape == u.shape
+        assert h[0] == 0.0 and h[1] == pytest.approx(1.0, abs=1e-14)
+        assert h[2] == pytest.approx(1e300 * (math.log(1e300) - 1.0), rel=1e-12)
+        assert h[3] == math.inf and h[4] == math.inf  # overflow, then h(inf) = inf
 
     @given(st.floats(min_value=1e-6, max_value=10.0))
     def test_h_dominates_bernstein_quadratic(self, u):
@@ -50,83 +61,79 @@ class TestElementaryFunctions:
 
 class TestSubgaussian:
     def test_eps_zero(self):
-        p = BoundParams(N=10, m=5, sigma2=0.2, eps=0.0)
-        assert tail_subgaussian(p) == 1.0
+        assert tail_subgaussian(BoundParams(N=10, m=5, sigma2=0.2), 0.0) == 1.0
 
     def test_degenerate_class(self):
-        p = BoundParams(N=10, m=5, sigma2=0.0, eps=0.1)
-        assert tail_subgaussian(p) == 0.0
+        p = BoundParams(N=10, m=5, sigma2=0.0)
+        assert tail_subgaussian(p, np.array([0.0, 0.1])).tolist() == [1.0, 0.0]
 
     def test_direct_substitution(self):
-        p = BoundParams(N=100, m=50, sigma2=0.25, eps=10.0)
-        assert tail_subgaussian(p) == pytest.approx(math.exp(-0.51))
+        p = BoundParams(N=100, m=50, sigma2=0.25)
+        assert tail_subgaussian(p, 10.0) == pytest.approx(math.exp(-0.51))
 
     def test_deviation_examples(self):
-        assert deviation_subgaussian(BoundParams(N=8, m=4, sigma2=0.25, t=0.0)) == 0.0
-        val = deviation_subgaussian(BoundParams(N=8, m=4, sigma2=0.25, t=2.0))
-        assert val == pytest.approx(2 * math.sqrt(8))
+        p = BoundParams(N=8, m=4, sigma2=0.25)
+        assert deviation_subgaussian(p, 0.0) == 0.0
+        assert deviation_subgaussian(p, 2.0) == pytest.approx(2 * math.sqrt(8))
 
     def test_deviation_sqrt_t_scaling(self):
-        v1 = deviation_subgaussian(BoundParams(N=20, m=5, sigma2=0.1, t=1.0))
-        v2 = deviation_subgaussian(BoundParams(N=20, m=5, sigma2=0.1, t=2.0))
+        v1, v2 = deviation_subgaussian(BoundParams(N=20, m=5, sigma2=0.1), np.array([1.0, 2.0]))
         assert v2 == pytest.approx(math.sqrt(2) * v1)
 
 
 class TestTalagrandSwor:
     def test_eps_zero_both_forms(self):
-        p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, eps=0.0)
-        assert tail_talagrand_swor(p) == 1.0
-        assert tail_bousquet(p) == 1.0
+        p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0)
+        assert tail_talagrand_swor(p, 0.0) == 1.0
+        assert tail_bousquet(p, 0.0) == 1.0
 
     def test_direct_substitution(self):
         # v = 50*0.1 + 2*2 = 9, eps=6 -> exp(-9 h(2/3))
-        p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, eps=6.0)
+        p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0)
         h = (5 / 3) * math.log(5 / 3) - 2 / 3
         assert p.v == pytest.approx(9.0)
-        assert tail_talagrand_swor(p) == pytest.approx(math.exp(-9 * h))
+        assert tail_talagrand_swor(p, 6.0) == pytest.approx(math.exp(-9 * h))
 
     def test_deviation_examples(self):
-        p0 = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, t=0.0)
-        assert deviation_talagrand_swor(p0) == 0.0
-        p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, t=2.0)
-        assert deviation_talagrand_swor(p) == pytest.approx(6 + 2 / 3)
+        p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0)
+        assert deviation_talagrand_swor(p, 0.0) == 0.0
+        assert deviation_talagrand_swor(p, 2.0) == pytest.approx(6 + 2 / 3)
 
     def test_degenerate_v(self):
-        p = BoundParams(N=10, m=5, sigma2=0.0, eq_m=0.0, eps=0.5)
-        assert tail_talagrand_swor(p) == 0.0
+        p = BoundParams(N=10, m=5, sigma2=0.0, eq_m=0.0)
+        assert tail_talagrand_swor(p, np.array([0.0, 0.5])).tolist() == [1.0, 0.0]
 
 
 class TestBousquet:
     def test_bitwise_equality_with_swor_twin(self):
-        for eps in (0.0, 0.3, 2.0, 17.5):
-            p = BoundParams(N=200, m=60, sigma2=0.17, eq_m=1.3, eps=eps)
-            assert tail_bousquet(p) == tail_talagrand_swor(p)
+        p = BoundParams(N=200, m=60, sigma2=0.17, eq_m=1.3)
+        eps = np.array([0.0, 0.3, 2.0, 17.5])
+        assert tail_bousquet(p, eps).tolist() == tail_talagrand_swor(p, eps).tolist()
 
     def test_deviation_value(self):
         # v = 9, t = 2 -> sqrt(36) + 2/3 = 6.6667
-        p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0, t=2.0)
-        assert deviation_bousquet(p) == pytest.approx(6.666666666, rel=1e-6)
+        p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0)
+        assert deviation_bousquet(p, 2.0) == pytest.approx(6.666666666, rel=1e-6)
 
 
 class TestElYanivPechyony:
     def test_eps_zero(self):
-        p = BoundParams(N=100, m=50, sigma2=0.1, eps=0.0)
-        assert tail_elyaniv_pechyony(p) == 1.0
+        assert tail_elyaniv_pechyony(BoundParams(N=100, m=50, sigma2=0.1), 0.0) == 1.0
 
     def test_direct_substitution(self):
-        p = BoundParams(N=100, m=50, sigma2=0.1, eps=10.0)
+        p = BoundParams(N=100, m=50, sigma2=0.1)
         expo = -(100 / 100) * (99.5 / 50) * (1 - 1 / 100)
         assert expo == pytest.approx(-1.9701)
-        assert tail_elyaniv_pechyony(p) == pytest.approx(math.exp(-1.9701))
+        assert tail_elyaniv_pechyony(p, 10.0) == pytest.approx(math.exp(-1.9701))
 
     def test_variance_independent(self):
-        a = tail_elyaniv_pechyony(BoundParams(N=100, m=50, sigma2=0.01, eps=3.0))
-        b = tail_elyaniv_pechyony(BoundParams(N=100, m=50, sigma2=0.25, eps=3.0))
+        a = tail_elyaniv_pechyony(BoundParams(N=100, m=50, sigma2=0.01), 3.0)
+        b = tail_elyaniv_pechyony(BoundParams(N=100, m=50, sigma2=0.25), 3.0)
         assert a == b
 
     def test_exhaustive_sample_degenerate(self):
-        assert tail_elyaniv_pechyony(BoundParams(N=5, m=5, sigma2=0.1, eps=0.5)) == 0.0
-        assert tail_elyaniv_pechyony(BoundParams(N=5, m=5, sigma2=0.1, eps=0.0)) == 1.0
+        p = BoundParams(N=5, m=5, sigma2=0.1)
+        assert tail_elyaniv_pechyony(p, np.array([0.0, 0.5])).tolist() == [1.0, 0.0]
 
 
 class TestDuality:
@@ -135,18 +142,14 @@ class TestDuality:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
     def test_subgaussian(self, t):
         for n, m, s2 in [(20, 10, 0.25), (100, 50, 0.1), (1000, 100, 0.01)]:
-            eps = deviation_subgaussian(BoundParams(N=n, m=m, sigma2=s2, t=t))
-            tail = tail_subgaussian(BoundParams(N=n, m=m, sigma2=s2, eps=eps))
-            assert tail <= math.exp(-t) * (1 + 1e-9)
+            p = BoundParams(N=n, m=m, sigma2=s2)
+            assert tail_subgaussian(p, deviation_subgaussian(p, t)) <= math.exp(-t) * (1 + 1e-9)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
     def test_talagrand(self, t):
         for n, m, s2, eq in [(20, 10, 0.25, 0.5), (100, 50, 0.1, 2.0), (400, 300, 0.2, 1.0)]:
-            p_t = BoundParams(N=n, m=m, sigma2=s2, eq_m=eq, t=t)
-            eps = deviation_talagrand_swor(p_t)
-            tail = tail_talagrand_swor(
-                BoundParams(N=n, m=m, sigma2=s2, eq_m=eq, eps=eps)
-            )
+            p = BoundParams(N=n, m=m, sigma2=s2, eq_m=eq)
+            tail = tail_talagrand_swor(p, deviation_talagrand_swor(p, t))
             assert tail <= math.exp(-t) * (1 + 1e-9)
 
 
@@ -156,10 +159,9 @@ class TestShapeProperties:
         st.floats(min_value=0.0, max_value=50.0),
     )
     def test_tails_nonincreasing_in_eps(self, e1, e2):
-        lo, hi = sorted([e1, e2])
+        p = BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7)
         for fn in (tail_subgaussian, tail_talagrand_swor, tail_elyaniv_pechyony):
-            a = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, eps=lo))
-            b = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, eps=hi))
+            a, b = fn(p, np.array(sorted([e1, e2])))
             assert b <= a + 1e-12
 
     @given(
@@ -167,18 +169,17 @@ class TestShapeProperties:
         st.floats(min_value=0.0, max_value=20.0),
     )
     def test_deviations_nondecreasing_in_t(self, t1, t2):
-        lo, hi = sorted([t1, t2])
+        p = BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7)
         for fn in (deviation_subgaussian, deviation_talagrand_swor, deviation_bousquet):
-            a = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, t=lo))
-            b = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, t=hi))
+            a, b = fn(p, np.array(sorted([t1, t2])))
             assert a <= b + 1e-12
-            assert fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, t=0.0)) == 0.0
+            assert fn(p, 0.0) == 0.0
 
     def test_tail_values_in_unit_interval(self):
-        for eps in np.linspace(0, 100, 31):
-            for fn in (tail_subgaussian, tail_talagrand_swor, tail_elyaniv_pechyony):
-                v = fn(BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7, eps=float(eps)))
-                assert 0.0 <= v <= 1.0
+        p = BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7)
+        for fn in (tail_subgaussian, tail_talagrand_swor, tail_elyaniv_pechyony):
+            v = fn(p, np.linspace(0, 100, 31))
+            assert v.shape == (31,) and np.all((0.0 <= v) & (v <= 1.0))
 
 
 class TestGapBound:
@@ -225,12 +226,13 @@ class TestCompareExponents:
         for m in (1, n // 2, n):
             for s2 in (0.0, 0.01, 0.25):
                 for eq in (0.0, 1.5):
+                    p = BoundParams(N=n, m=m, sigma2=s2, eq_m=eq)
                     for eps in (0.0, 0.3, 5.0, 50.0):
                         ex = compare_exponents(N=n, m=m, sigma2=s2, eps=eps, eq_m=eq)
-                        p = BoundParams(N=n, m=m, sigma2=s2, eq_m=eq, eps=eps)
                         for tag, tail in TAIL_BOUNDS.items():
+                            # through numpy's exp, as the bound takes it
                             expo = ex["exponents"][tag]
-                            assert min(1.0, math.exp(expo)) == tail(p), (tag, m, s2, eq, eps)
+                            assert np.minimum(1.0, np.exp(expo)) == tail(p, eps), (tag, m, s2, eq)
 
     def test_degenerate_inputs_report_log_one_at_eps_zero(self):
         ex = compare_exponents(N=10, m=10, sigma2=0.0, eps=0.0)["exponents"]
@@ -253,9 +255,15 @@ class TestBoundParamsValidation:
             BoundParams(N=5, m=6, sigma2=0.1)
         with pytest.raises(ConfigurationError):
             BoundParams(N=5, m=2, sigma2=1.5)
-        for bad in ({"t": -1.0}, {"t": math.nan}, {"eps": math.inf}, {"eq_m": math.nan}):
-            with pytest.raises(ConfigurationError):
-                BoundParams(N=5, m=2, sigma2=0.5, **bad)
+        for eq_m in (math.nan, math.inf, 1e308):  # 1e308: v = m sigma2 + 2 E[Q_m] overflows
+            with pytest.raises(ConfigurationError, match="E\\[Q_m\\]"):
+                BoundParams(N=5, m=2, sigma2=0.5, eq_m=eq_m)
+
+    @pytest.mark.parametrize("fn", [*TAIL_BOUNDS.values(), *DEVIATION_BOUNDS.values()])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, [0.5, -1e-300], [1.0, math.nan]])
+    def test_eps_and_t_checked_at_the_call(self, fn, bad):
+        with pytest.raises(ConfigurationError, match="t and eps must be nonnegative and finite"):
+            fn(BoundParams(N=5, m=2, sigma2=0.5), bad)
 
     def test_negative_eq_m_rejected(self):
         # v = m sigma2 + 2 E[Q] < 0 would make the Bennett tail 0 at every eps
@@ -283,8 +291,59 @@ def test_every_tail_bound_dominates_the_exact_tail(n, m, s2):
     eq_m = float(with_weights @ with_sups)
     centres = {Center.AROUND_EQ_PRIME: float(weights @ sups), Center.AROUND_EQ: eq_m}
     sigma2 = class_variance(fc)
-    for eps in default_eps_grid(m, sigma2):
-        p = BoundParams(N=n, m=m, sigma2=sigma2, eq_m=max(eq_m, 0.0), eps=float(eps))
-        for tag, tail in TAIL_BOUNDS.items():
-            exact = float(weights[sups - centres[BOUND_CENTERS[tag]] >= eps].sum())
-            assert exact <= tail(p) * (1 + 1e-9), (tag, eps, exact)
+    eps_grid = default_eps_grid(m, sigma2)
+    p = BoundParams(N=n, m=m, sigma2=sigma2, eq_m=max(eq_m, 0.0))
+    for tag, tail in TAIL_BOUNDS.items():
+        deviations = sups - centres[BOUND_CENTERS[tag]]
+        exact = np.array([weights[deviations >= eps].sum() for eps in eps_grid])
+        bound = tail(p, eps_grid)
+        assert np.all(exact <= bound * (1 + 1e-9)), (tag, exact, bound)
+
+
+def _scalar_log_tails(n, m, s2, eq, eps):
+    """Each closed form at one eps, in Python floats, as a per-eps reference."""
+    v = m * s2 + 2.0 * eq
+
+    def point_mass():
+        return 0.0 if eps == 0.0 else -math.inf
+
+    u = eps / v if v else 0.0
+    bennett = -v * ((1.0 + u) * math.log1p(u) - u) if v else point_mass()
+    return {
+        "subgaussian": -(n + 2) * eps**2 / (8.0 * n**2 * s2) if s2 else point_mass(),
+        "talagrand_swor": bennett,
+        "bousquet": bennett,
+        "elyaniv_pechyony": (
+            -(eps**2 / (2.0 * m)) * ((n - 0.5) / (n - m)) * (1.0 - 1.0 / (2.0 * max(m, n - m)))
+            if m < n
+            else point_mass()
+        ),
+    }
+
+
+@pytest.mark.parametrize("n,m,s2", EXACT_TAIL_CONFIGS[:27] + [(10, 10, 0.1), (10, 5, 0.0)])
+def test_array_tails_equal_the_per_eps_closed_forms(n, m, s2):
+    eps_grid = np.concatenate([[0.0], default_eps_grid(m, s2)])
+    for eq in (0.0, 0.5 * math.sqrt(m * s2), 3.0):
+        p = BoundParams(N=n, m=m, sigma2=s2, eq_m=eq)
+        arrays = {tag: tail(p, eps_grid) for tag, tail in TAIL_BOUNDS.items()}
+        for i, eps in enumerate(eps_grid.tolist()):
+            for tag, log_tail in _scalar_log_tails(n, m, s2, eq, eps).items():
+                expected = min(1.0, math.exp(log_tail))
+                assert arrays[tag][i] == pytest.approx(expected, rel=1e-12, abs=0.0), (tag, eps)
+
+
+def test_no_exponent_or_tail_is_nan_at_extreme_inputs():
+    # eps / v and eps^2 overflow here; h(inf) = inf makes the log-tail -inf
+    eps = np.array([0.0, 1e-300, 1e10, 1e300])
+    for s2 in (1e-300, 0.25):
+        for eq in (0.0, 1e300):
+            for n, m in ((100, 1), (100, 50), (100, 100)):
+                p = BoundParams(N=n, m=m, sigma2=s2, eq_m=eq)
+                for tail in TAIL_BOUNDS.values():
+                    values = tail(p, eps)
+                    assert np.all((0.0 <= values) & (values <= 1.0)), (tail, values)
+                for e in eps.tolist():
+                    report = compare_exponents(N=n, m=m, sigma2=s2, eps=e, eq_m=eq)
+                    assert not any(map(math.isnan, report["exponents"].values())), report
+                    assert all(x <= 0.0 for x in report["exponents"].values()), report

@@ -322,6 +322,45 @@ class TestCompareExponents:
         )
         assert code == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize(
+        "argv, infinite",
+        [
+            # eps^2 overflows: the sub-Gaussian and McDiarmid-form exponents are -inf
+            (["--eps", "1e160"], ("subgaussian", "elyaniv_pechyony")),
+            # eps / v overflows: h(inf) = inf, so the Bennett exponents are -inf, not NaN
+            (["--sigma2", "1e-300", "--m", "1", "--eps", "1e10"], ("talagrand_swor", "bousquet")),
+        ],
+    )
+    def test_overflowing_exponents_are_minus_infinity(self, tmp_path, capsys, argv, infinite):
+        out = tmp_path / "o"
+        assert run(["compare-exponents", *argv, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        exponents = read_report(out)["results"]["exponents"]
+        assert not any(math.isnan(x) for x in exponents.values())
+        assert all(exponents[tag] == -math.inf for tag in infinite)
+
+
+EXTREME_VALUES = ("0", "1e-300", "1e300", "1e308", "-1", "-1e300")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["compare-exponents", f"--{flag}={value}"] for flag in ("eps", "sigma2", "eq-m")
+          for value in EXTREME_VALUES),
+        *(["verify-bounds", "--trials", "50", f"--{flag}={value}"]
+          for flag in ("sigma2", "t-grid") for value in EXTREME_VALUES),
+    ],
+    ids=" ".join,
+)
+def test_extreme_numeric_inputs_exit_0_or_2_without_a_traceback(tmp_path, capsys, argv):
+    # an exception escaping run() is what main() prints as a traceback, and
+    # under the suite's warning filter a numpy RuntimeWarning raises too
+    code = run([*argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG_ERROR), err
+    assert "Traceback" not in err
+
 
 class TestOracleCheck:
     def test_passes_and_reports(self, tmp_path):

@@ -114,14 +114,23 @@ def test_one_localize_report_builds_the_variance_slices_once(monkeypatch):
 
 def test_one_verify_bounds_config_sorts_once_and_batches_its_limits(monkeypatch):
     # one sort of the tail draws; one upper and one lower Clopper-Pearson
-    # call for both curves, one lower call for the deviation table; the
-    # 20 per-eps BoundParams (and 3 per-t ones) built once for four checks
+    # call for both curves, one lower call for the deviation table; one
+    # BoundParams, validated once, and one call of each bound over the
+    # whole eps grid (or t grid) per check
     calls = {"sort": 0, "upper": 0, "lower": 0, "table": 0, "params": 0}
+    grids = {}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
             calls[key] += 1
             return fn(*args, **kwargs)
+
+        return wrapped
+
+    def recording(key, fn):
+        def wrapped(params, x, *args, **kwargs):
+            grids.setdefault(key, []).append(np.shape(x))
+            return fn(params, x, *args, **kwargs)
 
         return wrapped
 
@@ -133,8 +142,14 @@ def test_one_verify_bounds_config_sorts_once_and_batches_its_limits(monkeypatch)
         experiments, "binomial_lower_ci", counting("table", experiments.binomial_lower_ci)
     )
     monkeypatch.setattr(bounds.BoundParams, "__post_init__", counting("params", post_init))
+    expected = {}
+    for table, shape in ((bounds.TAIL_BOUNDS, (20,)), (bounds.DEVIATION_BOUNDS, (3,))):
+        for tag, fn in table.items():
+            expected[fn.__name__] = [shape]
+            monkeypatch.setitem(table, tag, recording(fn.__name__, fn))
     out = run_verify_bounds(n=20, m=10, trials=2000, t_grid=(1.0, 2.0, 4.0))
-    assert calls == {"sort": 1, "upper": 1, "lower": 1, "table": 1, "params": 1 + 20 + 3}
+    assert calls == {"sort": 1, "upper": 1, "lower": 1, "table": 1, "params": 1}
+    assert grids == expected
     assert len(out["configurations"][0]["curves"]["around_eq"]["eps_grid"]) == 20
 
 

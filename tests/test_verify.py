@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from scipy.optimize import bisect
 from scipy.stats import beta, binom, binomtest
 
-from sworlab.bounds import BoundParams, Center, tail_subgaussian
+from sworlab.bounds import TAIL_BOUNDS, BoundParams, Center, tail_subgaussian
 from sworlab.cli import _write_curves
 from sworlab.empirical_process import (
     FunctionClass,
@@ -103,12 +102,8 @@ def around(center_value: float) -> SupremumStats:
     return SupremumStats(center_value, 0.0, {})
 
 
-def on_grid(params, eps_grid):
-    return [replace(params, eps=eps) for eps in eps_grid]
-
-
-def domination(curve, tag, params, tail_fn=None):
-    return check_domination(curve, tag, on_grid(params, curve.eps_grid.tolist()), tail_fn)
+def domination(curve, tag, params):
+    return check_domination(curve, tag, TAIL_BOUNDS[tag](params, curve.eps_grid))
 
 
 class TestEstimateTail:
@@ -218,12 +213,8 @@ class TestCheckDomination:
         )
         params = BoundParams(N=n, m=m, sigma2=sigma2)
         honest = domination(curve, "subgaussian", params)
-        corrupted = domination(
-            curve,
-            "subgaussian",
-            params,
-            tail_fn=lambda p: tail_subgaussian(p, constant=0.08),
-        )
+        weakened = tail_subgaussian(params, curve.eps_grid, constant=0.08)
+        corrupted = check_domination(curve, "subgaussian", weakened)
         assert honest["passed"]
         assert not corrupted["passed"]
         assert corrupted["violations"]
@@ -237,8 +228,8 @@ class TestCheckDomination:
             500,
             RngStream(8),
         )
-        with pytest.raises(ConfigurationError):
-            domination(curve, "nonsense", BoundParams(N=8, m=4, sigma2=0.25))
+        with pytest.raises(ConfigurationError, match="unknown theorem tag"):
+            check_domination(curve, "nonsense", np.ones(1))
 
 
 class TestSerialization:
@@ -310,14 +301,13 @@ def test_tail_curves_refuse_unsorted_or_no_draws():
         tail_curves(np.array([]), np.array([0.5]), centres)
 
 
-def test_domination_refuses_params_off_the_curve_grid():
+def test_domination_refuses_a_bound_off_the_curve_grid():
     fc = antipodal(8)
     curve = estimate_tail(fc, SampleScheme(WITHOUT, 4), np.array([0.5, 1.0]), 500, RngStream(8))
     params = BoundParams(N=8, m=4, sigma2=0.25)
-    with pytest.raises(ConfigurationError, match="one BoundParams per eps"):
-        check_domination(curve, "subgaussian", on_grid(params, [0.5]))
-    with pytest.raises(ConfigurationError, match="one BoundParams per eps"):
-        check_domination(curve, "subgaussian", on_grid(params, [0.5, 2.0]))
+    for eps in ([0.5], [0.5, 1.0, 2.0], [[0.5, 1.0]]):
+        with pytest.raises(ConfigurationError, match="one value per eps"):
+            check_domination(curve, "subgaussian", tail_subgaussian(params, eps))
 
 
 def test_tail_curve_rejects_bad_grids():
@@ -342,8 +332,8 @@ def test_deviation_exceedance_calibrated():
     scheme = SampleScheme(WITHOUT, m)
     center = expected_sup(fc, scheme, trials, RngStream(11), budget=0)
     draws = simulate_suprema(fc, scheme, trials, RngStream(12))
-    for t in (1.0, 2.0, 4.0):
-        level = deviation_subgaussian(BoundParams(N=n, m=m, sigma2=sigma2, t=t))
+    levels = deviation_subgaussian(BoundParams(N=n, m=m, sigma2=sigma2), np.array([1.0, 2.0, 4.0]))
+    for t, level in zip((1.0, 2.0, 4.0), levels):
         k = int((draws - center.mean > level).sum())
         assert binomial_lower_ci(k, trials) <= math.exp(-t)
 
