@@ -7,15 +7,13 @@ from .bounds import (
     BoundParams,
     Center,
     compare_exponents,
-    deviation_bousquet,
+    deviation_bennett,
     deviation_subgaussian,
-    deviation_talagrand_swor,
     gap_bound,
     h_fn,
-    tail_bousquet,
+    tail_bennett,
     tail_elyaniv_pechyony,
     tail_subgaussian,
-    tail_talagrand_swor,
 )
 from .empirical_process import (
     FunctionClass,

@@ -137,30 +137,19 @@ def deviation_subgaussian(p: BoundParams, t):
     return 2.0 * np.sqrt(2.0 * p.N * p.sigma2 * _checked(t))
 
 
+def tail_bennett(p: BoundParams, eps):
+    """Bennett-form tail above E[Q]: exp(-v h(eps/v)), upper tail only.  The
+    Talagrand-type bound for Q' (without replacement) and Bousquet's
+    with-replacement original for Q share it."""
+    return np.minimum(1.0, np.exp(_log_tail_bennett(p, eps)))
+
+
 @np.errstate(over="ignore")
-def _bernstein_deviation(p: BoundParams, t):
-    """sqrt(2 v t) + t/3, the Bennett tail's deviation at confidence t."""
+def deviation_bennett(p: BoundParams, t):
+    """sqrt(2 v t) + t/3, the Bennett tail's deviation above E[Q] (not
+    E[Q']) at confidence t."""
     t = _checked(t)
     return np.sqrt(2.0 * p.v * t) + t / 3.0
-
-
-def tail_talagrand_swor(p: BoundParams, eps):
-    """Bennett-form tail of Q' above E[Q]: exp(-v h(eps/v)). Upper tail only."""
-    return np.minimum(1.0, np.exp(_log_tail_bennett(p, eps)))
-
-
-def deviation_talagrand_swor(p: BoundParams, t):
-    """Deviation of Q' above E[Q] (not E[Q'])."""
-    return _bernstein_deviation(p, t)
-
-
-def tail_bousquet(p: BoundParams, eps):
-    """Bousquet's with-replacement tail of Q above E[Q]: the same Bennett form."""
-    return np.minimum(1.0, np.exp(_log_tail_bennett(p, eps)))
-
-
-def deviation_bousquet(p: BoundParams, t):
-    return _bernstein_deviation(p, t)
 
 
 def tail_elyaniv_pechyony(p: BoundParams, eps):
@@ -177,15 +166,15 @@ def gap_bound(N: int, m: int) -> float:
 
 TAIL_BOUNDS = {
     "subgaussian": tail_subgaussian,
-    "talagrand_swor": tail_talagrand_swor,
-    "bousquet": tail_bousquet,
+    "talagrand_swor": tail_bennett,
+    "bousquet": tail_bennett,
     "elyaniv_pechyony": tail_elyaniv_pechyony,
 }
 
 DEVIATION_BOUNDS = {
     "subgaussian": deviation_subgaussian,
-    "talagrand_swor": deviation_talagrand_swor,
-    "bousquet": deviation_bousquet,
+    "talagrand_swor": deviation_bennett,
+    "bousquet": deviation_bennett,
 }
 
 

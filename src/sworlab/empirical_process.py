@@ -288,10 +288,10 @@ def expected_sup(
     for the antipodal class.  Within `budget` the mean is exact, std_error 0;
     budget = 0 always takes Monte Carlo (verify-bounds passes it).  Else
     `trials` draws from `rng` give the mean and std_error = sample std /
-    sqrt(trials); with trials = 0 it raises OracleScaleError, and trials < 0
-    is a ConfigurationError on either route.  provenance holds route
-    ("exact" or "monte_carlo"), enumeration_size (the count), budget and
-    trials.
+    sqrt(trials); with trials = 0 it raises OracleScaleError, and trials = 1
+    (no standard error) is a ConfigurationError, as is trials < 0 on either
+    route.  provenance holds route ("exact" or "monte_carlo"),
+    enumeration_size (the count), budget and trials.
     """
     if trials < 0:
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
@@ -307,12 +307,14 @@ def expected_sup(
             f"{size} count vectors over {levels.sizes.size} level sets exceed the"
             f" enumeration budget {budget} and no Monte Carlo trials were given"
         )
+    elif trials < 2:  # one draw has no standard error; 0 would pass it off as exact
+        raise ConfigurationError(f"Monte Carlo needs trials >= 2 for a standard error, got {trials}")
     elif rng is None:
         raise ConfigurationError("Monte Carlo needs an rng")
     else:
         draws = simulate_suprema(fc, scheme, trials, rng, ends=ends)
         mean = draws.mean(axis=0)
-        se = draws.std(ddof=1, axis=0) / math.sqrt(trials) if trials > 1 else np.zeros_like(mean)
+        se = draws.std(ddof=1, axis=0) / math.sqrt(trials)
         provenance.update(route="monte_carlo", trials=trials)
     if ends is None:  # one supremum: plain floats for the callers
         mean, se = float(mean), float(se)

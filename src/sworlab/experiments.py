@@ -277,7 +277,7 @@ SPLIT_STREAM = 10**6 + 1
 
 FIT_STREAM = 10**6 + 2
 """Stream index of localize's modulus fits: substream j draws the j-th fit,
-every radius of its grid at once; no other draw uses it."""
+every slice breakpoint at once; no other draw uses it."""
 
 
 def _problem(loss, n: int, hypotheses: int, m: int, seed: int) -> TransductiveProblem:
@@ -389,13 +389,11 @@ def run_transductive_erm(
 
 def _fit_modulus(ec, B, m, flavor, rng, trials) -> dict:
     radii, psi = modulus_curve(ec, m, flavor, trials, rng, B=B)
-    c = fit_subroot(radii, psi.mean, psi.std_error)
     grid = zip(radii.tolist(), psi.mean.tolist(), psi.std_error.tolist())
     return {
         "flavor": flavor.value,
         "grid": [{"r": r, "psi_hat": p, "std_error": s} for r, p, s in grid],
-        "c": c,
-        "r_star": c * c,
+        "r_star": fit_subroot(radii, psi.mean, psi.std_error),
         "exact": psi.provenance["route"] == "exact",
     }
 

@@ -3,13 +3,16 @@ constant B, sub-root majorants with their fixed points, and the localized
 excess-risk bound formulas.
 
 The modulus of continuity is estimated on the nested variance slices
-{f : E f^2 <= r} of the excess loss class, all radii from one draw, and
-majorized within the c*sqrt(r) family, whose fixed point is c^2 exactly.
-Upper-confidence fitting (estimate + 2 standard errors) keeps the majorant
-statistically conservative when the modulus is only estimated.
+{f : E f^2 <= r} of the excess loss class, all slices from one draw.  A
+slice changes only where r crosses a row's E f^2, so the modulus is a step
+function whose breakpoints are the distinct positive second moments; the
+least sub-root function above it at those breakpoints has a closed-form
+fixed point (fit_subroot).  Upper-confidence fitting (estimate + 2
+standard errors) keeps the majorant statistically conservative when the
+modulus is only estimated.
 
-The slices are a property of the class alone: its radii, its rows sorted
-by E f^2 and the prefix end of each slice are built once per class
+The slices are a property of the class alone: its breakpoints, its rows
+sorted by E f^2 and the prefix end of each slice are built once per class
 (ExcessLossClass.slices), so the four fits of a localize report (m and u,
 with and without replacement) share one sorted class and its level sets.
 """
@@ -36,9 +39,11 @@ ZERO_TOL = 1e-12
 
 
 class VarianceSlices(NamedTuple):
-    """The slices {f : E f^2 <= r} at the radii of default_r_grid: with
-    the rows sorted by E f^2 (stable), the slice at radii[i] is the first
-    ends[i] rows (h* at least) of gclass, whose rows are g = E f - f."""
+    """The slices {f : E f^2 <= r} at their breakpoints, the distinct
+    positive E f^2 in increasing order: with the rows sorted by E f^2
+    (stable), the slice at radii[i] is the first ends[i] rows (h* and
+    every row with E f^2 <= radii[i]) of gclass, whose rows are g = E f - f.
+    Below radii[0] the slice holds only rows equal to h*: its modulus is 0."""
 
     radii: np.ndarray
     ends: np.ndarray
@@ -66,9 +71,10 @@ class ExcessLossClass:
     def slices(self) -> VarianceSlices:
         """The variance slices, built once per class, so that every
         modulus fit on it shares one sorted g-class and its level sets."""
-        radii = default_r_grid(self)
         order = np.argsort(self.second_moments, kind="stable")
-        ends = np.searchsorted(self.second_moments[order], radii + ZERO_TOL, "right")
+        moments = self.second_moments[order]
+        radii = np.unique(moments[moments > 0.0])
+        ends = np.searchsorted(moments, radii, "right")
         rows = self.rows[order]
         # per-sample statistic: sup over slice rows of the sum of g = Ef - f
         return VarianceSlices(radii, ends, FunctionClass(rows.mean(axis=1, keepdims=True) - rows))
@@ -119,7 +125,7 @@ def modulus_curve(
     rng: RngStream,
     B: float = 1.0,
 ) -> tuple[np.ndarray, SupremumStats]:
-    """(radii, psi_hat): at every r of default_r_grid(ec), B times the
+    """(radii, psi_hat): at every breakpoint r of ec.slices, B times the
     expected supremum over the slice {f : E f^2 <= r} of
     E f - (empirical mean of f over the size-m sample).
 
@@ -134,23 +140,19 @@ def modulus_curve(
     return radii, SupremumStats(mean, std_error, stats.provenance)
 
 
-def default_r_grid(ec: ExcessLossClass) -> np.ndarray:
-    """Geometric 12-point grid spanning the nonzero second moments of the class."""
-    seconds = ec.second_moments
-    nonzero = seconds[seconds > ZERO_TOL]
-    if nonzero.size == 0:
-        return np.array([1.0])
-    return np.geomspace(nonzero.min() / 2.0, seconds.max() * 2.0, 12)
-
-
 def fit_subroot(radii: np.ndarray, psi_hat: np.ndarray, std_error: np.ndarray) -> float:
-    """The smallest c >= 0 with c*sqrt(r) >= psi_hat(r) + 2 se at every
-    radius of the grid: a certified majorant with fixed point r* = c^2."""
-    if radii.size == 0:
-        raise ConfigurationError("empty modulus grid")
+    """r*, the fixed point of the least sub-root majorant of the modulus.
+
+    With y = psi_hat + 2 se at the slice breakpoints r_k, that majorant is
+    psi(r) = max_k y_k min(1, sqrt(r / r_k)): a sub-root function at least
+    y_k at r_k lies above each term, and the modulus holds its value at a
+    breakpoint up to the next one.  r* = max(0, max_k min(y_k, y_k^2 / r_k)),
+    the largest of the terms' fixed points; 0 with no breakpoints.
+    """
     if np.any(radii <= 0):
-        raise ConfigurationError("grid radii must be positive")
-    return max(0.0, float(np.max((psi_hat + 2.0 * std_error) / np.sqrt(radii))))
+        raise ConfigurationError("slice radii must be positive")
+    y = psi_hat + 2.0 * std_error
+    return float(np.max(np.minimum(y, y * y / radii), initial=0.0))
 
 
 def fixed_point(

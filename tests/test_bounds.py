@@ -10,16 +10,14 @@ from sworlab.bounds import (
     Center,
     compare_exponents,
     DEVIATION_BOUNDS,
-    deviation_bousquet,
+    deviation_bennett,
     deviation_subgaussian,
-    deviation_talagrand_swor,
     gap_bound,
     h_fn,
     TAIL_BOUNDS,
-    tail_bousquet,
+    tail_bennett,
     tail_elyaniv_pechyony,
     tail_subgaussian,
-    tail_talagrand_swor,
 )
 from sworlab.empirical_process import class_variance, exact_law
 from sworlab.errors import ConfigurationError
@@ -81,39 +79,33 @@ class TestSubgaussian:
         assert v2 == pytest.approx(math.sqrt(2) * v1)
 
 
-class TestTalagrandSwor:
-    def test_eps_zero_both_forms(self):
+class TestBennett:
+    def test_eps_zero(self):
         p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0)
-        assert tail_talagrand_swor(p, 0.0) == 1.0
-        assert tail_bousquet(p, 0.0) == 1.0
+        assert tail_bennett(p, 0.0) == 1.0
 
     def test_direct_substitution(self):
         # v = 50*0.1 + 2*2 = 9, eps=6 -> exp(-9 h(2/3))
         p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0)
         h = (5 / 3) * math.log(5 / 3) - 2 / 3
         assert p.v == pytest.approx(9.0)
-        assert tail_talagrand_swor(p, 6.0) == pytest.approx(math.exp(-9 * h))
+        assert tail_bennett(p, 6.0) == pytest.approx(math.exp(-9 * h))
 
     def test_deviation_examples(self):
+        # v = 9, t = 2 -> sqrt(36) + 2/3
         p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0)
-        assert deviation_talagrand_swor(p, 0.0) == 0.0
-        assert deviation_talagrand_swor(p, 2.0) == pytest.approx(6 + 2 / 3)
+        assert deviation_bennett(p, 0.0) == 0.0
+        assert deviation_bennett(p, 2.0) == pytest.approx(6 + 2 / 3)
 
     def test_degenerate_v(self):
         p = BoundParams(N=10, m=5, sigma2=0.0, eq_m=0.0)
-        assert tail_talagrand_swor(p, np.array([0.0, 0.5])).tolist() == [1.0, 0.0]
+        assert tail_bennett(p, np.array([0.0, 0.5])).tolist() == [1.0, 0.0]
 
-
-class TestBousquet:
-    def test_bitwise_equality_with_swor_twin(self):
-        p = BoundParams(N=200, m=60, sigma2=0.17, eq_m=1.3)
-        eps = np.array([0.0, 0.3, 2.0, 17.5])
-        assert tail_bousquet(p, eps).tolist() == tail_talagrand_swor(p, eps).tolist()
-
-    def test_deviation_value(self):
-        # v = 9, t = 2 -> sqrt(36) + 2/3 = 6.6667
-        p = BoundParams(N=100, m=50, sigma2=0.1, eq_m=2.0)
-        assert deviation_bousquet(p, 2.0) == pytest.approx(6.666666666, rel=1e-6)
+    def test_both_tags_share_one_formula(self):
+        # the without-replacement Talagrand-type bound and Bousquet's original
+        for table, fn in ((TAIL_BOUNDS, tail_bennett), (DEVIATION_BOUNDS, deviation_bennett)):
+            assert table["talagrand_swor"] is table["bousquet"] is fn
+        assert BOUND_CENTERS["talagrand_swor"] is BOUND_CENTERS["bousquet"] is Center.AROUND_EQ
 
 
 class TestElYanivPechyony:
@@ -149,7 +141,7 @@ class TestDuality:
     def test_talagrand(self, t):
         for n, m, s2, eq in [(20, 10, 0.25, 0.5), (100, 50, 0.1, 2.0), (400, 300, 0.2, 1.0)]:
             p = BoundParams(N=n, m=m, sigma2=s2, eq_m=eq)
-            tail = tail_talagrand_swor(p, deviation_talagrand_swor(p, t))
+            tail = tail_bennett(p, deviation_bennett(p, t))
             assert tail <= math.exp(-t) * (1 + 1e-9)
 
 
@@ -160,7 +152,7 @@ class TestShapeProperties:
     )
     def test_tails_nonincreasing_in_eps(self, e1, e2):
         p = BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7)
-        for fn in (tail_subgaussian, tail_talagrand_swor, tail_elyaniv_pechyony):
+        for fn in (tail_subgaussian, tail_bennett, tail_elyaniv_pechyony):
             a, b = fn(p, np.array(sorted([e1, e2])))
             assert b <= a + 1e-12
 
@@ -170,14 +162,14 @@ class TestShapeProperties:
     )
     def test_deviations_nondecreasing_in_t(self, t1, t2):
         p = BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7)
-        for fn in (deviation_subgaussian, deviation_talagrand_swor, deviation_bousquet):
+        for fn in (deviation_subgaussian, deviation_bennett):
             a, b = fn(p, np.array(sorted([t1, t2])))
             assert a <= b + 1e-12
             assert fn(p, 0.0) == 0.0
 
     def test_tail_values_in_unit_interval(self):
         p = BoundParams(N=60, m=30, sigma2=0.2, eq_m=0.7)
-        for fn in (tail_subgaussian, tail_talagrand_swor, tail_elyaniv_pechyony):
+        for fn in (tail_subgaussian, tail_bennett, tail_elyaniv_pechyony):
             v = fn(p, np.linspace(0, 100, 31))
             assert v.shape == (31,) and np.all((0.0 <= v) & (v <= 1.0))
 

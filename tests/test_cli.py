@@ -306,6 +306,25 @@ class TestInputErrors:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command", ["localize", "transductive-erm"])
+    def test_one_monte_carlo_trial_exits_2(self, tmp_path, capsys, command):
+        # m = 20 of 40 refuses enumeration; one draw has no standard error,
+        # and a 0 would pass the mean off as exact
+        argv = [command, "--n", "40", "--m", "20", "--trials", "1"]
+        assert run([*argv, "--out", str(tmp_path / "mc")]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "config error: Monte Carlo needs trials >= 2 for a standard error, got 1\n"
+        )
+        # the defaults (N = 12) enumerate, so the trial count is never used
+        assert run([command, "--trials", "1", "--out", str(tmp_path / "exact")]) == EXIT_OK
+
+    def test_localize_of_one_hypothesis_reports_r_star_zero(self, tmp_path):
+        # h* alone: no slice breakpoint, so every fit's majorant is 0
+        assert run(["localize", "--hypotheses", "1", "--out", str(tmp_path)]) == EXIT_OK
+        fits = read_report(tmp_path)["results"]["fits"]
+        assert len(fits) == 4
+        assert all(fit["r_star"] == 0.0 and fit["grid"] == [] for fit in fits.values())
+
 
 class TestCompareExponents:
     def test_default_run(self, tmp_path):

@@ -1,3 +1,7 @@
+import itertools
+import math
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from sworlab.experiments import (
     EXAMPLE_STREAM,
     FIT_STREAM,
     SPLIT_STREAM,
+    _problem,
     run_kernel_bound,
     run_localize,
     run_transductive_erm,
@@ -17,6 +22,8 @@ from sworlab.kernels import KernelSpec, gram_matrix
 from sworlab.verify import binomial_lower_ci
 
 TABLE = np.random.default_rng(0).uniform(size=(3, 8))
+#: TABLE's excess-loss rows: h* and two rows of distinct positive E f^2
+TABLE_BREAKPOINTS = 2
 
 
 def test_erm_falls_back_to_monte_carlo_only_when_exact_is_refused():
@@ -76,8 +83,8 @@ def test_localize_fits_do_not_share_draws_across_seeds():
 
 
 def test_each_modulus_fit_makes_one_oracle_call(monkeypatch):
-    # four fits (m and u, with and without replacement), every radius of a
-    # fit's grid from the same call
+    # four fits (m and u, with and without replacement), every breakpoint
+    # of a fit's grid from the same call
     calls = []
     oracle = localization.expected_sup
 
@@ -87,28 +94,30 @@ def test_each_modulus_fit_makes_one_oracle_call(monkeypatch):
 
     monkeypatch.setattr(localization, "expected_sup", counting)
     out = run_localize(loss=TABLE, m=4, splits=50, trials=200)
-    assert calls == [12] * 4
-    assert all(len(fit["grid"]) == 12 for fit in out["fits"].values())
+    assert calls == [TABLE_BREAKPOINTS] * 4
+    assert all(len(fit["grid"]) == TABLE_BREAKPOINTS for fit in out["fits"].values())
 
 
 def test_one_localize_report_builds_the_variance_slices_once(monkeypatch):
-    # the four fits share one radius grid and one sorted g-class (and so
-    # its level sets)
-    grids, classes = [], []
-    r_grid, oracle = localization.default_r_grid, localization.expected_sup
+    # the four fits share one set of breakpoints and one sorted g-class
+    # (and so its level sets)
+    builds, classes = [], []
+    build, oracle = localization.ExcessLossClass.slices.func, localization.expected_sup
 
-    def counting_grid(ec):
-        grids.append(ec)
-        return r_grid(ec)
+    def counting(ec):
+        builds.append(ec)
+        return build(ec)
 
     def recording(fc, *args, **kwargs):
         classes.append(fc)
         return oracle(fc, *args, **kwargs)
 
-    monkeypatch.setattr(localization, "default_r_grid", counting_grid)
+    slices = cached_property(counting)
+    slices.__set_name__(localization.ExcessLossClass, "slices")
+    monkeypatch.setattr(localization.ExcessLossClass, "slices", slices)
     monkeypatch.setattr(localization, "expected_sup", recording)
     run_localize(loss=TABLE, m=4, splits=50, trials=200)
-    assert len(grids) == 1
+    assert len(builds) == 1
     assert len(classes) == 4 and all(fc is classes[0] for fc in classes)
 
 
@@ -144,9 +153,9 @@ def test_one_verify_bounds_config_sorts_once_and_batches_its_limits(monkeypatch)
     monkeypatch.setattr(bounds.BoundParams, "__post_init__", counting("params", post_init))
     expected = {}
     for table, shape in ((bounds.TAIL_BOUNDS, (20,)), (bounds.DEVIATION_BOUNDS, (3,))):
-        for tag, fn in table.items():
-            expected[fn.__name__] = [shape]
-            monkeypatch.setitem(table, tag, recording(fn.__name__, fn))
+        for tag, fn in table.items():  # keyed by entry: two tags share each Bennett formula
+            expected[fn.__name__, tag] = [shape]
+            monkeypatch.setitem(table, tag, recording((fn.__name__, tag), fn))
     out = run_verify_bounds(n=20, m=10, trials=2000, t_grid=(1.0, 2.0, 4.0))
     assert calls == {"sort": 1, "upper": 1, "lower": 1, "table": 1, "params": 1}
     assert grids == expected
@@ -167,13 +176,63 @@ def test_transductive_erm_builds_its_centred_class_once(monkeypatch):
     assert len(out["validity"]) == 6
 
 
-def test_each_fit_reports_a_certified_c_and_r_star_c_squared():
+def test_each_fit_reports_the_fixed_point_of_its_majorant():
+    # psi(r) = max over the grid of y min(1, sqrt(r / r_k)), y = psi_hat + 2 se:
+    # psi(r*) = r*, so no term exceeds r* and one meets it
     out = run_localize(loss=TABLE, m=4, splits=50, trials=200)
     for fit in out["fits"].values():
-        assert fit["r_star"] == fit["c"] ** 2
-        for point in fit["grid"]:
-            bound = fit["c"] * point["r"] ** 0.5
-            assert bound >= point["psi_hat"] + 2 * point["std_error"] - 1e-12
+        r_star = fit["r_star"]
+        terms = [
+            (p["psi_hat"] + 2 * p["std_error"]) * min(1.0, math.sqrt(r_star / p["r"]))
+            for p in fit["grid"]
+        ]
+        assert r_star > 0 and max(terms) == pytest.approx(r_star, rel=1e-12)
+
+
+def brute_force_moduli(table: np.ndarray, m: int, with_replacement: bool):
+    """(breakpoints, psi): the distinct positive E f^2 of the excess-loss
+    rows f = loss_h - loss_h*, and at each r, B/m times the expected sup
+    over {f : E f^2 <= r} of sum over the sample of (E f - f), by listing
+    every m-subset (equally likely) or every m-multiset (weight
+    m! / prod k_i! / N^m) of the N points."""
+    n = table.shape[1]
+    f = table - table[np.argmin(table.mean(axis=1))]
+    means, moments = f.mean(axis=1), (f**2).mean(axis=1)
+    positive = means > 0
+    B = float(np.max(moments[positive] / means[positive]))
+    pick = itertools.combinations_with_replacement if with_replacement else itertools.combinations
+    samples = np.array(list(pick(range(n), m)))
+    counts = np.zeros((len(samples), n))
+    np.add.at(counts, (np.arange(len(samples))[:, None], samples), 1.0)
+    if with_replacement:
+        factorials = np.array([math.factorial(k) for k in range(m + 1)], dtype=float)
+        weights = math.factorial(m) / factorials[counts.astype(int)].prod(axis=1) / n**m
+    else:
+        weights = np.full(len(samples), 1.0 / math.comb(n, m))
+    sums = m * means - counts @ f.T  # (samples, hypotheses)
+    breakpoints = np.unique(moments[moments > 0])
+    psi = [B / m * weights @ sums[:, moments <= r].max(axis=1) for r in breakpoints]
+    return breakpoints, np.array(psi)
+
+
+@pytest.mark.parametrize("seed, m", [(23, 6), (0, 6), (1, 4), (2, 9), (3, 3)])
+def test_r_star_is_certified_at_every_slice_breakpoint(seed, m):
+    # the least sub-root majorant of the exact modulus at every breakpoint r_k
+    # has fixed point max_k min(psi_k, psi_k^2 / r_k): r* may not fall below
+    # it, and on the exact route (N = 12) it is that value
+    out = run_localize(m=m, splits=50, seed=seed)
+    table = _problem(None, 12, 4, m, seed).loss_table
+    for name, size, with_replacement in (
+        ("m_without", m, False), ("m_with", m, True),
+        ("u_without", 12 - m, False), ("u_with", 12 - m, True),
+    ):
+        fit = out["fits"][name]
+        breakpoints, psi = brute_force_moduli(table, size, with_replacement)
+        reference = float(np.max(np.minimum(psi, psi**2 / breakpoints)))
+        assert fit["exact"]
+        assert fit["r_star"] >= reference - 1e-12, (name, fit["r_star"], reference)
+        assert abs(fit["r_star"] - reference) <= 1e-12, (name, fit["r_star"], reference)
+        assert [p["r"] for p in fit["grid"]] == pytest.approx(breakpoints.tolist(), rel=1e-12)
 
 
 def test_kernel_bound_without_points_draws_them_from_the_seed(tmp_path):

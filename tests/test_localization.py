@@ -12,7 +12,6 @@ from sworlab.ground_set import RngStream, SampleMode, SampleScheme
 from sworlab.localization import (
     build_excess_class,
     compute_B,
-    default_r_grid,
     excess_bound_cor10,
     excess_bound_cor11,
     excess_bound_thm8,
@@ -106,16 +105,27 @@ class TestModulusCurve:
     def test_last_slice_is_the_whole_class(self):
         ec = self.make_ec()
         radii, psi = modulus_curve(ec, 3, WITHOUT, 0, RngStream(0))
-        assert radii[-1] > ec.second_moments.max()
+        assert radii[-1] == ec.second_moments.max()
         assert psi.mean[-1] == pytest.approx(slice_reference(ec, math.inf, 3, WITHOUT, 1.0))
 
-    def test_tiny_slice_is_zero(self):
+    def test_first_slice_is_the_smallest_positive_moment(self):
         ec = self.make_ec()
         radii, psi = modulus_curve(ec, 3, WITHOUT, 100, RngStream(0))
-        nonzero = ec.second_moments[ec.second_moments > 1e-12]
-        assert radii[0] < nonzero.min()
-        assert psi.mean[0] == 0.0 and psi.std_error[0] == 0.0
+        nonzero = ec.second_moments[ec.second_moments > 0]
+        assert radii[0] == nonzero.min()
+        assert psi.mean[0] == pytest.approx(slice_reference(ec, radii[0], 3, WITHOUT, 1.0))
+        assert psi.std_error[0] == 0.0
         assert psi.provenance["route"] == "exact"
+
+    @pytest.mark.parametrize("route", ["exact", "monte_carlo"])
+    def test_a_class_of_h_star_alone_has_no_breakpoints(self, monkeypatch, route):
+        ec = build_excess_class(TransductiveProblem(np.full((3, 5), 0.25)))
+        if route == "monte_carlo":
+            monkeypatch.setattr(localization, "expected_sup", partial(expected_sup, budget=0))
+        radii, psi = modulus_curve(ec, 2, WITH, 100, RngStream(0))
+        assert psi.provenance["route"] == route
+        assert radii.size == psi.mean.size == psi.std_error.size == 0
+        assert fit_subroot(radii, psi.mean, psi.std_error) == 0.0
 
     def test_exact_matches_enumeration(self):
         gen = np.random.default_rng(3)
@@ -145,7 +155,7 @@ class TestModulusCurve:
     def test_radii_are_positive_and_B_is_checked(self):
         ec = self.make_ec()
         radii, _ = modulus_curve(ec, 2, WITHOUT, 0, RngStream(0))
-        assert radii.size == 12 and np.all(radii > 0)
+        assert radii.size == 3 and np.all(radii > 0)
         with pytest.raises(ConfigurationError, match="B must be"):
             modulus_curve(ec, 2, WITHOUT, 0, RngStream(0), B=0.0)
 
@@ -155,9 +165,9 @@ class TestModulusCurve:
         m, B = 3, 1.5
         radii, psi = modulus_curve(ec, m, flavor, 0, RngStream(0), B=B)
         assert psi.provenance["route"] == "exact"
-        # the grid cuts the class at several places, the ties included
-        sizes = [int(np.sum(ec.second_moments <= r + 1e-12)) for r in radii]
-        assert len(set(sizes)) >= 4
+        # one slice per distinct moment: each tied pair (rows 1 and 2, 3 and 4) enters together
+        sizes = [int(np.sum(ec.second_moments <= r)) for r in radii]
+        assert sizes == [3, 4, 6]
         for r, p in zip(radii, psi.mean):
             assert p == pytest.approx(slice_reference(ec, r, m, flavor, B), rel=1e-12, abs=0)
 
@@ -177,24 +187,31 @@ class TestFitSubroot:
         assert fit_subroot(np.array([0.1, 1.0]), np.zeros(2), np.zeros(2)) == 0.0
 
     def test_noiseless_subroot_recovered(self):
+        # pure c sqrt(r) at radii that span c^2 = 0.25
         radii = np.geomspace(0.01, 4.0, 10)
-        c = fit_subroot(radii, 0.5 * np.sqrt(radii), np.zeros(10))
-        assert c == pytest.approx(0.5)
-        assert c**2 == pytest.approx(0.25)
+        assert fit_subroot(radii, 0.5 * np.sqrt(radii), np.zeros(10)) == pytest.approx(0.25)
 
-    def test_majorant_certificate(self):
-        gen = np.random.default_rng(4)
-        radii = np.geomspace(0.05, 2.0, 8)
-        psi = 0.3 * np.sqrt(radii) * gen.uniform(0.5, 1.0, size=8)
-        se = np.full(8, 0.01)
-        c = fit_subroot(radii, psi, se)
-        assert np.all(c * np.sqrt(radii) >= psi + 2 * se - 1e-12)
-        # and it is the smallest such c: one radius is tight
-        assert np.any(c * np.sqrt(radii) <= psi + 2 * se + 1e-12)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_r_star_is_the_fixed_point_of_the_least_majorant(self, seed):
+        gen = np.random.default_rng(seed)
+        radii = np.sort(gen.uniform(0.01, 1.0, size=6))
+        psi = gen.uniform(0.0, 0.5, size=6)
+        se = gen.uniform(0.0, 0.02, size=6)
+        y = psi + 2 * se
+        r_star = fit_subroot(radii, psi, se)
+        terms = y * np.minimum(1.0, np.sqrt(r_star / radii))
+        # r* never falls below a term, and one term is tight
+        assert np.all(terms <= r_star + 1e-12)
+        assert np.any(terms >= r_star - 1e-12)
+        # the bisection solver finds the same fixed point of
+        # psi(r) = max_k y_k min(1, sqrt(r / r_k))
+        fixed = fixed_point(
+            lambda r: float(np.max(y * np.minimum(1.0, np.sqrt(r / radii)))), 1e-12, 10.0, tol=1e-13
+        )
+        assert fixed == pytest.approx(r_star, abs=1e-10)
 
-    def test_grid_must_be_nonempty_with_positive_radii(self):
-        with pytest.raises(ConfigurationError, match="empty modulus grid"):
-            fit_subroot(np.array([]), np.array([]), np.array([]))
+    def test_empty_radii_give_zero_and_radii_must_be_positive(self):
+        assert fit_subroot(np.array([]), np.array([]), np.array([])) == 0.0
         with pytest.raises(ConfigurationError, match="radii must be positive"):
             fit_subroot(np.array([0.5, 0.0]), np.zeros(2), np.zeros(2))
 
@@ -298,11 +315,13 @@ class TestExcessBoundFormulas:
                 call()
 
 
-def test_default_r_grid_spans_second_moments():
+def test_slice_radii_are_the_distinct_positive_second_moments():
     gen = np.random.default_rng(5)
-    ec = build_excess_class(TransductiveProblem(gen.uniform(size=(4, 7))))
-    grid = default_r_grid(ec)
-    assert len(grid) == 12
-    nonzero = ec.second_moments[ec.second_moments > 1e-12]
-    assert grid[0] == pytest.approx(nonzero.min() / 2)
-    assert grid[-1] == pytest.approx(ec.second_moments.max() * 2)
+    table = gen.uniform(size=(4, 7))
+    table[3] = table[2]  # a tie: one radius, both rows enter there
+    ec = build_excess_class(TransductiveProblem(table))
+    moments = ec.second_moments
+    radii, ends, gclass = ec.slices
+    assert radii.tolist() == sorted(set(moments[moments > 0].tolist()))
+    assert ends.tolist() == [int(np.sum(moments <= r)) for r in radii]
+    assert gclass.n_functions == 4
