@@ -255,7 +255,9 @@ def simulate_suprema(
     than a population sample (see LEVEL_COST) draws those counts directly;
     any other class draws samples of the population.  Block b uses
     rng.substream(b), so the result is bit-identical however the blocks
-    are scheduled.
+    are scheduled.  A run touches no state but its own generators and
+    arrays, so runs on distinct streams may go on separate threads (see
+    experiments._concurrently) and give the same draws as in turn.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 
 import numpy as np
 
@@ -58,6 +61,37 @@ from .verify import (
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
 WITH = SampleMode.WITH_REPLACEMENT
+
+
+def _workers() -> int:
+    """The CPUs this process may run on, less the caller's own; at least 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, cpus - 1)
+
+
+#: runs all calls of a _concurrently but the first; threads start on the
+#: first submit, so importing the package starts none
+_POOL = ThreadPoolExecutor(max_workers=_workers(), thread_name_prefix="sworlab")
+
+
+def _concurrently(*calls) -> list:
+    """The results of the zero-argument calls, in call order.  The first
+    runs on the caller's thread and the others on _POOL; scipy's sparse
+    products and numpy's array loops release the GIL, so their work overlaps.
+
+    No call outlives this one: if a call raises, the calls not yet started
+    are cancelled and the running ones awaited before the exception of
+    the first failing call, in call order, propagates."""
+    futures = [_POOL.submit(call) for call in calls[1:]]
+    try:
+        return [calls[0](), *(future.result() for future in futures)]
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def make_antipodal_class(n: int, sigma2: float) -> FunctionClass:
@@ -173,12 +207,13 @@ def _config_checks(
     tail_rng = RngStream(seed, stream_base + 2)
 
     # budget 0: the centres are always Monte Carlo, with a standard error
-    cw = expected_sup(fc, scheme, trials, center_rng, budget=0)
-    eq = expected_sup(fc, SampleScheme(WITH, m), trials, eq_rng, budget=0)
+    cw, eq, draws = _concurrently(
+        partial(expected_sup, fc, scheme, trials, center_rng, budget=0),
+        partial(expected_sup, fc, SampleScheme(WITH, m), trials, eq_rng, budget=0),
+        lambda: np.sort(simulate_suprema(fc, scheme, trials, tail_rng)),
+    )
     eq_prime, eq_m = cw.mean, eq.mean
     centers = {Center.AROUND_EQ_PRIME: cw, Center.AROUND_EQ: eq}
-
-    draws = np.sort(simulate_suprema(fc, scheme, trials, tail_rng))
     eps_grid = default_eps_grid(m, s2)
     curves = tail_curves(draws, eps_grid, centers)
 
@@ -239,8 +274,8 @@ def run_verify_bounds(
     """Domination checks: a single configuration or the full 3x3x3 grid.
     corrupt_thm1, a power check, weakens the sub-Gaussian constant 8 to 0.08."""
     _check_t_grid(t_grid)
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if trials < 2:  # a Monte Carlo centre needs two draws for its standard error
+        raise ConfigurationError(f"trials must be >= 2, got {trials}")
     configs = [(n, m, sigma2)]
     if full_grid:
         configs = [
@@ -350,21 +385,23 @@ def run_transductive_erm(
     tp = _problem(loss, n, hypotheses, m, seed)
     n = tp.N
     fc = tp.centered_class
-    expectations = {
-        key: expected_sup(fc, SampleScheme(mode, m), trials, RngStream(seed, stream))
-        for key, mode, stream in (("sup_expectation", WITHOUT, 888), ("E_m", WITH, 889))
-    }
-    sup_exp = expectations["sup_expectation"].mean / m
-    e_m = expectations["E_m"].mean / m
+
+    def sup_gap(train, test):
+        return (tp.overall_risk - train).max(axis=1)
+
+    without, with_, (gaps,) = _concurrently(
+        partial(expected_sup, fc, SampleScheme(WITHOUT, m), trials, RngStream(seed, 888)),
+        partial(expected_sup, fc, SampleScheme(WITH, m), trials, RngStream(seed, 889)),
+        partial(_split_statistics, tp, m, splits, seed, sup_gap),
+    )
+    sup_exp = without.mean / m
+    e_m = with_.mean / m
 
     bound_fns = {
         "thm5": lambda t: gen_bound_thm5(tp, m, t, sup_exp),
         "thm6": lambda t: gen_bound_thm6(tp, m, t, e_m),
     }
-    (sup_gap,) = _split_statistics(
-        tp, m, splits, seed, lambda train, test: (tp.overall_risk - train).max(axis=1)
-    )
-    validity = _validity_frequencies(sup_gap, t_grid, bound_fns)
+    validity = _validity_frequencies(gaps, t_grid, bound_fns)
 
     train, test = next(sampled_split_risks(tp, m, 1, RngStream(seed, EXAMPLE_STREAM)))
     passed = all(v["ok"] for v in validity.values())
@@ -383,7 +420,7 @@ def run_transductive_erm(
             "test_risk": [float(x) for x in test[0]],
             "overall_risk": [float(x) for x in tp.overall_risk],
         },
-        "provenance": {key: stats.provenance for key, stats in expectations.items()},
+        "provenance": {"sup_expectation": without.provenance, "E_m": with_.provenance},
     }
 
 

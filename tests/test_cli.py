@@ -218,7 +218,8 @@ class TestInputErrors:
             ),
             (["kernel-bound", "--c-l", "inf"], "c_L must be positive and finite"),
             (["oracle-check", "--classes", "0"], "classes must be >= 1"),
-            (["verify-bounds", "--trials", "0"], "trials must be >= 1"),
+            (["verify-bounds", "--trials", "0"], "trials must be >= 2, got 0"),
+            (["verify-bounds", "--trials", "1"], "trials must be >= 2, got 1"),
             (["transductive-erm", "--trials", "-1"], "trials must be >= 0"),
             (["localize", "--trials", "-1"], "trials must be >= 0"),
             (["transductive-erm", "--n", "-1"], "n must be >= 1"),
@@ -815,6 +816,15 @@ class TestStartup:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.stdout == "False\n", done.stderr
+
+    def test_import_starts_no_thread(self):
+        # the Monte Carlo pool starts its threads on its first submit
+        env = {**os.environ, "PYTHONPATH": str(Path(sworlab.__file__).parents[1])}
+        probe = "import threading, sworlab; print(threading.active_count())"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.stdout == "1\n", done.stderr
 
 
 if __name__ == "__main__":  # regenerate the values pin from the code under src/

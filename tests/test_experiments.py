@@ -1,16 +1,23 @@
 import itertools
+import json
 import math
+import sys
+import threading
+import time
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 from sworlab import bounds, experiments, localization, transductive, verify
-from sworlab.errors import OracleScaleError
+from sworlab.cli import EXIT_CONFIG_ERROR, run
+from sworlab.errors import ConfigurationError, OracleScaleError
 from sworlab.experiments import (
     EXAMPLE_STREAM,
     FIT_STREAM,
     SPLIT_STREAM,
+    WITH,
+    WITHOUT,
     _problem,
     run_kernel_bound,
     run_localize,
@@ -260,3 +267,105 @@ def test_batched_lower_limits_equal_each_entry_alone():
             assert entry["lower_ci"] == binomial_lower_ci(k, n)
             counts.append(k)
     assert len(set(counts)) > 3  # the check sees distinct nonzero counts
+
+
+class RecordingPool:
+    """experiments._POOL, keeping every future it hands out."""
+
+    def __init__(self, pool):
+        self.pool, self.futures = pool, []
+
+    def submit(self, fn):
+        self.futures.append(self.pool.submit(fn))
+        return self.futures[-1]
+
+
+class TestConcurrently:
+    def test_results_come_in_call_order_and_the_first_call_stays_on_the_caller(self):
+        caller = threading.get_ident()
+        out = experiments._concurrently(
+            threading.get_ident, lambda: time.sleep(0.05) or "slow", lambda: "fast"
+        )
+        assert out[0] == caller and out[1:] == ["slow", "fast"]
+
+    @staticmethod
+    def _calls(first_raises: bool):
+        """A refusing call among slow ones that log their start and end; the
+        refusal waits until a pool call is running, so there is one to wait for."""
+        log, running = [], threading.Event()
+
+        def slow(name):
+            def call():
+                log.append(("start", name))
+                running.set()
+                time.sleep(0.1)
+                log.append(("end", name))
+                return name
+
+            return call
+
+        def refuse():
+            running.wait(5)
+            raise ConfigurationError("refused")
+
+        if first_raises:
+            return log, (refuse, slow("a"), slow("b"), slow("c"))
+        return log, (slow("first"), refuse, slow("b"), slow("c"))
+
+    @pytest.mark.parametrize("first_raises", [True, False], ids=["first-call", "pool-call"])
+    def test_a_raising_call_leaves_no_call_running(self, monkeypatch, first_raises):
+        pool = RecordingPool(experiments._POOL)
+        monkeypatch.setattr(experiments, "_POOL", pool)
+        log, calls = self._calls(first_raises)
+        with pytest.raises(ConfigurationError, match="refused"):
+            experiments._concurrently(*calls)
+        assert len(pool.futures) == 3 and all(f.done() for f in pool.futures)
+        started = {name for event, name in log if event == "start"}
+        assert started and started == {name for event, name in log if event == "end"}
+        time.sleep(0.15)  # a cancelled call never starts later
+        assert {name for event, name in log if event == "start"} == started
+
+    @pytest.mark.parametrize("refused", [WITHOUT, WITH], ids=["first-call", "pool-call"])
+    def test_a_refused_expectation_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, refused
+    ):
+        # transductive-erm runs the without-replacement expectation on the
+        # calling thread and the other, with its splits, on the pool
+        pool = RecordingPool(experiments._POOL)
+        oracle = experiments.expected_sup
+
+        def refusing(fc, scheme, *args, **kwargs):
+            if scheme.mode is refused:
+                raise ConfigurationError(f"refused {scheme.mode.value}")
+            return oracle(fc, scheme, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_POOL", pool)
+        monkeypatch.setattr(experiments, "expected_sup", refusing)
+        assert run(["transductive-erm", "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: refused {refused.value}\n"
+        assert len(pool.futures) == 2 and all(f.done() for f in pool.futures)
+
+
+def test_results_do_not_depend_on_the_schedule(monkeypatch):
+    # N = 40 with 8 distinct-risk hypotheses samples the population, and
+    # 20 001 trials make three blocks per expectation; the pooled run, with
+    # threads switched often, must match the calls run in turn and in
+    # reverse, byte for byte
+    def results():
+        erm = run_transductive_erm(n=40, m=20, hypotheses=8, splits=20_001, trials=20_001, seed=5)
+        assert all(p["route"] == "monte_carlo" for p in erm["provenance"].values())
+        verify = run_verify_bounds(n=40, m=12, trials=20_001, seed=5)
+        return json.dumps([erm, verify], sort_keys=True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = results()
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(experiments, "_concurrently", lambda *calls: [call() for call in calls])
+    assert results() == pooled
+    monkeypatch.setattr(
+        experiments, "_concurrently", lambda *calls: [call() for call in calls[::-1]][::-1]
+    )
+    assert results() == pooled

@@ -160,10 +160,11 @@ def test_floyd_inclusion_frequencies_four_sigma():
     assert np.all(np.abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / draws))
 
 
-@pytest.mark.parametrize("m,limit_mb", [(40, 16), (200, 40), (220, 40), (360, 61)])
+@pytest.mark.parametrize("m,limit_mb", [(40, 8), (200, 40), (220, 40), (360, 61)])
 def test_traced_peak_of_a_block_stays_small(m, limit_mb):
     # one 10^4-row block at N = 400: Floyd's (rows, N) mask, the picks or
-    # the complement's indices, and the count matrix
+    # the complement's indices, and the count matrix, built after the mask
+    # is freed
     tracemalloc.start()
     try:
         counts = sample_counts(400, m, 10_000, WITHOUT, RngStream(1).generator())
