@@ -274,6 +274,29 @@ def simulate_suprema(
     return np.concatenate(sups)
 
 
+def sup_route(
+    fc: FunctionClass, scheme: SampleScheme, trials: int = 0, budget: int = DEFAULT_ENUM_BUDGET
+) -> dict:
+    """The provenance expected_sup reports for these arguments, decided
+    without a draw, and its refusals: callers may check before they start
+    other work."""
+    if trials < 0:
+        raise ConfigurationError(f"trials must be >= 0, got {trials}")
+    scheme.validate_for(fc.n_points)
+    levels = fc.level_sets
+    size = _vector_count(levels.sizes, scheme.m, scheme.mode)
+    if size <= budget:
+        return {"route": "exact", "enumeration_size": size, "budget": budget, "trials": 0}
+    if trials < 1:
+        raise OracleScaleError(
+            f"{size} count vectors over {levels.sizes.size} level sets exceed the"
+            f" enumeration budget {budget} and no Monte Carlo trials were given"
+        )
+    if trials < 2:  # one draw has no standard error; 0 would pass it off as exact
+        raise ConfigurationError(f"Monte Carlo needs trials >= 2 for a standard error, got {trials}")
+    return {"route": "monte_carlo", "enumeration_size": size, "budget": budget, "trials": trials}
+
+
 def expected_sup(
     fc: FunctionClass,
     scheme: SampleScheme,
@@ -285,8 +308,8 @@ def expected_sup(
     """E[Q] for the sampling scheme, from exact_law or Monte Carlo: floats,
     or with `ends` arrays over the row prefixes from one law or draw.
 
-    The route is decided once, by counting the vectors exact_law would
-    list: C(N, m) or C(N + m - 1, m) on distinct columns, at most m + 1
+    The route is decided once, by sup_route, counting the vectors exact_law
+    would list: C(N, m) or C(N + m - 1, m) on distinct columns, at most m + 1
     for the antipodal class.  Within `budget` the mean is exact, std_error 0;
     budget = 0 always takes Monte Carlo (verify-bounds passes it).  Else
     `trials` draws from `rng` give the mean and std_error = sample std /
@@ -295,29 +318,16 @@ def expected_sup(
     route.  provenance holds route ("exact" or "monte_carlo"),
     enumeration_size (the count), budget and trials.
     """
-    if trials < 0:
-        raise ConfigurationError(f"trials must be >= 0, got {trials}")
-    scheme.validate_for(fc.n_points)
-    levels = fc.level_sets
-    size = _vector_count(levels.sizes, scheme.m, scheme.mode)
-    provenance = {"route": "exact", "enumeration_size": size, "budget": budget, "trials": 0}
-    if size <= budget:
+    provenance = sup_route(fc, scheme, trials, budget)
+    if provenance["route"] == "exact":
         sups, weights = exact_law(fc, scheme, ends)
         mean, se = weights @ sups, np.zeros(np.shape(ends))
-    elif trials < 1:
-        raise OracleScaleError(
-            f"{size} count vectors over {levels.sizes.size} level sets exceed the"
-            f" enumeration budget {budget} and no Monte Carlo trials were given"
-        )
-    elif trials < 2:  # one draw has no standard error; 0 would pass it off as exact
-        raise ConfigurationError(f"Monte Carlo needs trials >= 2 for a standard error, got {trials}")
     elif rng is None:
         raise ConfigurationError("Monte Carlo needs an rng")
     else:
         draws = simulate_suprema(fc, scheme, trials, rng, ends=ends)
         mean = draws.mean(axis=0)
         se = draws.std(ddof=1, axis=0) / math.sqrt(trials)
-        provenance.update(route="monte_carlo", trials=trials)
     if ends is None:  # one supremum: plain floats for the callers
         mean, se = float(mean), float(se)
     return SupremumStats(mean, se, provenance)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
@@ -27,6 +26,7 @@ from .empirical_process import (
     class_variance,
     expected_sup,
     simulate_suprema,
+    sup_route,
 )
 from .errors import ConfigurationError
 from .ground_set import RngStream, SampleMode, SampleScheme
@@ -63,18 +63,9 @@ WITHOUT = SampleMode.WITHOUT_REPLACEMENT
 WITH = SampleMode.WITH_REPLACEMENT
 
 
-def _workers() -> int:
-    """The CPUs this process may run on, less the caller's own; at least 1."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, cpus - 1)
-
-
-#: runs all calls of a _concurrently but the first; threads start on the
-#: first submit, so importing the package starts none
-_POOL = ThreadPoolExecutor(max_workers=_workers(), thread_name_prefix="sworlab")
+#: runs all calls of a _concurrently but the first, one at a time; its
+#: thread starts on the first submit, so importing the package starts none
+_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sworlab")
 
 
 def _concurrently(*calls) -> list:
@@ -389,9 +380,12 @@ def run_transductive_erm(
     def sup_gap(train, test):
         return (tp.overall_risk - train).max(axis=1)
 
+    schemes = SampleScheme(WITHOUT, m), SampleScheme(WITH, m)
+    for scheme in schemes:  # refused before the splits start drawing
+        sup_route(fc, scheme, trials)
     without, with_, (gaps,) = _concurrently(
-        partial(expected_sup, fc, SampleScheme(WITHOUT, m), trials, RngStream(seed, 888)),
-        partial(expected_sup, fc, SampleScheme(WITH, m), trials, RngStream(seed, 889)),
+        partial(expected_sup, fc, schemes[0], trials, RngStream(seed, 888)),
+        partial(expected_sup, fc, schemes[1], trials, RngStream(seed, 889)),
         partial(_split_statistics, tp, m, splits, seed, sup_gap),
     )
     sup_exp = without.mean / m

@@ -104,26 +104,23 @@ def sample_counts(
     Without replacement each row is the 0/1 indicator of a uniform
     m-subset, drawn by Floyd's algorithm on all rows at once: it picks
     s = min(m, n - m) points, the subset itself or, for m > n / 2, its
-    complement (m = n picks none).  Step j takes one integer per row,
-    gen.integers(0, j + 1, size=count), and marks the pick in a (count, n)
-    boolean table, which is freed before the count matrix is built.  With
-    replacement each row holds the multinomial counts of m i.i.d. uniform
-    indices, drawn as int32.
+    complement (m = n picks none); its (count, n) table of taken points is
+    freed before the count matrix is built.  With replacement each row
+    holds the multinomial counts of m i.i.d. uniform indices.
     """
     SampleScheme(mode, m).validate_for(n)
     if mode is SampleMode.WITH_REPLACEMENT:
         return counts_matrix(gen.integers(0, n, size=(count, m), dtype=np.int32), n)
     # step j draws t uniform in [0, j] and takes j in its place when t is
-    # already taken; row r marks its points in taken[r * n : (r + 1) * n]
+    # already taken
     s = min(m, n - m)
     taken = np.zeros(count * n, dtype=bool)
     offsets = np.arange(count) * n
     picks = np.empty((s, count), dtype=np.int32)
     for i, j in enumerate(range(n - s, n)):
         t = gen.integers(0, j + 1, size=count)
-        pos = offsets + t
-        np.copyto(t, j, where=taken.take(pos))
-        taken[np.add(offsets, t, out=pos)] = True
+        t[taken[offsets + t]] = j
+        taken[offsets + t] = True
         picks[i] = t
     idx = picks.T
     if s < m:  # the sample is the complement of the picks

@@ -345,6 +345,27 @@ class TestConcurrently:
         assert capsys.readouterr().err == f"config error: refused {refused.value}\n"
         assert len(pool.futures) == 2 and all(f.done() for f in pool.futures)
 
+    @pytest.mark.parametrize(
+        "trials,error",
+        [
+            (0, "exceed the enumeration budget"),
+            (1, "needs trials >= 2"),
+            (-1, "trials must be >= 0"),
+        ],
+    )
+    def test_a_refused_route_draws_no_split(self, tmp_path, capsys, monkeypatch, trials, error):
+        # m = 20 of 40 refuses enumeration; the refusal comes before any
+        # pool call, so no split is drawn for a report that is not written
+        pool = RecordingPool(experiments._POOL)
+        splits = []
+        monkeypatch.setattr(experiments, "_POOL", pool)
+        monkeypatch.setattr(experiments, "_split_statistics", lambda *args: splits.append(args))
+        argv = ["transductive-erm", "--n", "40", "--m", "20", "--trials", str(trials)]
+        assert run([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and error in err
+        assert pool.futures == [] and splits == []
+
 
 def test_results_do_not_depend_on_the_schedule(monkeypatch):
     # N = 40 with 8 distinct-risk hypotheses samples the population, and
