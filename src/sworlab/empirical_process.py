@@ -173,10 +173,12 @@ def class_variance(fc: FunctionClass) -> float:
     return float((fc.values**2).mean(axis=1).max())
 
 
-def _vector_count(sizes: np.ndarray, m: int, mode: SampleMode) -> int:
+@lru_cache(maxsize=32)  # a report asks for one key several times, from sup_route and split_route
+def _vector_count(sizes: tuple, m: int, mode: SampleMode) -> int:
     """How many count vectors over level sets of these sizes sum to m (with
     k_i <= sizes[i] without replacement): the x^m coefficient of
     prod_i (1 - x^(cap_i + 1)) / (1 - x)^L, where only caps below m bind."""
+    sizes = np.array(sizes)
     poly = {0: 1}  # the binding factors multiplied out, one size at a time
     if mode is SampleMode.WITHOUT_REPLACEMENT:
         for step, c in zip(*np.unique(sizes[sizes < m] + 1, return_counts=True)):
@@ -284,7 +286,7 @@ def sup_route(
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
     scheme.validate_for(fc.n_points)
     levels = fc.level_sets
-    size = _vector_count(levels.sizes, scheme.m, scheme.mode)
+    size = _vector_count(tuple(levels.sizes.tolist()), scheme.m, scheme.mode)
     if size <= budget:
         return {"route": "exact", "enumeration_size": size, "budget": budget, "trials": 0}
     if trials < 1:

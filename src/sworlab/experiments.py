@@ -46,10 +46,12 @@ from .localization import (
 from .transductive import (
     TransductiveProblem,
     erm,
+    exact_split_risks,
     gen_bound_thm5,
     gen_bound_thm6,
     require_split,
     sampled_split_risks,
+    split_route,
 )
 from .verify import (
     binomial_lower_ci,
@@ -315,17 +317,22 @@ def _problem(loss, n: int, hypotheses: int, m: int, seed: int) -> TransductivePr
     return tp
 
 
-def _split_statistics(
-    tp: TransductiveProblem, m: int, splits: int, seed: int, *statistics
-) -> list:
-    """Each statistic(train, test) -> per-split values, evaluated on the same
-    `splits` uniform splits (see transductive.sampled_split_risks)."""
-    out = [[] for _ in statistics]
-    rng = RngStream(seed, SPLIT_STREAM)
-    for train, test in sampled_split_risks(tp, m, splits, rng):
+def _split_statistics(tp: TransductiveProblem, m: int, route: dict, seed: int, *statistics):
+    """(weights, values): each statistic(train, test) -> per-split values,
+    evaluated on the splits of `route` (see transductive.split_route).  On
+    the exact route these are every distinct split, with its probability in
+    weights; else route["splits"] uniform splits drawn from SPLIT_STREAM,
+    and weights is None."""
+    if route["route"] == "exact":
+        blocks = exact_split_risks(tp, m)
+    else:
+        blocks = sampled_split_risks(tp, m, route["splits"], RngStream(seed, SPLIT_STREAM))
+    out, weights = [[] for _ in statistics], []
+    for train, test, *probabilities in blocks:
+        weights += probabilities
         for acc, statistic in zip(out, statistics):
             acc.append(statistic(train, test))
-    return [np.concatenate(acc) for acc in out]
+    return (np.concatenate(weights) if weights else None), [np.concatenate(acc) for acc in out]
 
 
 def _exceedance(keys: tuple, table: dict, n: int) -> dict:
@@ -342,21 +349,35 @@ def _exceedance(keys: tuple, table: dict, n: int) -> dict:
 
 
 def _validity_frequencies(
-    stats: np.ndarray, t_grid, bound_fns: dict, guarantee_factor: float = 1.0
+    stats: np.ndarray, weights, t_grid, bound_fns: dict, guarantee_factor: float = 1.0
 ) -> dict:
-    """Count how often the per-split `stats` exceed each bound.
+    """How often the per-split `stats` exceed each bound.
 
-    bound_fns maps name -> callable(t) giving the bound level; valid when
-    the exact lower CI of the exceedance frequency stays at or below
-    guarantee_factor * e^{-t}.
+    bound_fns maps name -> callable(t) giving the bound level, and each
+    bound is checked against guarantee_factor * e^{-t}.  With weights
+    (exact splits, see _split_statistics) violation_frequency is the exact
+    probability of an exceedance, lower_ci equals it, and the bound is
+    valid when it is at most the guarantee; else it is the frequency over
+    the drawn splits, valid when its exact lower CI is.
     """
     table = {}
     for name, fn in bound_fns.items():
         for t in t_grid:
             level = fn(float(t))
             guarantee = guarantee_factor * math.exp(-float(t))
-            table[f"{name}@t={t}"] = level, int((stats > level + 1e-12).sum()), guarantee
-    return _exceedance(("bound", "violation_frequency"), table, stats.size)
+            exceeds = stats > level + 1e-12
+            if weights is None:
+                table[f"{name}@t={t}"] = level, int(exceeds.sum()), guarantee
+            else:  # the weights sum to 1 up to rounding
+                table[f"{name}@t={t}"] = level, min(1.0, float(weights[exceeds].sum())), guarantee
+    if weights is None:
+        return _exceedance(("bound", "violation_frequency"), table, stats.size)
+    return {
+        name: {
+            "bound": level, "violation_frequency": p, "lower_ci": p, "guarantee": g, "ok": p <= g
+        }
+        for name, (level, p, g) in table.items()
+    }
 
 
 def run_transductive_erm(
@@ -383,10 +404,11 @@ def run_transductive_erm(
     schemes = SampleScheme(WITHOUT, m), SampleScheme(WITH, m)
     for scheme in schemes:  # refused before the splits start drawing
         sup_route(fc, scheme, trials)
-    without, with_, (gaps,) = _concurrently(
+    route = split_route(tp, m, splits)
+    without, with_, (weights, (gaps,)) = _concurrently(
         partial(expected_sup, fc, schemes[0], trials, RngStream(seed, 888)),
         partial(expected_sup, fc, schemes[1], trials, RngStream(seed, 889)),
-        partial(_split_statistics, tp, m, splits, seed, sup_gap),
+        partial(_split_statistics, tp, m, route, seed, sup_gap),
     )
     sup_exp = without.mean / m
     e_m = with_.mean / m
@@ -395,7 +417,7 @@ def run_transductive_erm(
         "thm5": lambda t: gen_bound_thm5(tp, m, t, sup_exp),
         "thm6": lambda t: gen_bound_thm6(tp, m, t, e_m),
     }
-    validity = _validity_frequencies(gaps, t_grid, bound_fns)
+    validity = _validity_frequencies(gaps, weights, t_grid, bound_fns)
 
     train, test = next(sampled_split_risks(tp, m, 1, RngStream(seed, EXAMPLE_STREAM)))
     passed = all(v["ok"] for v in validity.values())
@@ -414,7 +436,9 @@ def run_transductive_erm(
             "test_risk": [float(x) for x in test[0]],
             "overall_risk": [float(x) for x in tp.overall_risk],
         },
-        "provenance": {"sup_expectation": without.provenance, "E_m": with_.provenance},
+        "provenance": {
+            "sup_expectation": without.provenance, "E_m": with_.provenance, "splits": route
+        },
     }
 
 
@@ -444,6 +468,7 @@ def run_localize(
     sizes, bound values, and empirical validity frequencies."""
     _check_t_grid(t_grid)
     tp = _problem(loss, n, hypotheses, m, seed)
+    route = split_route(tp, m, splits)  # refused before the fits start drawing
     n = tp.N
     u = n - m
     ec = build_excess_class(tp)
@@ -479,15 +504,15 @@ def run_localize(
         h_hat = train.argmin(axis=1)[:, None]
         return np.take_along_axis(test, h_hat, axis=1)[:, 0] - test.min(axis=1)
 
-    overall_stats, test_stats = _split_statistics(
-        tp, m, splits, seed, overall_excess, test_excess
+    weights, (overall_stats, test_stats) = _split_statistics(
+        tp, m, route, seed, overall_excess, test_excess
     )
     validity = {
         **_validity_frequencies(
-            overall_stats, t_grid, {k: bound_fns[k] for k in ("thm8", "thm9")}
+            overall_stats, weights, t_grid, {k: bound_fns[k] for k in ("thm8", "thm9")}
         ),
         **_validity_frequencies(
-            test_stats, t_grid, {"cor10": bound_fns["cor10"]}, guarantee_factor=2.0
+            test_stats, weights, t_grid, {"cor10": bound_fns["cor10"]}, guarantee_factor=2.0
         ),
     }
     passed = all(v["ok"] for v in validity.values())
@@ -515,6 +540,7 @@ def run_localize(
             "B": "exact from the loss table",
             "modulus": "exact enumeration when within budget, else Monte Carlo"
             " with upper-confidence (2 se) majorant fitting",
+            "splits": route,
         },
     }
 

@@ -3,7 +3,10 @@
 The learner sees losses of every hypothesis on every population point as
 an H x N table with entries in [0, 1].  A uniform without-replacement
 split of size m defines training risk, test risk, and the (nonrandom)
-overall risk, linked by the exact identity N L_N = m L_m + u L_u.
+overall risk, linked by the exact identity N L_N = m L_m + u L_u.  The
+law of the split is scored exactly, once per count vector over the
+table's level sets (exact_split_risks), or through drawn splits
+(sampled_split_risks); split_route picks the route before any draw.
 """
 
 from __future__ import annotations
@@ -15,8 +18,15 @@ from typing import Iterator
 
 import numpy as np
 
+from . import ground_set
 from .bounds import BoundParams, deviation_subgaussian
-from .empirical_process import FunctionClass, class_variance
+from .empirical_process import (
+    FunctionClass,
+    LevelSets,
+    _count_vectors,
+    _vector_count,
+    class_variance,
+)
 from .errors import ConfigurationError
 from .ground_set import RngStream, SampleMode, block_generators, sample_counts
 
@@ -62,6 +72,14 @@ class TransductiveProblem:
         return FunctionClass(vals, centered=True)
 
     @cached_property
+    def levels(self) -> LevelSets:
+        """The loss table's identical columns merged into level sets: a
+        split's risks depend on it only through how many points it takes
+        from each.  Merged on the losses themselves, not on the centered
+        class, where L_N - loss can round distinct columns together."""
+        return FunctionClass(self.loss_table).level_sets
+
+    @cached_property
     def sigma2_H(self) -> float:
         """Largest population variance of a loss row; always <= 1/4."""
         return class_variance(self.centered_class)
@@ -73,24 +91,66 @@ def require_split(tp: TransductiveProblem, m: int) -> None:
         raise ConfigurationError(f"need 1 <= m < N for a nonempty test set, got m={m}")
 
 
+def split_route(tp: TransductiveProblem, m: int, splits: int) -> dict:
+    """How the validity checks see the law of a uniform m-split, decided
+    without a draw: "exact" when the splits' count vectors over tp.levels
+    number at most `splits` (exact_split_risks lists them all, so it never
+    scores more rows than a draw would), else "monte_carlo"
+    (sampled_split_risks draws `splits` of them).  As {route,
+    enumeration_size, splits}; refuses m outside [1, N) and splits < 1."""
+    require_split(tp, m)
+    if splits < 1:
+        raise ConfigurationError(f"splits must be >= 1, got {splits}")
+    sizes = tuple(tp.levels.sizes.tolist())
+    size = _vector_count(sizes, m, SampleMode.WITHOUT_REPLACEMENT)
+    route = "exact" if size <= splits else "monte_carlo"
+    return {"route": route, "enumeration_size": size, "splits": splits}
+
+
+def _risks(tp: TransductiveProblem, m: int, counts, columns: np.ndarray):
+    """Train risks C L^T / m of a block of count vectors C over the points
+    (or level sets) whose loss columns are `columns`, and test risks from
+    N L_N = m L_m + u L_u without forming the complement."""
+    train = np.asarray(counts @ columns.T) / m
+    return train, (tp.N * tp.overall_risk - m * train) / (tp.N - m)
+
+
 def sampled_split_risks(
     tp: TransductiveProblem, m: int, splits: int, rng: RngStream
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Train and test risks of `splits` uniform splits, one block at a time.
 
     Block b holds at most ground_set.BLOCK_ROWS splits, drawn from
-    rng.substream(b) as a (rows, N) 0/1 count matrix C by `sample_counts`;
-    its (rows, H) train risks are C L^T / m, and its test risks follow
-    from N L_N = m L_m + u L_u without forming the complement.
+    rng.substream(b) as a (rows, N) 0/1 count matrix by `sample_counts`,
+    and gives (rows, H) train and test risks.
     """
     require_split(tp, m)
-    if splits < 1:
-        raise ConfigurationError("splits must be >= 1")
-    total = tp.N * tp.overall_risk
     for rows, gen in block_generators(splits, rng):
         counts = sample_counts(tp.N, m, rows, SampleMode.WITHOUT_REPLACEMENT, gen)
-        train = np.asarray(counts @ tp.loss_table.T) / m
-        yield train, (total - m * train) / (tp.N - m)
+        yield _risks(tp, m, counts, tp.loss_table)
+
+
+def exact_split_risks(
+    tp: TransductiveProblem, m: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Train and test risks of every uniform m-split, with probabilities,
+    one block at a time.
+
+    A split's risks depend on it only through its count vector k over the
+    loss table's level sets (tp.levels), so each vector is scored once,
+    with probability prod C(s_i, k_i) / C(N, m), as listed by the
+    enumeration exact_law uses.  Block b holds at most
+    ground_set.BLOCK_ROWS vectors and gives (rows, H) train and test risks
+    and (rows,) probabilities.
+    """
+    require_split(tp, m)
+    levels = tp.levels
+    sizes = tuple(levels.sizes.tolist())
+    counts, weights = _count_vectors(sizes, m, SampleMode.WITHOUT_REPLACEMENT)
+    rows, step = counts.shape[0], ground_set.BLOCK_ROWS
+    for start in range(0, rows, step):
+        block = counts if rows <= step else counts[start : start + step]  # a row slice copies
+        yield *_risks(tp, m, block, levels.columns), weights[start : start + step]
 
 
 def erm(tp: TransductiveProblem, train_risk: np.ndarray, test_risk: np.ndarray) -> dict:

@@ -112,6 +112,7 @@ def test_criterion_5_transductive_uniform_bounds():
         payload["passed"]
         and payload["provenance"]["sup_expectation"]["route"] == "exact"
         and payload["provenance"]["E_m"]["route"] == "exact"
+        and payload["provenance"]["splits"]["route"] == "exact"  # all C(12, 6) = 924
         and all(v["ok"] for v in payload["validity"].values())
         and elapsed < 30.0
     )

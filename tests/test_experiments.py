@@ -4,12 +4,13 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from sworlab import bounds, experiments, localization, transductive, verify
+from sworlab import bounds, empirical_process, experiments, localization, transductive, verify
 from sworlab.cli import EXIT_CONFIG_ERROR, run
 from sworlab.errors import ConfigurationError, OracleScaleError
 from sworlab.experiments import (
@@ -25,6 +26,7 @@ from sworlab.experiments import (
     run_verify_bounds,
 )
 from sworlab.ground_set import RngStream
+from sworlab.transductive import TransductiveProblem, split_route
 from sworlab.kernels import KernelSpec, gram_matrix
 from sworlab.verify import binomial_lower_ci
 
@@ -68,7 +70,10 @@ def test_splits_are_drawn_once_from_the_split_stream(monkeypatch, run):
         return sampled(tp, m, splits, rng)
 
     monkeypatch.setattr(experiments, "sampled_split_risks", counting)
-    out = run(loss=TABLE, m=4, splits=300, trials=200, seed=3)
+    # 60 drawn splits: from C(8, 4) = 70 on, the exact route draws none
+    out = run(loss=TABLE, m=4, splits=60, trials=200, seed=3)
+    route = {"route": "monte_carlo", "enumeration_size": 70, "splits": 60}
+    assert out["provenance"]["splits"] == route
     # the default loss table comes from stream 777, so the splits must not;
     # transductive-erm then draws its reported split on a stream of its own
     example = [RngStream(3, EXAMPLE_STREAM)] if run is run_transductive_erm else []
@@ -174,12 +179,13 @@ def test_transductive_erm_builds_its_centred_class_once(monkeypatch):
     function_class = transductive.FunctionClass
 
     def counting(*args, **kwargs):
-        built.append(args)
+        built.append(kwargs.get("centered", False))
         return function_class(*args, **kwargs)
 
     monkeypatch.setattr(transductive, "FunctionClass", counting)
     out = run_transductive_erm(loss=TABLE, m=4, splits=50, trials=200, t_grid=(1.0, 2.0, 3.0))
-    assert len(built) == 1
+    # one centred class, and one class of the losses for the split route
+    assert sorted(built) == [False, True]
     assert len(out["validity"]) == 6
 
 
@@ -256,8 +262,10 @@ def test_batched_lower_limits_equal_each_entry_alone():
     config = run_verify_bounds(n=20, m=10, trials=2000, t_grid=(0.0, 0.5, 1.0), seed=3)
     tables = [(config["configurations"][0]["deviation"], "exceedance", 2000)]
     for experiment in (run_transductive_erm, run_localize):
-        report = experiment(splits=2000, t_grid=(0.0, 0.5), seed=1)
-        tables.append((report["validity"], "violation_frequency", 2000))
+        # 900 drawn splits: from 924 = C(12, 6) on, the exact route draws none
+        report = experiment(splits=900, t_grid=(0.0, 0.5), seed=1)
+        assert report["provenance"]["splits"]["route"] == "monte_carlo"
+        tables.append((report["validity"], "violation_frequency", 900))
     counts = []
     for table, key, n in tables:
         assert len(table) > 1
@@ -267,6 +275,87 @@ def test_batched_lower_limits_equal_each_entry_alone():
             assert entry["lower_ci"] == binomial_lower_ci(k, n)
             counts.append(k)
     assert len(set(counts)) > 3  # the check sees distinct nonzero counts
+
+
+def test_exact_splits_report_the_probability_of_each_violation(monkeypatch):
+    # N = 12, m = 6 with distinct columns: the 924 = C(12, 6) splits are
+    # each scored once, none drawn but the reported example; at t = 0 thm5's
+    # bound is E sup, so some splits violate it
+    drawn = []
+    sampled = experiments.sampled_split_risks
+    monkeypatch.setattr(
+        experiments, "sampled_split_risks", lambda *args: drawn.append(args[3]) or sampled(*args)
+    )
+    out = run_transductive_erm(splits=924, t_grid=(0.0, 0.5, 1.0), seed=1)
+    route = {"route": "exact", "enumeration_size": 924, "splits": 924}
+    assert out["provenance"]["splits"] == route and drawn == [RngStream(1, EXAMPLE_STREAM)]
+    tp = _problem(None, 12, 4, 6, 1)
+    subsets = [list(s) for s in itertools.combinations(range(12), 6)]
+    gaps = np.array([(tp.overall_risk - tp.loss_table[:, s].mean(axis=1)).max() for s in subsets])
+    for entry in out["validity"].values():
+        p = entry["violation_frequency"]
+        assert p == pytest.approx((gaps > entry["bound"] + 1e-12).mean(), abs=1e-12)
+        assert entry["lower_ci"] == p and entry["ok"] == (p <= entry["guarantee"])
+    assert out["validity"]["thm5@t=0.0"]["violation_frequency"] > 0.1
+
+
+@pytest.mark.parametrize(
+    "command, guarded", [("transductive-erm", "expected_sup"), ("localize", "_fit_modulus")]
+)
+def test_no_splits_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, command, guarded):
+    calls = []
+    monkeypatch.setattr(experiments, guarded, lambda *args, **kwargs: calls.append(args))
+    assert run([command, "--splits", "0", "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "config error: splits must be >= 1, got 0\n"
+    assert calls == []
+
+
+#: name -> (bound, violation_frequency, lower_ci) of the validity checks of
+#: WIDE_RUN on WIDE_TABLE (C(400, 40) splits, so drawn), as read before the
+#: exact split route existed
+WIDE_TABLE = np.random.default_rng(40).uniform(size=(64, 400))
+WIDE_RUN = {"m": 40, "splits": 300, "trials": 200, "t_grid": (0.0, 0.01), "seed": 3}
+WIDE_VALIDITY = {
+    "thm5@t=0.0": (0.10338414883873533, 0.46, 0.3923090837354579),
+    "thm5@t=0.01": (0.14721828249265131, 0.02, 0.005983109837973733),
+    "thm6@t=0.0": (0.2165407470492764, 0.0, 0.0),
+    "thm6@t=0.01": (0.2238048654629404, 0.0, 0.0),
+}
+
+
+def test_drawn_route_reads_as_before_the_exact_route():
+    out = run_transductive_erm(loss=WIDE_TABLE, **WIDE_RUN)
+    assert out["provenance"]["splits"] == {
+        "route": "monte_carlo", "enumeration_size": math.comb(400, 40), "splits": 300
+    }
+    assert list(out["validity"]) == list(WIDE_VALIDITY)
+    for name, pinned in WIDE_VALIDITY.items():
+        entry = out["validity"][name]
+        got = entry["bound"], entry["violation_frequency"], entry["lower_ci"]
+        assert got == pytest.approx(pinned, rel=1e-9, abs=1e-12), name
+        assert entry["ok"]
+
+
+def test_traced_peak_of_the_exact_split_route_stays_small():
+    # N = 20, m = 10 with distinct columns: all 184 756 splits, scored in 19
+    # blocks.  The peak (40.5 MB) is the enumeration of their count vectors,
+    # which keeps a 23 MB count matrix; a block's scores add under 1 MB.
+    # Drawing as many splits peaks at 4.9 MB.
+    tp = TransductiveProblem(np.random.default_rng(41).uniform(size=(4, 20)))
+    route = split_route(tp, 10, math.comb(20, 10))
+    assert route["route"] == "exact"
+    empirical_process._count_vectors.cache_clear()
+    tracemalloc.start()
+    try:
+        _, (gaps,) = experiments._split_statistics(
+            tp, 10, route, 0, lambda train, test: (tp.overall_risk - train).max(axis=1)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        empirical_process._count_vectors.cache_clear()
+    assert gaps.size == route["enumeration_size"]
+    assert peak <= 44 * 2**20
 
 
 class RecordingPool:

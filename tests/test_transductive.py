@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sworlab import ground_set
-from sworlab.empirical_process import expected_sup
+from sworlab.empirical_process import _vector_count, expected_sup
 from sworlab.errors import ConfigurationError
 from sworlab.ground_set import (
     RngStream,
@@ -17,11 +17,14 @@ from sworlab.ground_set import (
 from sworlab.transductive import (
     TransductiveProblem,
     erm,
+    exact_split_risks,
     gen_bound_thm5,
     gen_bound_thm6,
     require_split,
     sampled_split_risks,
+    split_route,
 )
+from sworlab.verify import binomial_lower_ci, binomial_upper_ci
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
 
@@ -256,8 +259,6 @@ class TestGenBounds:
 class TestEmpiricalValidity:
     @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
     def test_thm5_and_thm6_hold_over_seeded_splits(self, t):
-        from sworlab.verify import binomial_lower_ci
-
         gen = np.random.default_rng(18)
         tp = TransductiveProblem(gen.uniform(size=(3, 10)))
         m, runs = 5, 2000
@@ -270,3 +271,94 @@ class TestEmpiricalValidity:
         viol5, viol6 = int((worst > b5).sum()), int((worst > b6).sum())
         assert binomial_lower_ci(viol5, runs) <= math.exp(-t)
         assert binomial_lower_ci(viol6, runs) <= math.exp(-t)
+
+
+def merged_table(gen, sizes=(3, 2, 4, 3)):
+    """A 3-row loss table whose columns repeat: len(sizes) distinct columns,
+    column i on sizes[i] points, interleaved."""
+    base = gen.uniform(size=(3, len(sizes)))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return base[:, gen.permutation(owner)]
+
+
+def split_law(tp, m):
+    """(sup gaps, train risks, probabilities) over every distinct split."""
+    train, _, weights = (np.concatenate(part) for part in zip(*exact_split_risks(tp, m)))
+    return (tp.overall_risk - train).max(axis=1), train, weights
+
+
+class TestExactSplits:
+    TABLES = {
+        "distinct": lambda gen: gen.uniform(size=(4, 12)),
+        "merged": merged_table,
+    }
+
+    @pytest.mark.parametrize("kind", list(TABLES))
+    def test_law_matches_every_subset(self, kind):
+        tp = TransductiveProblem(self.TABLES[kind](np.random.default_rng(30)))
+        m = 6
+        gaps, train, weights = split_law(tp, m)
+        assert weights.size == _vector_count(tuple(tp.levels.sizes.tolist()), m, WITHOUT)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        subsets = [list(s) for s in combinations(range(tp.N), m)]
+        brute_train = np.array([tp.loss_table[:, s].mean(axis=1) for s in subsets])
+        brute_gaps = (tp.overall_risk - brute_train).max(axis=1)
+        assert weights @ train == pytest.approx(brute_train.mean(axis=0), abs=1e-12)
+        assert weights @ gaps == pytest.approx(brute_gaps.mean(), abs=1e-12)
+        for level in np.unique(brute_gaps)[:-1]:
+            assert weights[gaps > level + 1e-12].sum() == pytest.approx(
+                (brute_gaps > level + 1e-12).mean(), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("kind", list(TABLES))
+    def test_drawn_splits_agree_with_the_exact_law(self, kind):
+        tp = TransductiveProblem(self.TABLES[kind](np.random.default_rng(31)))
+        m, splits = 6, 20_000
+        gaps, _, weights = split_law(tp, m)
+        train = np.vstack([tr for tr, _ in sampled_split_risks(tp, m, splits, RngStream(32))])
+        drawn = (tp.overall_risk - train).max(axis=1)
+        mean = weights @ gaps
+        assert abs(drawn.mean() - mean) <= 4 * drawn.std(ddof=1) / math.sqrt(splits)
+        for q in (0.25, 0.5, 0.75, 0.95):
+            level = float(np.quantile(drawn, q))
+            p = weights[gaps > level + 1e-12].sum()
+            k = int((drawn > level + 1e-12).sum())
+            assert binomial_lower_ci(k, splits) <= p <= binomial_upper_ci(k, splits), (q, k, p)
+
+    def test_blocks_hold_at_most_block_rows(self, monkeypatch):
+        monkeypatch.setattr(ground_set, "BLOCK_ROWS", 100)
+        tp = TransductiveProblem(np.random.default_rng(33).uniform(size=(2, 10)))
+        blocks = list(exact_split_risks(tp, 5))
+        assert [len(w) for *_, w in blocks] == [100, 100, 52]
+        monkeypatch.setattr(ground_set, "BLOCK_ROWS", 10_000)
+        whole = [np.concatenate(part) for part in zip(*blocks)]
+        assert all(np.array_equal(a, b) for a, b in zip(whole, next(exact_split_risks(tp, 5))))
+
+    def test_levels_come_from_the_losses_not_the_centred_class(self):
+        # L_N = 0.5 exactly, and 0.5 - 1e-17 rounds to 0.5: centring merges
+        # the first two points, whose losses differ
+        tp = TransductiveProblem(np.array([[0.0, 1e-17, 1.0, 1.0]]))
+        assert tp.centered_class.level_sets.sizes.tolist() == [2, 2]
+        assert tp.levels.sizes.tolist() == [1, 1, 2]
+        # (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2); the centred sets give 3
+        assert split_route(tp, 2, 10)["enumeration_size"] == 4
+
+
+class TestSplitRoute:
+    def test_exact_iff_the_count_is_at_most_splits(self):
+        tp = TransductiveProblem(np.random.default_rng(34).uniform(size=(4, 10)))
+        assert split_route(tp, 5, 252) == {"route": "exact", "enumeration_size": 252, "splits": 252}
+        assert split_route(tp, 5, 251)["route"] == "monte_carlo"
+
+    def test_repeated_columns_go_exact_beyond_the_subset_count(self):
+        # 4 columns on 5 points each: C(20, 10) = 184 756 subsets, but
+        # only the count vectors (k_1..k_4), k_i <= 5, summing to 10 matter
+        tp = TransductiveProblem(merged_table(np.random.default_rng(35), (5, 5, 5, 5)))
+        route = split_route(tp, 10, 1000)
+        assert route["route"] == "exact" and route["enumeration_size"] == 146 < math.comb(20, 10)
+
+    @pytest.mark.parametrize("m, splits", [(0, 10), (5, 0), (5, -1)])
+    def test_refusals(self, m, splits):
+        tp = TransductiveProblem(np.full((2, 6), 0.5))
+        with pytest.raises(ConfigurationError, match="got"):
+            split_route(tp, m, splits)
