@@ -49,7 +49,6 @@ from .localization import (
     excess_bound_thm8,
     excess_bound_thm9,
     fit_subroot,
-    fixed_point,
     modulus_curve,
     stability_bound_appD,
 )

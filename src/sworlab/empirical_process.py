@@ -51,6 +51,10 @@ DEFAULT_ENUM_BUDGET = 10**6
 #: Fitted to the time of one 10^4-row block in 63 shapes (M = 2, N from 20
 #: to 4000; table in CHANGES.md): the slower path in 3 of them, by at most
 #: 1.13x.  Two level sets, as in the antipodal class, always qualify.
+#: FLOYD_COST was fitted when every Floyd step looked its pick up in a
+#: bitmap; short subsets now compare picks (ground_set.COMPARE_STEPS) and
+#: cost less per step.  It is left as fitted on purpose: a refit moves
+#: classes between the level and population paths, and so moves the draws.
 LEVEL_COST = 24
 FLOYD_COST = 6
 

@@ -12,7 +12,10 @@ multinomial counts for m draws with replacement, drawn by
 sets directly.
 
 An m-subset is drawn by Floyd's algorithm, s = min(m, N - m) integers per
-sample: the subset itself or, for m > N / 2, its complement.
+sample: the subset itself or, for m > N / 2, its complement.  Each step
+tests its pick for membership among the sample's earlier picks: by
+comparing it with each of them when the picks are the subset itself and
+number at most COMPARE_STEPS, else in a (rows, N) bitmap of taken points.
 """
 
 from __future__ import annotations
@@ -29,6 +32,16 @@ from .errors import ConfigurationError
 #: rows per block of a Monte Carlo run; block b draws from substream b, so
 #: a run's draws depend on this constant
 BLOCK_ROWS = 10_000
+
+#: Floyd steps up to which a pick is compared with the row's earlier picks
+#: (s^2 / 2 comparisons per row, in an (s, rows) array that stays in
+#: cache) rather than looked up in a (rows, N) bitmap (one random
+#: access per step into rows * N bytes); a complement (m > N / 2) keeps the
+#: bitmap, which its pass reads (see _compares).  Fitted to the time of one
+#: 10^4-row block at N in {100, 400, 1000, 4000} and s up to N / 2 (table in
+#: CHANGES.md): comparing is the faster test up to s = 128 at every N, and
+#: the slower from s = 160 at N = 400.  The draws do not depend on it.
+COMPARE_STEPS = 128
 
 
 class SampleMode(Enum):
@@ -96,6 +109,12 @@ def counts_matrix(idx, n: int) -> csr_matrix:
     return csr_matrix((np.ones(k * m), idx.ravel(), m * np.arange(k + 1)), shape=(k, n))
 
 
+def _compares(n: int, m: int) -> bool:
+    """Whether sample_counts tests the Floyd picks of an m-subset of n
+    points by comparing them, not in a bitmap (see COMPARE_STEPS)."""
+    return m <= min(n - m, COMPARE_STEPS)
+
+
 def sample_counts(
     n: int, m: int, count: int, mode: SampleMode, gen: np.random.Generator
 ) -> csr_matrix:
@@ -104,15 +123,26 @@ def sample_counts(
     Without replacement each row is the 0/1 indicator of a uniform
     m-subset, drawn by Floyd's algorithm on all rows at once: it picks
     s = min(m, n - m) points, the subset itself or, for m > n / 2, its
-    complement (m = n picks none); its (count, n) table of taken points is
-    freed before the count matrix is built.  With replacement each row
-    holds the multinomial counts of m i.i.d. uniform indices.
+    complement (m = n picks none).  Each step tests its pick against the
+    row's earlier picks, compared one by one when m <= min(n - m,
+    COMPARE_STEPS), otherwise looked up in a (count, n) table of taken
+    points, which is freed before the count matrix is built.  The two
+    tests give the same subsets from the same draws.  With replacement
+    each row holds the multinomial counts of m i.i.d. uniform indices.
     """
     SampleScheme(mode, m).validate_for(n)
     if mode is SampleMode.WITH_REPLACEMENT:
         return counts_matrix(gen.integers(0, n, size=(count, m), dtype=np.int32), n)
     # step j draws t uniform in [0, j] and takes j in its place when t is
     # already taken
+    if _compares(n, m):
+        # int16 picks where they fit: the comparisons read half the bytes
+        picks = np.empty((m, count), dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
+        for i, j in enumerate(range(n - m, n)):
+            t = picks[i]
+            t[:] = gen.integers(0, j + 1, size=count)
+            t[(picks[:i] == t).any(axis=0)] = j
+        return counts_matrix(picks.T, n)
     s = min(m, n - m)
     taken = np.zeros(count * n, dtype=bool)
     offsets = np.arange(count) * n

@@ -55,10 +55,13 @@ class TransductiveProblem:
     def N(self) -> int:
         return self.loss_table.shape[1]
 
-    @property
+    @cached_property
     def overall_risk(self) -> np.ndarray:
-        """L_N per hypothesis: population mean of each loss row."""
-        return self.loss_table.mean(axis=1)
+        """L_N per hypothesis: population mean of each loss row, computed
+        once per problem and read-only, since every caller shares it."""
+        risk = self.loss_table.mean(axis=1)
+        risk.flags.writeable = False
+        return risk
 
     @cached_property
     def centered_class(self) -> FunctionClass:

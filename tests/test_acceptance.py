@@ -15,6 +15,7 @@ import pytest
 from scipy.linalg import ldl
 
 from conftest import record_criterion
+from subroot import fixed_point
 from sworlab.bounds import compare_exponents
 from sworlab.cli import EXIT_CHECK_FAILED, EXIT_OK, run
 from sworlab.experiments import (
@@ -24,7 +25,6 @@ from sworlab.experiments import (
     run_verify_bounds,
 )
 from sworlab.kernels import EigenSpectrum, eigen_spectrum, tailsum_bound
-from sworlab.localization import fixed_point
 
 
 @pytest.fixture(scope="module")

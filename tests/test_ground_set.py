@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import multinomial, multivariate_hypergeom
 
 from sworlab import ground_set
@@ -112,17 +113,64 @@ def floyd_reference(n, m, k, gen):
     return [sorted(row) for row in rows]
 
 
+def subsets_of(counts):
+    """Each row's points in order, a repeated point listed again."""
+    bounds = zip(counts.indptr[:-1].tolist(), counts.indptr[1:].tolist())
+    return [sorted(counts.indices[a:b].tolist()) for a, b in bounds]
+
+
+COMPARE = ground_set.COMPARE_STEPS
+
+
 @pytest.mark.parametrize(
     "n,m",
-    [(5, 1), (9, 2), (9, 7), (10, 5), (12, 4), (100, 50), (100, 90), (400, 40), (6, 6)],
+    [
+        (5, 1),
+        (9, 2),
+        (9, 7),
+        (10, 5),
+        (12, 4),
+        (100, 50),
+        (100, 90),
+        (400, 40),
+        (6, 6),
+        # s at the comparison limit and one above it, as the subset and as
+        # the complement, and s = 0 and 1 by the complement
+        (400, COMPARE),
+        (400, COMPARE + 1),
+        (400, 400 - COMPARE),
+        (400, 399 - COMPARE),
+        (400, 400),
+        (400, 399),
+        # picks beyond the int16 range
+        (40_000, 3),
+    ],
 )
 def test_sample_counts_selects_the_floyd_subsets(n, m):
     # same subsets as plain Floyd on the same generator state
-    k = 300
+    k = 300 if n < 10_000 else 50
     counts = sample_counts(n, m, k, WITHOUT, np.random.default_rng(42))
     ref = floyd_reference(n, m, k, np.random.default_rng(42))
-    got = [np.flatnonzero(row).tolist() for row in counts.toarray()]
-    assert got == ref
+    assert subsets_of(counts) == ref
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_sample_counts_matches_floyd_on_any_shape(data):
+    n = data.draw(st.integers(1, 600), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    k = data.draw(st.integers(1, 64), label="rows")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    counts = sample_counts(n, m, k, WITHOUT, np.random.default_rng(seed))
+    assert subsets_of(counts) == floyd_reference(n, m, k, np.random.default_rng(seed))
+
+
+def test_floyd_compares_short_subsets_and_keeps_the_bitmap_otherwise():
+    assert ground_set._compares(400, 40)
+    assert ground_set._compares(400, COMPARE)
+    assert not ground_set._compares(400, COMPARE + 1)
+    assert not ground_set._compares(400, 400 - COMPARE)  # a complement
+    assert not ground_set._compares(1000, 500)
 
 
 class AllDrawSequences:

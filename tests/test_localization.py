@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from subroot import fixed_point
 from sworlab import localization
 from sworlab.empirical_process import FunctionClass, expected_sup
 from sworlab.errors import BernsteinConditionError, ConfigurationError
@@ -17,7 +18,6 @@ from sworlab.localization import (
     excess_bound_thm8,
     excess_bound_thm9,
     fit_subroot,
-    fixed_point,
     modulus_curve,
     stability_bound_appD,
 )

@@ -68,6 +68,14 @@ class TestSplitAndRisks:
         assert np.allclose(test, 0.5)
         assert np.allclose(tp.overall_risk, 0.5)
 
+    def test_overall_risk_is_computed_once_and_read_only(self):
+        tp = TransductiveProblem(np.random.default_rng(5).uniform(size=(3, 7)))
+        risk = tp.overall_risk
+        assert tp.overall_risk is risk
+        assert np.array_equal(risk, tp.loss_table.mean(axis=1))
+        with pytest.raises(ValueError, match="read-only"):
+            risk[0] = 0.0
+
     def test_hand_computed_split(self):
         tp = TransductiveProblem(np.array([[0.0, 0.0, 1.0, 1.0]]))
         indicators, train, test = split_rows(tp, 2, 60, RngStream(1))
