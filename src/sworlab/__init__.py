@@ -45,12 +45,10 @@ from .localization import (
     build_excess_class,
     compute_B,
     excess_bound_cor10,
-    excess_bound_cor11,
     excess_bound_thm8,
     excess_bound_thm9,
     fit_subroot,
     modulus_curve,
-    stability_bound_appD,
 )
 from .transductive import (
     TransductiveProblem,

@@ -181,45 +181,3 @@ def excess_bound_cor10(
     on_train = excess_bound_thm8(B, r_star_m, N, m, t)
     on_test = excess_bound_thm8(B, r_star_u, N, u, t)
     return (N / u) * on_train + (N / m) * on_test
-
-
-def excess_bound_cor11(
-    B: float,
-    r_star_m: float,
-    r_star_u: float,
-    N: int,
-    m: int,
-    u: int,
-    t: float,
-    K: float = 1.0,
-) -> float:
-    """Thm 9 analogue of Cor 10 at K r*; K is stated but unquantified in the
-    source result, exposed as an explicit parameter defaulting to 1."""
-    on_train = excess_bound_thm9(B, K * r_star_m, m, t)
-    on_test = excess_bound_thm9(B, K * r_star_u, u, t)
-    return (N / u) * on_train + (N / m) * on_test
-
-
-def stability_bound_appD(
-    B: float,
-    K: float,
-    r_star_m: float,
-    r_star_u: float,
-    N: int,
-    m: int,
-    u: int,
-    t: float,
-) -> float:
-    """|L_N(erm) - L_N(test minimizer)| bound, any K > 1:
-
-    2 K (r*_m + r*_u)/B + 16 K B t N (1/m^2 + 1/u^2).
-    """
-    if K <= 1.0:
-        raise ConfigurationError(f"K must exceed 1, got {K}")
-    b = _as_B(B)
-    return 2.0 * K * (r_star_m + r_star_u) / b + 16.0 * K * b * t * N * (
-        1.0 / m**2 + 1.0 / u**2
-    )
-
-
-DEFAULT_APPD_K = 1.0001

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +342,29 @@ def test_no_exponent_or_tail_is_nan_at_extreme_inputs():
                     report = compare_exponents(N=n, m=m, sigma2=s2, eps=e, eq_m=eq)
                     assert not any(map(math.isnan, report["exponents"].values())), report
                     assert all(x <= 0.0 for x in report["exponents"].values()), report
+
+
+def test_a_failing_given_test_is_reported_and_the_run_goes_on(tmp_path):
+    # under this project's warning filters, hypothesis's report of a failing
+    # @given test (which imports libcst) must not end the session
+    (tmp_path / "test_broken.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_broken(x):\n"
+        "    assert x < 0\n\n"
+        "def test_after():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [
+            *(sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"),
+            *("-c", str(config), "--rootdir", str(tmp_path), str(tmp_path / "test_broken.py")),
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

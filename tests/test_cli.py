@@ -504,7 +504,10 @@ class TestLocalize:
         assert code == EXIT_OK
         results = read_report(out)["results"]
         assert results["B"] >= 0
-        assert "bounds" in results
+        # every bound localize computes is checked, and its value is reported once
+        names = {f"{bound}@t={t}" for bound in ("thm8", "thm9", "cor10") for t in (1.0, 2.0)}
+        assert set(results["validity"]) == names
+        assert "bounds" not in results
 
 
 class TestKernelBound:

@@ -202,6 +202,25 @@ def test_each_fit_reports_the_fixed_point_of_its_majorant():
         assert r_star > 0 and max(terms) == pytest.approx(r_star, rel=1e-12)
 
 
+def test_localize_checks_each_bound_at_the_fits_it_reads():
+    # Thm 8 reads the without-replacement r* at m, Thm 9 the with-replacement
+    # r* at m, Cor 10 the without-replacement r* at m and at u; each value
+    # is reported once, as its validity check's bound
+    out = run_localize(loss=TABLE, m=4, splits=50, trials=200, t_grid=(1.0, 2.0))
+    b, n, m, u = out["B"], out["N"], out["m"], out["u"]
+    r = {name: fit["r_star"] for name, fit in out["fits"].items()}
+    for t in (1.0, 2.0):
+        expected = {
+            "thm8": localization.excess_bound_thm8(b, r["m_without"], n, m, t),
+            "thm9": localization.excess_bound_thm9(b, r["m_with"], m, t),
+            "cor10": localization.excess_bound_cor10(
+                b, r["m_without"], r["u_without"], n, m, u, t
+            ),
+        }
+        for name, bound in expected.items():
+            assert out["validity"][f"{name}@t={t}"]["bound"] == bound
+
+
 def brute_force_moduli(table: np.ndarray, m: int, with_replacement: bool):
     """(breakpoints, psi): the distinct positive E f^2 of the excess-loss
     rows f = loss_h - loss_h*, and at each r, B/m times the expected sup
