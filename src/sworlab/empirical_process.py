@@ -8,9 +8,10 @@ without-replacement variants differ only in how the sample is drawn.
 
 Points with identical columns form a level set, and Q depends on a sample
 only through its count vector over the level sets: exact_law lists them
-all, and Monte Carlo draws them when that costs less than drawing samples
-of the population (see LEVEL_COST).  The population, where every point is
-its own level set, is the general case.
+all.  Monte Carlo draws Q from that list when it is short next to a block
+of trials (see LAW_COST), else draws the count vectors when that costs
+less than drawing samples of the population (see LEVEL_COST).  The
+population, where every point is its own level set, is the general case.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.sparse import csr_array, csr_matrix, issparse
 from scipy.special import gammaln, logsumexp
 
+from . import ground_set
 from .errors import ConfigurationError, OracleScaleError
 from .ground_set import (
     RngStream,
@@ -57,6 +59,18 @@ DEFAULT_ENUM_BUDGET = 10**6
 #: classes between the level and population paths, and so moves the draws.
 LEVEL_COST = 24
 FLOYD_COST = 6
+#: Monte Carlo draws Q from exact_law, one uniform per trial inverted on
+#: the cumulative weights, when LAW_COST times the class's count vectors
+#: are at most min(trials, BLOCK_ROWS): listing the law then costs about
+#: as much as drawing the counts of one block, and less once it is cached.
+#: Fitted to the time of one 10^4-row block at L = 2 to 6 level sets
+#: (table in CHANGES.md).  At up to 0.3 vectors per row, with the law
+#: listed afresh, it took 0.38-1.23x the level path's time, except with
+#: replacement at L = 2 (one binomial per row: 1.56-2.93x), and 0.76-1.80x
+#: the population path's at the small m where L = 4 to 6 take that path;
+#: with the law cached, 0.19-0.82x all of these, and 0.87-1.40x the
+#: binomials.  At one vector per row it took up to 6x with the law afresh.
+LAW_COST = 4
 
 
 class LevelSets(NamedTuple):
@@ -177,22 +191,34 @@ def class_variance(fc: FunctionClass) -> float:
     return float((fc.values**2).mean(axis=1).max())
 
 
-@lru_cache(maxsize=32)  # a report asks for one key several times, from sup_route and split_route
+# a report asks for one key several times, from sup_route, split_route and
+# simulate_suprema
+@lru_cache(maxsize=32)
 def _vector_count(sizes: tuple, m: int, mode: SampleMode) -> int:
     """How many count vectors over level sets of these sizes sum to m (with
-    k_i <= sizes[i] without replacement): the x^m coefficient of
-    prod_i (1 - x^(cap_i + 1)) / (1 - x)^L, where only caps below m bind."""
+    k_i <= sizes[i] without replacement): the x^m coefficient of the
+    product over sets of 1 + x + ... + x^cap_i.  Without replacement the c
+    one-point sets give (1 + x)^c, and the L' larger ones
+    prod (1 - x^(size + 1)) / (1 - x)^L', where only sizes below m bind: a
+    population counts C(N, m) from one product, and with replacement every
+    set gives 1 / (1 - x)."""
     sizes = np.array(sizes)
-    poly = {0: 1}  # the binding factors multiplied out, one size at a time
-    if mode is SampleMode.WITHOUT_REPLACEMENT:
-        for step, c in zip(*np.unique(sizes[sizes < m] + 1, return_counts=True)):
-            product: dict = {}
-            for t in range(min(c, m // step) + 1):  # (1 - x^step)^c, term by term
-                term = (-1) ** t * math.comb(c, t)
-                for j, a in poly.items():
-                    if j + t * step <= m:
-                        product[j + t * step] = product.get(j + t * step, 0) + term * a
-            poly = product
+    if mode is SampleMode.WITH_REPLACEMENT:
+        return math.comb(m + sizes.size - 1, m)
+    ones, sizes = int(np.sum(sizes == 1)), sizes[sizes > 1]
+    poly = {0: 1}  # (1 + x)^ones, then the binding factors, one size at a time
+    for t in range(min(ones, m)):
+        poly[t + 1] = poly[t] * (ones - t) // (t + 1)
+    for step, c in zip(*np.unique(sizes[sizes < m] + 1, return_counts=True)):
+        product: dict = {}
+        for t in range(min(c, m // step) + 1):  # (1 - x^step)^c, term by term
+            term = (-1) ** t * math.comb(c, t)
+            for j, a in poly.items():
+                if j + t * step <= m:
+                    product[j + t * step] = product.get(j + t * step, 0) + term * a
+        poly = product
+    if not sizes.size:
+        return poly.get(m, 0)
     return sum(a * math.comb(m - j + sizes.size - 1, m - j) for j, a in poly.items())
 
 
@@ -257,17 +283,27 @@ def simulate_suprema(
     sup_sums), vectorized in blocks of ground_set.BLOCK_ROWS trials.
 
     A supremum depends on a sample only through how many points it takes
-    from each level set, so a class whose level counts cost less to draw
-    than a population sample (see LEVEL_COST) draws those counts directly;
-    any other class draws samples of the population.  Block b uses
-    rng.substream(b), so the result is bit-identical however the blocks
-    are scheduled.  A run touches no state but its own generators and
-    arrays, so runs on distinct streams may go on separate threads (see
+    from each level set.  A class with few count vectors next to a block
+    (see LAW_COST) lists its exact_law once and draws each supremum from
+    it: one uniform per trial, inverted on the cumulative weights, so the
+    draws are i.i.d., in trial order and bit for bit the law's atoms.  Else
+    a class whose level counts cost less to draw than a population sample
+    (see LEVEL_COST) draws those counts directly, and any other class draws
+    samples of the population.  Block b uses rng.substream(b), so the
+    result is bit-identical however the blocks are scheduled.  A run
+    touches no state but its own generators and arrays, so runs on
+    distinct streams may go on separate threads (see
     experiments._concurrently) and give the same draws as in turn.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
+    scheme.validate_for(fc.n_points)
     m, mode, levels, n = scheme.m, scheme.mode, fc.level_sets, fc.n_points
+    blocks = block_generators(trials, rng)
+    size = _vector_count(tuple(levels.sizes.tolist()), m, mode)
+    if LAW_COST * size <= min(trials, ground_set.BLOCK_ROWS):
+        sups, weights = exact_law(fc, scheme, ends)
+        return np.concatenate([gen.choice(sups, rows, p=weights) for rows, gen in blocks])
     population_cost = m
     if mode is SampleMode.WITHOUT_REPLACEMENT:
         population_cost = FLOYD_COST * min(m, n - m) + (n if 2 * m > n else 0)
@@ -275,7 +311,6 @@ def simulate_suprema(
         table, draw = levels.columns, partial(sample_level_counts, levels.sizes)
     else:
         table, draw = fc.values, partial(sample_counts, n)
-    blocks = block_generators(trials, rng)
     sups = [sup_sums(table, draw(m, rows, mode, gen), ends) for rows, gen in blocks]
     return np.concatenate(sups)
 

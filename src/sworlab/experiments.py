@@ -196,12 +196,13 @@ def _config_checks(
     eq_rng = RngStream(seed, stream_base + 1)
     tail_rng = RngStream(seed, stream_base + 2)
 
-    # budget 0: the centres are always Monte Carlo, with a standard error
-    cw, eq, draws = _concurrently(
-        partial(expected_sup, fc, scheme, trials, center_rng, budget=0),
-        partial(expected_sup, fc, SampleScheme(WITH, m), trials, eq_rng, budget=0),
-        lambda: np.sort(simulate_suprema(fc, scheme, trials, tail_rng)),
-    )
+    # budget 0: the centres stay Monte Carlo, with a standard error, even
+    # where exact_law is short enough that their draws come from it.  The
+    # three draws run in turn: on such draws a pool handoff costs more than
+    # it overlaps
+    cw = expected_sup(fc, scheme, trials, center_rng, budget=0)
+    eq = expected_sup(fc, SampleScheme(WITH, m), trials, eq_rng, budget=0)
+    draws = np.sort(simulate_suprema(fc, scheme, trials, tail_rng))
     eq_prime, eq_m = cw.mean, eq.mean
     centers = {Center.AROUND_EQ_PRIME: cw, Center.AROUND_EQ: eq}
     eps_grid = default_eps_grid(m, s2)

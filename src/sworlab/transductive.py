@@ -21,6 +21,7 @@ import numpy as np
 from . import ground_set
 from .bounds import BoundParams, deviation_subgaussian
 from .empirical_process import (
+    DEFAULT_ENUM_BUDGET,
     FunctionClass,
     LevelSets,
     _count_vectors,
@@ -97,8 +98,9 @@ def require_split(tp: TransductiveProblem, m: int) -> None:
 def split_route(tp: TransductiveProblem, m: int, splits: int) -> dict:
     """How the validity checks see the law of a uniform m-split, decided
     without a draw: "exact" when the splits' count vectors over tp.levels
-    number at most `splits` (exact_split_risks lists them all, so it never
-    scores more rows than a draw would), else "monte_carlo"
+    number at most min(`splits`, DEFAULT_ENUM_BUDGET) (exact_split_risks
+    lists them all at once, so it never scores more rows than a draw would
+    nor holds more vectors than expected_sup may), else "monte_carlo"
     (sampled_split_risks draws `splits` of them).  As {route,
     enumeration_size, splits}; refuses m outside [1, N) and splits < 1."""
     require_split(tp, m)
@@ -106,7 +108,7 @@ def split_route(tp: TransductiveProblem, m: int, splits: int) -> dict:
         raise ConfigurationError(f"splits must be >= 1, got {splits}")
     sizes = tuple(tp.levels.sizes.tolist())
     size = _vector_count(sizes, m, SampleMode.WITHOUT_REPLACEMENT)
-    route = "exact" if size <= splits else "monte_carlo"
+    route = "exact" if size <= min(splits, DEFAULT_ENUM_BUDGET) else "monte_carlo"
     return {"route": route, "enumeration_size": size, "splits": splits}
 
 

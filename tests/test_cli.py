@@ -699,7 +699,8 @@ VALUES_PIN = Path(__file__).parent / "results_values.json"
 class TestResultsKeys:
     PINNED = json.loads((Path(__file__).parent / "results_key_paths.json").read_text())
     #: the results of the same small runs; a change that moves draws
-    #: regenerates it with `PYTHONPATH=src python tests/test_cli.py`
+    #: regenerates the pins of the subcommands it moves with
+    #: `PYTHONPATH=src python tests/test_cli.py <subcommand> ...`
     VALUES = json.loads(VALUES_PIN.read_text())
 
     def test_every_subcommand_is_pinned(self):
@@ -830,9 +831,17 @@ class TestStartup:
         assert done.stdout == "1\n", done.stderr
 
 
-if __name__ == "__main__":  # regenerate the values pin from the code under src/
+if __name__ == "__main__":
+    # regenerate the values pin of the named subcommands (all when none is
+    # named) from the code under src/; the others' pins keep their bytes
     import tempfile
 
+    commands = sys.argv[1:] or list(KEY_PATH_RUNS)
+    unknown = sorted(set(commands) - set(KEY_PATH_RUNS))
+    if unknown:
+        sys.exit(f"no values pin for {', '.join(unknown)}; choose from {', '.join(KEY_PATH_RUNS)}")
+    pin = json.loads(VALUES_PIN.read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        pin = {command: small_run_results(command, Path(tmp) / command) for command in KEY_PATH_RUNS}
+        for command in commands:
+            pin[command] = small_run_results(command, Path(tmp) / command)
     VALUES_PIN.write_text(json.dumps(pin, indent=1, sort_keys=True) + "\n")

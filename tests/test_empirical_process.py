@@ -7,12 +7,15 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.stats import binom, hypergeom
 
-from sworlab import ground_set
+from sworlab import empirical_process, ground_set
 from sworlab.empirical_process import (
     DEFAULT_ENUM_BUDGET,
     FLOYD_COST,
+    LAW_COST,
     LEVEL_COST,
     FunctionClass,
+    _count_vectors,
+    _vector_count,
     center_class,
     class_variance,
     exact_law,
@@ -356,11 +359,13 @@ def level_draws(fc, scheme, trials, rng):
 
 
 class TestLevelPath:
-    @pytest.mark.parametrize("mode,m,repeats", [(WITHOUT, 40, (16, 48, 32)), (WITH, 96, (32, 32, 32))])
+    @pytest.mark.parametrize(
+        "mode,m,repeats", [(WITHOUT, 120, (48, 144, 96)), (WITH, 96, (32, 32, 32))]
+    )
     def test_repeated_columns_agree_with_exact_mean(self, mode, m, repeats):
-        # three distinct columns shared by 96 points in shuffled order
+        # three distinct columns shared by the points in shuffled order
         base = center_class(np.random.default_rng(14).uniform(-1, 1, size=(4, 3)))
-        order = np.random.default_rng(15).permutation(96)
+        order = np.random.default_rng(15).permutation(sum(repeats))
         fc = FunctionClass(np.repeat(base.values, repeats, axis=1)[:, order])
         levels = fc.level_sets
         for size, column in zip(levels.sizes, levels.columns.T):
@@ -372,6 +377,9 @@ class TestLevelPath:
             # as often as m uniform draws from its 3 columns
             exact = expected_sup(FunctionClass(base.values), SampleScheme(mode, m))
         assert exact.provenance["route"] == "exact"
+        # too many count vectors for the law path (4 453 and 4 753)
+        size = _vector_count(tuple(levels.sizes.tolist()), m, mode)
+        assert LAW_COST * size > ground_set.BLOCK_ROWS
         trials = 20_000
         draws = simulate_suprema(fc, SampleScheme(mode, m), trials, RngStream(15))
         # the draws come from the level path
@@ -380,37 +388,32 @@ class TestLevelPath:
         assert abs(draws.mean() - exact.mean) <= 4 * se
 
     @pytest.mark.parametrize("m", [100, 500, 900])
-    def test_antipodal_n1000_matches_closed_form(self, m):
-        # Q = a |2K - m| with K ~ Hypergeom(1000, 500, m) or Bin(m, 1/2)
+    def test_antipodal_n1000_matches_closed_form(self, monkeypatch, m):
+        # Q = a |2K - m| with K ~ Hypergeom(1000, 500, m) or Bin(m, 1/2),
+        # drawn by the level sampler: m + 1 vectors would take the law path
+        monkeypatch.setattr(empirical_process, "LAW_COST", 10**9)
         fc = make_antipodal_class(1000, 0.1)
         a, k, trials = float(fc.values[0, 0]), np.arange(m + 1), 20_000
         assert fc.level_sets.sizes.tolist() == [500, 500]
         for mode, law in [(WITHOUT, hypergeom(1000, 500, m)), (WITH, binom(m, 0.5))]:
             closed = a * float(law.pmf(k) @ np.abs(2 * k - m))
-            draws = simulate_suprema(fc, SampleScheme(mode, m), trials, RngStream(m))
+            scheme, rng = SampleScheme(mode, m), RngStream(m)
+            draws = simulate_suprema(fc, scheme, trials, rng)
+            assert np.array_equal(draws, level_draws(fc, scheme, trials, rng)), mode
             se = draws.std(ddof=1) / math.sqrt(trials)
             assert abs(draws.mean() - closed) <= 5 * se, mode
 
     @pytest.mark.parametrize("mode", [WITHOUT, WITH])
-    @pytest.mark.parametrize(
-        "n,frac", [(n, frac) for n in ACCEPTANCE_GRID["N"] for frac in ACCEPTANCE_GRID["m_frac"]]
-    )
-    def test_antipodal_grid_takes_the_level_path(self, monkeypatch, mode, n, frac):
-        # every verify-bounds shape draws level counts, centres and tail alike
-        monkeypatch.setattr(ground_set, "BLOCK_ROWS", 10)
-        fc = make_antipodal_class(n, 0.1)
-        scheme = SampleScheme(mode, max(1, round(frac * n)))
-        rng = RngStream(18, 5)
-        assert np.array_equal(simulate_suprema(fc, scheme, 25, rng), level_draws(fc, scheme, 25, rng))
-
-    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
-    def test_level_draws_land_on_the_exact_atoms(self, mode):
+    def test_level_draws_land_on_the_exact_atoms(self, monkeypatch, mode):
         # dense level counts add in the sparse product's order, so every draw
-        # is bit for bit one of the values exact_law enumerates
+        # is bit for bit one of the values exact_law enumerates; 11 vectors
+        # would take the law path, whose draws are the atoms by construction
+        monkeypatch.setattr(empirical_process, "LAW_COST", 10**9)
         fc = make_antipodal_class(100, 0.1)
-        scheme = SampleScheme(mode, 10)
+        scheme, rng = SampleScheme(mode, 10), RngStream(19)
         sups, _ = exact_law(fc, scheme)
-        draws = simulate_suprema(fc, scheme, 2_000, RngStream(19))
+        draws = simulate_suprema(fc, scheme, 2_000, rng)
+        assert np.array_equal(draws, level_draws(fc, scheme, 2_000, rng))
         assert np.isin(draws, sups).all()
 
     @pytest.mark.parametrize("mode,m", [(WITHOUT, 40), (WITH, 40)])
@@ -427,6 +430,88 @@ class TestLevelPath:
         assert [counts.shape[0] for counts in blocks] == [10, 10, 5]
         expected = np.concatenate([sup_sums(fc.values, counts) for counts in blocks])
         assert np.array_equal(draws, expected)
+
+
+def law_draws(fc, scheme, trials, rng, ends=None):
+    """The suprema simulate_suprema gives on the law path: block b chooses
+    its rows from exact_law with rng.substream(b)."""
+    sups, weights = exact_law(fc, scheme, ends)
+    blocks = block_generators(trials, rng)
+    return np.concatenate([gen.choice(sups, rows, p=weights) for rows, gen in blocks])
+
+
+class TestLawPath:
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    @pytest.mark.parametrize(
+        "n,frac", [(n, frac) for n in ACCEPTANCE_GRID["N"] for frac in ACCEPTANCE_GRID["m_frac"]]
+    )
+    def test_antipodal_grid_takes_the_law_path(self, mode, n, frac):
+        # every verify-bounds shape, centres and tail alike, draws from its
+        # law at 10^4 trials: at most 901 count vectors against 2 500
+        fc = make_antipodal_class(n, 0.1)
+        scheme = SampleScheme(mode, max(1, round(frac * n)))
+        rng = RngStream(18, 5)
+        draws = simulate_suprema(fc, scheme, 10_000, rng)
+        assert np.array_equal(draws, law_draws(fc, scheme, 10_000, rng))
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    @pytest.mark.parametrize("ends", [None, [1, 2, 3]])
+    def test_blocks_choose_from_the_exact_law(self, mode, ends):
+        # 3 blocks (10^4, 10^4, 5 000) of a 3-row class on 4 level sets
+        fc = repeated_columns(30, 40, 4)
+        scheme = SampleScheme(mode, 12)
+        assert LAW_COST * _vector_count(tuple(fc.level_sets.sizes.tolist()), 12, mode) <= 10_000
+        rng = RngStream(31, 2)
+        draws = simulate_suprema(fc, scheme, 25_000, rng, ends=ends)
+        assert draws.shape == ((25_000,) if ends is None else (25_000, 3))
+        assert np.array_equal(draws, law_draws(fc, scheme, 25_000, rng, ends))
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    def test_each_atom_is_drawn_at_its_probability(self, mode):
+        # Q = a |2K - m| takes 6 values at N = 20, m = 10; each is drawn a
+        # Binomial(trials, p) number of times
+        fc, trials = make_antipodal_class(20, 0.25), 100_000
+        scheme = SampleScheme(mode, 10)
+        sups, weights = exact_law(fc, scheme)
+        draws = simulate_suprema(fc, scheme, trials, RngStream(32))
+        values = np.unique(sups)
+        assert values.size == 6 and np.isin(draws, values).all()
+        for value in values:
+            p = float(weights[sups == value].sum())
+            low, high = binom.interval(1 - 1e-4, trials, p)
+            assert low <= np.sum(draws == value) <= high, (value, p)
+
+    @pytest.mark.parametrize("mode", [WITHOUT, WITH])
+    @pytest.mark.parametrize("m,law", [(2499, True), (2500, False)])
+    def test_the_rule_admits_a_quarter_of_a_block(self, mode, m, law):
+        # two level sets of 2 500 points: m + 1 count vectors, so m = 2 499
+        # gives 4 x 2 500 = 10^4 = BLOCK_ROWS and m = 2 500 one vector more
+        fc, rng = make_antipodal_class(5000, 0.25), RngStream(33)
+        scheme = SampleScheme(mode, m)
+        assert _vector_count((2500, 2500), m, mode) == m + 1
+        draws = simulate_suprema(fc, scheme, 10_000, rng)
+        expected = (law_draws if law else level_draws)(fc, scheme, 10_000, rng)
+        assert np.array_equal(draws, expected)
+
+    def test_the_rule_counts_short_runs_by_their_trials(self):
+        fc, scheme = make_antipodal_class(20, 0.25), SampleScheme(WITH, 9)  # 10 vectors
+        rng = RngStream(34)
+        for trials, path in [(40, law_draws), (39, level_draws)]:
+            draws = simulate_suprema(fc, scheme, trials, rng)
+            assert np.array_equal(draws, path(fc, scheme, trials, rng))
+
+    def test_draws_do_not_depend_on_the_block_schedule(self, monkeypatch):
+        monkeypatch.setattr(ground_set, "BLOCK_ROWS", 100)
+        fc, scheme = make_antipodal_class(20, 0.25), SampleScheme(WITHOUT, 10)  # 11 vectors
+        rng = RngStream(35, 1)
+        draws = simulate_suprema(fc, scheme, 250, rng)
+        # the blocks drawn last to first, each from its own substream
+        sups, weights = exact_law(fc, scheme)
+        blocks = {
+            b: rng.substream(b).generator().choice(sups, rows, p=weights)
+            for b, rows in reversed(list(enumerate([100, 100, 50])))
+        }
+        assert np.array_equal(draws, np.concatenate([blocks[b] for b in range(3)]))
 
 
 def repeated_columns(seed, n, distinct, m_funcs=3):
@@ -456,6 +541,20 @@ class TestExactLaw:
                 stats = expected_sup(fc, SampleScheme(mode, m))
                 sups, weights = exact_law(fc, SampleScheme(mode, m))
                 assert stats.provenance["enumeration_size"] == sups.size == weights.size
+
+    @pytest.mark.parametrize("n,m", [(11, 5), (4000, 2000), (10_000, 5000)])
+    def test_a_population_counts_subsets_in_closed_form(self, n, m):
+        assert _vector_count((1,) * n, m, WITHOUT) == math.comb(n, m)
+        assert _vector_count((1,) * n, m, WITH) == math.comb(n + m - 1, m)
+
+    def test_counts_mixing_single_points_and_sets_match_the_enumeration(self):
+        gen = np.random.default_rng(36)
+        for _ in range(60):
+            sizes = tuple(gen.choice([1, 1, 1, 2, 3, 5], size=int(gen.integers(1, 10))).tolist())
+            for mode in (WITHOUT, WITH):
+                m = int(gen.integers(1, sum(sizes) + 1))
+                listed = _count_vectors.__wrapped__(sizes, m, mode)[0].shape[0]
+                assert _vector_count(sizes, m, mode) == listed, (sizes, m, mode)
 
     @pytest.mark.parametrize("mode", [WITHOUT, WITH])
     def test_distinct_columns_count_subsets_and_multisets(self, mode):

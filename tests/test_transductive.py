@@ -4,9 +4,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from sworlab import ground_set
+from sworlab import ground_set, transductive
 from sworlab.empirical_process import _vector_count, expected_sup
 from sworlab.errors import ConfigurationError
+from sworlab.experiments import _split_statistics
 from sworlab.ground_set import (
     RngStream,
     SampleMode,
@@ -364,6 +365,26 @@ class TestSplitRoute:
         tp = TransductiveProblem(merged_table(np.random.default_rng(35), (5, 5, 5, 5)))
         route = split_route(tp, 10, 1000)
         assert route["route"] == "exact" and route["enumeration_size"] == 146 < math.comb(20, 10)
+
+    def test_a_count_past_the_enumeration_budget_is_drawn(self, monkeypatch):
+        # C(24, 12) = 2 704 156 distinct splits would take some 0.6 GB to
+        # list at once: a larger --splits draws them, and nothing enumerates
+        def enumerate_vectors(*args):
+            raise AssertionError("the split law was enumerated")
+
+        class Drawn(Exception):
+            pass
+
+        def first_block(train, test):
+            raise Drawn(train.shape)
+
+        monkeypatch.setattr(transductive, "_count_vectors", enumerate_vectors)
+        tp = TransductiveProblem(np.random.default_rng(36).uniform(size=(2, 24)))
+        route = split_route(tp, 12, 10**7)
+        assert route["route"] == "monte_carlo"
+        assert route["enumeration_size"] == math.comb(24, 12) > 10**6
+        with pytest.raises(Drawn, match=r"\(10000, 2\)"):
+            _split_statistics(tp, 12, route, 0, first_block)
 
     @pytest.mark.parametrize("m, splits", [(0, 10), (5, 0), (5, -1)])
     def test_refusals(self, m, splits):
