@@ -7,11 +7,11 @@ of the sum of values on a sample; the with-replacement and
 without-replacement variants differ only in how the sample is drawn.
 
 Points with identical columns form a level set, and Q depends on a sample
-only through its count vector over the level sets: exact_law lists them
-all.  Monte Carlo draws Q from that list when it is short next to a block
-of trials (see LAW_COST), else draws the count vectors when that costs
-less than drawing samples of the population (see LEVEL_COST).  The
-population, where every point is its own level set, is the general case.
+only through its count vector over the level sets.  law_blocks lists them
+all, and draw_blocks draws them, over the level sets when that costs less
+than drawing samples of the population (see LEVEL_COST); no other code
+lists or draws a sample.  The population, where every point is its own
+level set, is the general case.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 from scipy.sparse import csr_array, csr_matrix, issparse
@@ -191,8 +191,8 @@ def class_variance(fc: FunctionClass) -> float:
     return float((fc.values**2).mean(axis=1).max())
 
 
-# a report asks for one key several times, from sup_route, split_route and
-# simulate_suprema
+# a report asks for one key several times, through law_size from sup_route,
+# split_route and simulate_suprema
 @lru_cache(maxsize=32)
 def _vector_count(sizes: tuple, m: int, mode: SampleMode) -> int:
     """How many count vectors over level sets of these sizes sum to m (with
@@ -260,16 +260,60 @@ def _count_vectors(sizes: tuple, m: int, mode: SampleMode) -> tuple[csr_matrix, 
     return csr_matrix((vals.astype(float), sets, indptr), (indptr.size - 1, s.size)), weights
 
 
-def exact_law(fc: FunctionClass, scheme: SampleScheme, ends=None) -> tuple[np.ndarray, np.ndarray]:
-    """The law of Q: (sups, weights) over every count vector k of the level
-    sets with sum m (k_i <= s_i without replacement), weighted by
-    prod C(s_i, k_i) / C(N, m) without replacement, m!/prod k_i! prod
-    (s_i/N)^k_i with.  E[Q] = weights @ sups; P{Q >= x} sums weights.
-    `ends` gives sups a column per row prefix (see sup_sums)."""
+def law_size(fc: FunctionClass, scheme: SampleScheme) -> int:
+    """How many count vectors law_blocks lists, counted without a list."""
+    return _vector_count(tuple(fc.level_sets.sizes.tolist()), scheme.m, scheme.mode)
+
+
+def law_blocks(fc: FunctionClass, scheme: SampleScheme) -> Iterator[tuple]:
+    """The law of a sample's count vector k over fc's level sets, as (level
+    columns, counts, weights) per block of at most ground_set.BLOCK_ROWS
+    vectors: each k with sum m (k_i <= s_i without replacement), weighted
+    by prod C(s_i, k_i) / C(N, m) without replacement, m!/prod k_i! prod
+    (s_i/N)^k_i with.  The cached, read-only law, in row slices if longer
+    than a block."""
     scheme.validate_for(fc.n_points)
     levels = fc.level_sets
     counts, weights = _count_vectors(tuple(levels.sizes.tolist()), scheme.m, scheme.mode)
-    return sup_sums(levels.columns, counts, ends), weights
+    rows, step = weights.size, ground_set.BLOCK_ROWS
+    if rows <= step:  # the cached law itself: a row slice copies
+        yield levels.columns, counts, weights
+        return
+    for start in range(0, rows, step):
+        yield levels.columns, counts[start : start + step], weights[start : start + step]
+
+
+def draw_blocks(fc: FunctionClass, scheme: SampleScheme, rows: int, rng: RngStream) -> Iterator:
+    """`rows` uniform samples, as (table, counts, None) per block of at most
+    ground_set.BLOCK_ROWS, block b from rng.substream(b): counts over the
+    level sets, with their columns as table, when they cost less to draw
+    than samples of the population (see LEVEL_COST), else over the points
+    of fc.values.  None stands for law_blocks' weights: drawn rows weigh
+    alike."""
+    scheme.validate_for(fc.n_points)
+    m, mode, levels, n = scheme.m, scheme.mode, fc.level_sets, fc.n_points
+    population_cost = m
+    if mode is SampleMode.WITHOUT_REPLACEMENT:
+        population_cost = FLOYD_COST * min(m, n - m) + (n if 2 * m > n else 0)
+    if LEVEL_COST * (levels.sizes.size - 2) <= population_cost:
+        table, draw = levels.columns, partial(sample_level_counts, levels.sizes)
+    else:
+        table, draw = fc.values, partial(sample_counts, n)
+    for count, gen in block_generators(rows, rng):
+        yield table, draw(m, count, mode, gen), None
+
+
+def exact_law(fc: FunctionClass, scheme: SampleScheme, ends=None) -> tuple[np.ndarray, np.ndarray]:
+    """The law of Q: (sups, weights) over the count vectors of law_blocks,
+    reduced a block at a time.  E[Q] = weights @ sups; P{Q >= x} sums
+    weights, read-only.  `ends` gives sups a column per row prefix (see
+    sup_sums)."""
+    law = [(sup_sums(table, counts, ends), w) for table, counts, w in law_blocks(fc, scheme)]
+    if len(law) == 1:
+        return law[0]
+    sups, weights = map(np.concatenate, zip(*law))
+    weights.setflags(write=False)
+    return sups, weights
 
 
 def simulate_suprema(
@@ -286,11 +330,9 @@ def simulate_suprema(
     from each level set.  A class with few count vectors next to a block
     (see LAW_COST) lists its exact_law once and draws each supremum from
     it: one uniform per trial, inverted on the cumulative weights, so the
-    draws are i.i.d., in trial order and bit for bit the law's atoms.  Else
-    a class whose level counts cost less to draw than a population sample
-    (see LEVEL_COST) draws those counts directly, and any other class draws
-    samples of the population.  Block b uses rng.substream(b), so the
-    result is bit-identical however the blocks are scheduled.  A run
+    draws are i.i.d., in trial order and bit for bit the law's atoms; any
+    other class draws from draw_blocks.  Block b uses rng.substream(b), so
+    the result is bit-identical however the blocks are scheduled.  A run
     touches no state but its own generators and arrays, so runs on
     distinct streams may go on separate threads (see
     experiments._concurrently) and give the same draws as in turn.
@@ -298,21 +340,12 @@ def simulate_suprema(
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     scheme.validate_for(fc.n_points)
-    m, mode, levels, n = scheme.m, scheme.mode, fc.level_sets, fc.n_points
-    blocks = block_generators(trials, rng)
-    size = _vector_count(tuple(levels.sizes.tolist()), m, mode)
-    if LAW_COST * size <= min(trials, ground_set.BLOCK_ROWS):
+    if LAW_COST * law_size(fc, scheme) <= min(trials, ground_set.BLOCK_ROWS):
         sups, weights = exact_law(fc, scheme, ends)
+        blocks = block_generators(trials, rng)
         return np.concatenate([gen.choice(sups, rows, p=weights) for rows, gen in blocks])
-    population_cost = m
-    if mode is SampleMode.WITHOUT_REPLACEMENT:
-        population_cost = FLOYD_COST * min(m, n - m) + (n if 2 * m > n else 0)
-    if LEVEL_COST * (levels.sizes.size - 2) <= population_cost:
-        table, draw = levels.columns, partial(sample_level_counts, levels.sizes)
-    else:
-        table, draw = fc.values, partial(sample_counts, n)
-    sups = [sup_sums(table, draw(m, rows, mode, gen), ends) for rows, gen in blocks]
-    return np.concatenate(sups)
+    blocks = draw_blocks(fc, scheme, trials, rng)
+    return np.concatenate([sup_sums(table, counts, ends) for table, counts, _ in blocks])
 
 
 def sup_route(
@@ -324,13 +357,12 @@ def sup_route(
     if trials < 0:
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
     scheme.validate_for(fc.n_points)
-    levels = fc.level_sets
-    size = _vector_count(tuple(levels.sizes.tolist()), scheme.m, scheme.mode)
+    size = law_size(fc, scheme)
     if size <= budget:
         return {"route": "exact", "enumeration_size": size, "budget": budget, "trials": 0}
     if trials < 1:
         raise OracleScaleError(
-            f"{size} count vectors over {levels.sizes.size} level sets exceed the"
+            f"{size} count vectors over {fc.level_sets.sizes.size} level sets exceed the"
             f" enumeration budget {budget} and no Monte Carlo trials were given"
         )
     if trials < 2:  # one draw has no standard error; 0 would pass it off as exact

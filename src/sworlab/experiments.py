@@ -43,11 +43,10 @@ from .localization import (
 from .transductive import (
     TransductiveProblem,
     erm,
-    exact_split_risks,
     gen_bound_thm5,
     gen_bound_thm6,
     require_split,
-    sampled_split_risks,
+    split_risks,
     split_route,
 )
 from .verify import (
@@ -321,16 +320,13 @@ def _split_statistics(tp: TransductiveProblem, m: int, route: dict, seed: int, *
     the exact route these are every distinct split, with its probability in
     weights; else route["splits"] uniform splits drawn from SPLIT_STREAM,
     and weights is None."""
-    if route["route"] == "exact":
-        blocks = exact_split_risks(tp, m)
-    else:
-        blocks = sampled_split_risks(tp, m, route["splits"], RngStream(seed, SPLIT_STREAM))
+    exact, rng = route["route"] == "exact", RngStream(seed, SPLIT_STREAM)
     out, weights = [[] for _ in statistics], []
-    for train, test, *probabilities in blocks:
-        weights += probabilities
+    for train, test, probabilities in split_risks(tp, m, route["splits"], rng, exact):
+        weights.append(probabilities)
         for acc, statistic in zip(out, statistics):
             acc.append(statistic(train, test))
-    return (np.concatenate(weights) if weights else None), [np.concatenate(acc) for acc in out]
+    return (np.concatenate(weights) if exact else None), [np.concatenate(acc) for acc in out]
 
 
 def _exceedance(keys: tuple, table: dict, n: int) -> dict:
@@ -417,7 +413,7 @@ def run_transductive_erm(
     }
     validity = _validity_frequencies(gaps, weights, t_grid, bound_fns)
 
-    train, test = next(sampled_split_risks(tp, m, 1, RngStream(seed, EXAMPLE_STREAM)))
+    train, test, _ = next(split_risks(tp, m, 1, RngStream(seed, EXAMPLE_STREAM), exact=False))
     passed = all(v["ok"] for v in validity.values())
     return {
         "passed": passed,

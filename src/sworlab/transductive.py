@@ -3,10 +3,10 @@
 The learner sees losses of every hypothesis on every population point as
 an H x N table with entries in [0, 1].  A uniform without-replacement
 split of size m defines training risk, test risk, and the (nonrandom)
-overall risk, linked by the exact identity N L_N = m L_m + u L_u.  The
-law of the split is scored exactly, once per count vector over the
-table's level sets (exact_split_risks), or through drawn splits
-(sampled_split_risks); split_route picks the route before any draw.
+overall risk, linked by the exact identity N L_N = m L_m + u L_u.  A
+split is a without-replacement sample of the loss table, listed or drawn
+by empirical_process (split_risks); split_route picks the route before
+any draw.
 """
 
 from __future__ import annotations
@@ -18,18 +18,17 @@ from typing import Iterator
 
 import numpy as np
 
-from . import ground_set
 from .bounds import BoundParams, deviation_subgaussian
 from .empirical_process import (
     DEFAULT_ENUM_BUDGET,
     FunctionClass,
-    LevelSets,
-    _count_vectors,
-    _vector_count,
     class_variance,
+    draw_blocks,
+    law_blocks,
+    law_size,
 )
 from .errors import ConfigurationError
-from .ground_set import RngStream, SampleMode, block_generators, sample_counts
+from .ground_set import RngStream, SampleMode, SampleScheme
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,12 @@ class TransductiveProblem:
         return FunctionClass(vals, centered=True)
 
     @cached_property
-    def levels(self) -> LevelSets:
-        """The loss table's identical columns merged into level sets: a
-        split's risks depend on it only through how many points it takes
-        from each.  Merged on the losses themselves, not on the centered
-        class, where L_N - loss can round distinct columns together."""
-        return FunctionClass(self.loss_table).level_sets
+    def loss_class(self) -> FunctionClass:
+        """The loss table as a class: a split's risks depend on it only
+        through how many points it takes from each of its level sets.
+        These merge the losses themselves, not the centered class, where
+        L_N - loss can round distinct columns together."""
+        return FunctionClass(self.loss_table)
 
     @cached_property
     def sigma2_H(self) -> float:
@@ -97,70 +96,40 @@ def require_split(tp: TransductiveProblem, m: int) -> None:
 
 def split_route(tp: TransductiveProblem, m: int, splits: int) -> dict:
     """How the validity checks see the law of a uniform m-split, decided
-    without a draw: "exact" when the splits' count vectors over tp.levels
-    number at most min(`splits`, DEFAULT_ENUM_BUDGET) (exact_split_risks
-    lists them all at once, so it never scores more rows than a draw would
-    nor holds more vectors than expected_sup may), else "monte_carlo"
-    (sampled_split_risks draws `splits` of them).  As {route,
+    without a draw: "exact" when the splits' count vectors over the level
+    sets of tp.loss_class number at most min(`splits`, DEFAULT_ENUM_BUDGET)
+    (split_risks then lists them all, so it never scores more rows than a
+    draw would nor holds more vectors than expected_sup may), else
+    "monte_carlo" (split_risks draws `splits` of them).  As {route,
     enumeration_size, splits}; refuses m outside [1, N) and splits < 1."""
     require_split(tp, m)
     if splits < 1:
         raise ConfigurationError(f"splits must be >= 1, got {splits}")
-    sizes = tuple(tp.levels.sizes.tolist())
-    size = _vector_count(sizes, m, SampleMode.WITHOUT_REPLACEMENT)
+    size = law_size(tp.loss_class, SampleScheme(SampleMode.WITHOUT_REPLACEMENT, m))
     route = "exact" if size <= min(splits, DEFAULT_ENUM_BUDGET) else "monte_carlo"
     return {"route": route, "enumeration_size": size, "splits": splits}
 
 
-def _risks(tp: TransductiveProblem, m: int, counts, columns: np.ndarray):
-    """Train risks C L^T / m of a block of count vectors C over the points
-    (or level sets) whose loss columns are `columns`, and test risks from
-    N L_N = m L_m + u L_u without forming the complement."""
-    train = np.asarray(counts @ columns.T) / m
-    return train, (tp.N * tp.overall_risk - m * train) / (tp.N - m)
-
-
-def sampled_split_risks(
-    tp: TransductiveProblem, m: int, splits: int, rng: RngStream
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Train and test risks of `splits` uniform splits, one block at a time.
-
-    Block b holds at most ground_set.BLOCK_ROWS splits, drawn from
-    rng.substream(b) as a (rows, N) 0/1 count matrix by `sample_counts`,
-    and gives (rows, H) train and test risks.
-    """
+def split_risks(
+    tp: TransductiveProblem, m: int, splits: int, rng: RngStream, exact: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """(rows, H) train and test risks of uniform m-splits and their
+    probabilities, one block at a time: exact, each count vector over the
+    level sets of tp.loss_class once, with its probability (law_blocks;
+    `splits` and `rng` go unused), else `splits` splits drawn from `rng`
+    (draw_blocks), with None.  Test risks come from N L_N = m L_m + u L_u,
+    without forming the complement."""
     require_split(tp, m)
-    for rows, gen in block_generators(splits, rng):
-        counts = sample_counts(tp.N, m, rows, SampleMode.WITHOUT_REPLACEMENT, gen)
-        yield _risks(tp, m, counts, tp.loss_table)
-
-
-def exact_split_risks(
-    tp: TransductiveProblem, m: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Train and test risks of every uniform m-split, with probabilities,
-    one block at a time.
-
-    A split's risks depend on it only through its count vector k over the
-    loss table's level sets (tp.levels), so each vector is scored once,
-    with probability prod C(s_i, k_i) / C(N, m), as listed by the
-    enumeration exact_law uses.  Block b holds at most
-    ground_set.BLOCK_ROWS vectors and gives (rows, H) train and test risks
-    and (rows,) probabilities.
-    """
-    require_split(tp, m)
-    levels = tp.levels
-    sizes = tuple(levels.sizes.tolist())
-    counts, weights = _count_vectors(sizes, m, SampleMode.WITHOUT_REPLACEMENT)
-    rows, step = counts.shape[0], ground_set.BLOCK_ROWS
-    for start in range(0, rows, step):
-        block = counts if rows <= step else counts[start : start + step]  # a row slice copies
-        yield *_risks(tp, m, block, levels.columns), weights[start : start + step]
+    loss, scheme = tp.loss_class, SampleScheme(SampleMode.WITHOUT_REPLACEMENT, m)
+    blocks = law_blocks(loss, scheme) if exact else draw_blocks(loss, scheme, splits, rng)
+    for table, counts, weights in blocks:
+        train = np.asarray(counts @ table.T) / m
+        yield train, (tp.N * tp.overall_risk - m * train) / (tp.N - m), weights
 
 
 def erm(tp: TransductiveProblem, train_risk: np.ndarray, test_risk: np.ndarray) -> dict:
     """Argmins of one split's train and test risks (a row pair of
-    sampled_split_risks) and of the overall risk, ties broken by lowest
+    split_risks) and of the overall risk, ties broken by lowest
     hypothesis index, as {"h_hat_m", "h_star_u", "h_star_N"}, and the
     test excess risk of the ERM choice, "excess_risk"."""
     h_hat_m = int(np.argmin(train_risk))

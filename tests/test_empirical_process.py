@@ -591,18 +591,33 @@ class TestExactLaw:
         assert abs(weights.sum() - 1.0) <= 1e-12
         assert not weights.flags.writeable  # shared with later calls
 
-    @pytest.mark.parametrize("mode,n,m", [(WITH, 100, 3), (WITHOUT, 20, 10)])
-    def test_traced_peak_stays_small(self, mode, n, m):
-        # 171 700 multisets and 184 756 subsets of distinct columns
-        fc = center_class(np.random.default_rng(29).uniform(-1, 1, size=(2, n)))
+    @pytest.mark.parametrize(
+        "mode,n,m,rows",
+        [(WITH, 100, 3, 2), (WITHOUT, 20, 10, 2), (WITHOUT, 20, 10, 64)],
+        ids=[f"{WITH}-100-3", f"{WITHOUT}-20-10", f"{WITHOUT}-20-10-64_rows"],
+    )
+    def test_traced_peak_stays_small(self, mode, n, m, rows):
+        # 171 700 multisets and 184 756 subsets of distinct columns.  The
+        # law's sums are reduced a block at a time: at 64 rows, all of them
+        # at once would hold 90 MB
+        fc = center_class(np.random.default_rng(29).uniform(-1, 1, size=(rows, n)))
+        scheme = SampleScheme(mode, m)
+        _count_vectors.cache_clear()
         tracemalloc.start()
         try:
-            stats = expected_sup(fc, SampleScheme(mode, m))
+            stats = expected_sup(fc, scheme)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert stats.provenance["route"] == "exact"
         assert peak <= 64 * 2**20
+        # the blocks give the sups and the mean of the whole count matrix
+        counts, weights = _count_vectors(tuple(fc.level_sets.sizes.tolist()), m, mode)
+        whole = sup_sums(fc.level_sets.columns, counts)
+        sups, law_weights = exact_law(fc, scheme)
+        assert np.array_equal(sups, whole) and np.array_equal(law_weights, weights)
+        assert not law_weights.flags.writeable
+        assert stats.mean == float(weights @ whole)
 
     def test_invalid_scheme_rejected(self):
         with pytest.raises(ConfigurationError):

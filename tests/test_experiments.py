@@ -63,13 +63,13 @@ def test_modulus_fit_does_not_hide_exact_route_errors():
 @pytest.mark.parametrize("run", [run_localize, run_transductive_erm])
 def test_splits_are_drawn_once_from_the_split_stream(monkeypatch, run):
     calls = []
-    sampled = experiments.sampled_split_risks
+    split_risks = experiments.split_risks
 
-    def counting(tp, m, splits, rng):
+    def counting(tp, m, splits, rng, exact):
         calls.append(rng)
-        return sampled(tp, m, splits, rng)
+        return split_risks(tp, m, splits, rng, exact)
 
-    monkeypatch.setattr(experiments, "sampled_split_risks", counting)
+    monkeypatch.setattr(experiments, "split_risks", counting)
     # 60 drawn splits: from C(8, 4) = 70 on, the exact route draws none
     out = run(loss=TABLE, m=4, splits=60, trials=200, seed=3)
     route = {"route": "monte_carlo", "enumeration_size": 70, "splits": 60}
@@ -301,10 +301,14 @@ def test_exact_splits_report_the_probability_of_each_violation(monkeypatch):
     # each scored once, none drawn but the reported example; at t = 0 thm5's
     # bound is E sup, so some splits violate it
     drawn = []
-    sampled = experiments.sampled_split_risks
-    monkeypatch.setattr(
-        experiments, "sampled_split_risks", lambda *args: drawn.append(args[3]) or sampled(*args)
-    )
+    split_risks = experiments.split_risks
+
+    def recording(tp, m, splits, rng, exact):
+        if not exact:
+            drawn.append(rng)
+        return split_risks(tp, m, splits, rng, exact)
+
+    monkeypatch.setattr(experiments, "split_risks", recording)
     out = run_transductive_erm(splits=924, t_grid=(0.0, 0.5, 1.0), seed=1)
     route = {"route": "exact", "enumeration_size": 924, "splits": 924}
     assert out["provenance"]["splits"] == route and drawn == [RngStream(1, EXAMPLE_STREAM)]

@@ -1,6 +1,7 @@
 """Every public module-level function, class and constant of the package
 is used: referenced somewhere in the package outside its own definition,
-or exported from sworlab/__init__.py."""
+or exported from sworlab/__init__.py.  And no module of the package reaches
+into another's private (underscore) names."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,48 @@ def test_every_public_definition_is_used():
 def test_the_check_covers_module_level_constants(source, init, unused):
     trees = {"__init__.py": ast.parse(init), "a.py": ast.parse(source)}
     assert _unused(trees) == unused
+
+
+def _private_imports(trees) -> list:
+    """Underscore names that a module of `trees` takes from another module:
+    imported as `from .x import _y`, or read as `x._y` from a module `x` it
+    imported."""
+    found = []
+    for module, tree in trees.items():
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{module}:{a.name}" for a in node.names if a.name.startswith("_")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                found.append(f"{module}:{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert _private_imports(_trees()) == []
+
+
+@pytest.mark.parametrize(
+    "source, private",
+    [
+        ("from .a import _count, total\n", ["b.py:_count"]),
+        ("from . import a\nn = a._count(3)\n", ["b.py:a._count"]),
+        ("from . import a as first\nn = first._count\n", ["b.py:first._count"]),
+        ("from .a import total\nfrom . import a\nn = a.total(3)\n", []),
+        ("class C:\n    def f(self):\n        return self._count\n", []),
+    ],
+    ids=["from-import", "module-attribute", "aliased-module", "public-names", "own-attribute"],
+)
+def test_the_check_covers_imports_and_module_attributes(source, private):
+    trees = {"a.py": ast.parse("_count = 1\ntotal = 2\n"), "b.py": ast.parse(source)}
+    assert _private_imports(trees) == private

@@ -4,8 +4,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from sworlab import ground_set, transductive
-from sworlab.empirical_process import _vector_count, expected_sup
+from sworlab import empirical_process, ground_set
+from sworlab.empirical_process import expected_sup, law_size
 from sworlab.errors import ConfigurationError
 from sworlab.experiments import _split_statistics
 from sworlab.ground_set import (
@@ -14,15 +14,15 @@ from sworlab.ground_set import (
     SampleScheme,
     block_generators,
     sample_counts,
+    sample_level_counts,
 )
 from sworlab.transductive import (
     TransductiveProblem,
     erm,
-    exact_split_risks,
     gen_bound_thm5,
     gen_bound_thm6,
     require_split,
-    sampled_split_risks,
+    split_risks,
     split_route,
 )
 from sworlab.verify import binomial_lower_ci, binomial_upper_ci
@@ -31,14 +31,14 @@ WITHOUT = SampleMode.WITHOUT_REPLACEMENT
 
 
 def one_split(tp, m, rng):
-    """Train and test risks of one uniform split: row 0 of sampled_split_risks."""
-    train, test = next(sampled_split_risks(tp, m, 1, rng))
+    """Train and test risks of one uniform split: row 0 of a drawn split_risks."""
+    train, test, _ = next(split_risks(tp, m, 1, rng, exact=False))
     return train[0], test[0]
 
 
 def count_blocks(n, m, splits, rng):
     """The 0/1 count matrix of each block of splits, as drawn from the
-    block's substream."""
+    block's substream when the loss table's splits sample the population."""
     return [
         sample_counts(n, m, rows, WITHOUT, gen).toarray()
         for rows, gen in block_generators(splits, rng)
@@ -49,7 +49,7 @@ def split_rows(tp, m, splits, rng):
     """Per split: the 0/1 indicator of its training points, its train risks
     and its test risks."""
     indicators = np.vstack(count_blocks(tp.N, m, splits, rng))
-    train, test = zip(*sampled_split_risks(tp, m, splits, rng))
+    train, test, _ = zip(*split_risks(tp, m, splits, rng, exact=False))
     return indicators, np.vstack(train), np.vstack(test)
 
 
@@ -78,12 +78,18 @@ class TestSplitAndRisks:
             risk[0] = 0.0
 
     def test_hand_computed_split(self):
+        # two level sets, {0, 1} with loss 0 and {2, 3} with loss 1: the
+        # splits are drawn as how many points they take from each
         tp = TransductiveProblem(np.array([[0.0, 0.0, 1.0, 1.0]]))
-        indicators, train, test = split_rows(tp, 2, 60, RngStream(1))
+        levels = tp.loss_class.level_sets
+        assert levels.sizes.tolist() == [2, 2] and levels.columns.tolist() == [[0.0, 1.0]]
+        ((rows, gen),) = block_generators(60, RngStream(1))
+        counts = sample_level_counts(levels.sizes, 2, rows, WITHOUT, gen)
+        train, test, _ = next(split_risks(tp, 2, 60, RngStream(1), exact=False))
         # by hand: each risk counts the split's points among {2, 3}
-        assert np.array_equal(train[:, 0], indicators[:, 2:].sum(axis=1) / 2)
-        assert np.array_equal(test[:, 0], (2 - indicators[:, 2:].sum(axis=1)) / 2)
-        first = np.flatnonzero((indicators == [1, 1, 0, 0]).all(axis=1))[0]
+        assert np.array_equal(train[:, 0], counts[:, 1] / 2)
+        assert np.array_equal(test[:, 0], (2 - counts[:, 1]) / 2)
+        first = np.flatnonzero((counts == [2, 0]).all(axis=1))[0]
         assert train[first, 0] == 0.0
         assert test[first, 0] == 1.0
         assert tp.overall_risk[0] == 0.5
@@ -96,7 +102,7 @@ class TestSplitAndRisks:
         gen = np.random.default_rng(1)
         tp = TransductiveProblem(gen.uniform(size=(4, 10)))
         m = 3
-        for train, test in sampled_split_risks(tp, m, 20, RngStream(2)):
+        for train, test, _ in split_risks(tp, m, 20, RngStream(2), exact=False):
             lhs = tp.N * tp.overall_risk
             rhs = m * train + (tp.N - m) * test
             assert np.allclose(lhs, rhs, atol=1e-12)
@@ -122,9 +128,9 @@ class TestSplitAndRisks:
         tp = TransductiveProblem(np.random.default_rng(7).uniform(size=(3, 11)))
         m, rng = 4, RngStream(12, 3)
         blocks = count_blocks(11, m, 25, rng)
-        risks = list(sampled_split_risks(tp, m, 25, rng))
-        assert [len(train) for train, _ in risks] == [10, 10, 5]
-        for (train, test), counts in zip(risks, blocks):
+        risks = list(split_risks(tp, m, 25, rng, exact=False))
+        assert [len(train) for train, *_ in risks] == [10, 10, 5]
+        for (train, test, _), counts in zip(risks, blocks):
             for row, tr, te in zip(counts, train, test):
                 assert np.allclose(tr, tp.loss_table[:, row > 0].mean(axis=1), atol=1e-12)
                 assert np.allclose(te, tp.loss_table[:, row == 0].mean(axis=1), atol=1e-12)
@@ -133,7 +139,7 @@ class TestSplitAndRisks:
         tp = TransductiveProblem(np.full((1, 4), 0.5))
         for m in (0, 4):
             with pytest.raises(ConfigurationError, match=f"got m={m}"):
-                next(sampled_split_risks(tp, m, 1, RngStream(0)))
+                next(split_risks(tp, m, 1, RngStream(0), exact=False))
             with pytest.raises(ConfigurationError, match=f"got m={m}"):
                 require_split(tp, m)
 
@@ -290,6 +296,11 @@ def merged_table(gen, sizes=(3, 2, 4, 3)):
     return base[:, gen.permutation(owner)]
 
 
+def exact_split_risks(tp, m):
+    """split_risks over every distinct split, which draws nothing."""
+    return split_risks(tp, m, 0, None, exact=True)
+
+
 def split_law(tp, m):
     """(sup gaps, train risks, probabilities) over every distinct split."""
     train, _, weights = (np.concatenate(part) for part in zip(*exact_split_risks(tp, m)))
@@ -300,6 +311,7 @@ class TestExactSplits:
     TABLES = {
         "distinct": lambda gen: gen.uniform(size=(4, 12)),
         "merged": merged_table,
+        "two_levels": lambda gen: merged_table(gen, (6, 6)),
     }
 
     @pytest.mark.parametrize("kind", list(TABLES))
@@ -307,7 +319,7 @@ class TestExactSplits:
         tp = TransductiveProblem(self.TABLES[kind](np.random.default_rng(30)))
         m = 6
         gaps, train, weights = split_law(tp, m)
-        assert weights.size == _vector_count(tuple(tp.levels.sizes.tolist()), m, WITHOUT)
+        assert weights.size == law_size(tp.loss_class, SampleScheme(WITHOUT, m))
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         subsets = [list(s) for s in combinations(range(tp.N), m)]
         brute_train = np.array([tp.loss_table[:, s].mean(axis=1) for s in subsets])
@@ -320,11 +332,22 @@ class TestExactSplits:
             )
 
     @pytest.mark.parametrize("kind", list(TABLES))
-    def test_drawn_splits_agree_with_the_exact_law(self, kind):
+    def test_drawn_splits_agree_with_the_exact_law(self, monkeypatch, kind):
+        # two level sets draw their splits as level counts; the other kinds
+        # cost less to draw as samples of the population
+        calls = []
+        level_counts = empirical_process.sample_level_counts
+        monkeypatch.setattr(
+            empirical_process,
+            "sample_level_counts",
+            lambda *args: calls.append(args) or level_counts(*args),
+        )
         tp = TransductiveProblem(self.TABLES[kind](np.random.default_rng(31)))
         m, splits = 6, 20_000
         gaps, _, weights = split_law(tp, m)
-        train = np.vstack([tr for tr, _ in sampled_split_risks(tp, m, splits, RngStream(32))])
+        drawn_risks = split_risks(tp, m, splits, RngStream(32), exact=False)
+        train = np.vstack([tr for tr, *_ in drawn_risks])
+        assert len(calls) == (2 if kind == "two_levels" else 0)
         drawn = (tp.overall_risk - train).max(axis=1)
         mean = weights @ gaps
         assert abs(drawn.mean() - mean) <= 4 * drawn.std(ddof=1) / math.sqrt(splits)
@@ -348,7 +371,7 @@ class TestExactSplits:
         # the first two points, whose losses differ
         tp = TransductiveProblem(np.array([[0.0, 1e-17, 1.0, 1.0]]))
         assert tp.centered_class.level_sets.sizes.tolist() == [2, 2]
-        assert tp.levels.sizes.tolist() == [1, 1, 2]
+        assert tp.loss_class.level_sets.sizes.tolist() == [1, 1, 2]
         # (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2); the centred sets give 3
         assert split_route(tp, 2, 10)["enumeration_size"] == 4
 
@@ -378,7 +401,7 @@ class TestSplitRoute:
         def first_block(train, test):
             raise Drawn(train.shape)
 
-        monkeypatch.setattr(transductive, "_count_vectors", enumerate_vectors)
+        monkeypatch.setattr(empirical_process, "_count_vectors", enumerate_vectors)
         tp = TransductiveProblem(np.random.default_rng(36).uniform(size=(2, 24)))
         route = split_route(tp, 12, 10**7)
         assert route["route"] == "monte_carlo"
