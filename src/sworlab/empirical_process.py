@@ -60,16 +60,20 @@ DEFAULT_ENUM_BUDGET = 10**6
 LEVEL_COST = 24
 FLOYD_COST = 6
 #: Monte Carlo draws Q from exact_law, one uniform per trial inverted on
-#: the cumulative weights, when LAW_COST times the class's count vectors
+#: the cumulative weights by an indexed search (_inverse_cdf, the atoms
+#: Generator.choice draws), when LAW_COST times the class's count vectors
 #: are at most min(trials, BLOCK_ROWS): listing the law then costs about
 #: as much as drawing the counts of one block, and less once it is cached.
-#: Fitted to the time of one 10^4-row block at L = 2 to 6 level sets
-#: (table in CHANGES.md).  At up to 0.3 vectors per row, with the law
-#: listed afresh, it took 0.38-1.23x the level path's time, except with
-#: replacement at L = 2 (one binomial per row: 1.56-2.93x), and 0.76-1.80x
-#: the population path's at the small m where L = 4 to 6 take that path;
-#: with the law cached, 0.19-0.82x all of these, and 0.87-1.40x the
-#: binomials.  At one vector per row it took up to 6x with the law afresh.
+#: Fitted to the time of one 10^4-row block at L = 2 to 6 level sets with
+#: Generator.choice, and timed again with the indexed search (tables in
+#: CHANGES.md).  At up to 0.33 vectors per row, with the law listed
+#: afresh, it took 0.27-0.80x the level path's time, except with
+#: replacement at L = 2 (one binomial per row: 0.57-0.93x up to 500
+#: vectors, 1.20-2.48x at 901 and 2 500), and 0.49-1.44x the population
+#: path's at the small m where L = 4 to 6 take that path; with the law
+#: cached, 0.06-0.35x all of these, and 0.12-0.57x the binomials.  At one
+#: vector per row it took up to 7.4x with the law afresh.  The value stays
+#: as fitted: a new one would move classes between paths, and their draws.
 LAW_COST = 4
 
 
@@ -316,6 +320,36 @@ def exact_law(fc: FunctionClass, scheme: SampleScheme, ends=None) -> tuple[np.nd
     return sups, weights
 
 
+def _guide_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.choice's cumulative weights, after its checks of p (a
+    ValueError), and the guide table of an indexed search over them (Chen
+    & Asau, 1974): cell g of the smallest power of two cells >= 4K holds
+    the number of breakpoints <= g / cells."""
+    if weights.min() < 0:
+        raise ValueError("probabilities are not non-negative")
+    if not abs(weights.sum() - 1.0) <= math.sqrt(np.finfo(float).eps):  # NaN fails too
+        raise ValueError("probabilities do not sum to 1")
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    cells = 1 << (4 * cdf.size - 1).bit_length()
+    # c <= g / cells iff g >= ceil(c * cells), a product exact for a power of
+    # two: counted in O(K + cells), not searched for each cell
+    starts = np.bincount(np.ceil(cdf * cells).astype(np.intp), minlength=cells + 1)
+    return cdf, starts.cumsum()[:cells]
+
+
+def _inverse_cdf(cdf: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, side="right"), the atoms Generator.choice draws
+    for uniforms u.  The cell of u (u * cells is exact, cells being a power
+    of two) counts the breakpoints up to its start, which is the answer
+    unless one lies between that start and u: at most K / cells <= 1/4 of
+    the uniforms in expectation, searched in full."""
+    idx = first[(u * first.size).astype(np.intp)]
+    miss = np.flatnonzero(cdf[idx] <= u)
+    idx[miss] = cdf.searchsorted(u[miss], side="right")
+    return idx
+
+
 def simulate_suprema(
     fc: FunctionClass,
     scheme: SampleScheme,
@@ -329,12 +363,13 @@ def simulate_suprema(
     A supremum depends on a sample only through how many points it takes
     from each level set.  A class with few count vectors next to a block
     (see LAW_COST) lists its exact_law once and draws each supremum from
-    it: one uniform per trial, inverted on the cumulative weights, so the
-    draws are i.i.d., in trial order and bit for bit the law's atoms; any
-    other class draws from draw_blocks.  Block b uses rng.substream(b), so
-    the result is bit-identical however the blocks are scheduled.  A run
-    touches no state but its own generators and arrays, so runs on
-    distinct streams may go on separate threads (see
+    it: one uniform per trial, inverted on the cumulative weights by an
+    indexed search (_inverse_cdf), so the draws are i.i.d., in trial order,
+    bit for bit the law's atoms and the very atoms that gen.choice(sups,
+    rows, p=weights) draws; any other class draws from draw_blocks.  Block
+    b uses rng.substream(b), so the result is bit-identical however the
+    blocks are scheduled.  A run touches no state but its own generators
+    and arrays, so runs on distinct streams may go on separate threads (see
     experiments._concurrently) and give the same draws as in turn.
     """
     if trials < 1:
@@ -342,8 +377,9 @@ def simulate_suprema(
     scheme.validate_for(fc.n_points)
     if LAW_COST * law_size(fc, scheme) <= min(trials, ground_set.BLOCK_ROWS):
         sups, weights = exact_law(fc, scheme, ends)
+        cdf, first = _guide_table(weights)
         blocks = block_generators(trials, rng)
-        return np.concatenate([gen.choice(sups, rows, p=weights) for rows, gen in blocks])
+        return sups[np.concatenate([_inverse_cdf(cdf, first, gen.random(n)) for n, gen in blocks])]
     blocks = draw_blocks(fc, scheme, trials, rng)
     return np.concatenate([sup_sums(table, counts, ends) for table, counts, _ in blocks])
 

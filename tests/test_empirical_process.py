@@ -15,6 +15,8 @@ from sworlab.empirical_process import (
     LEVEL_COST,
     FunctionClass,
     _count_vectors,
+    _guide_table,
+    _inverse_cdf,
     _vector_count,
     center_class,
     class_variance,
@@ -512,6 +514,105 @@ class TestLawPath:
             for b, rows in reversed(list(enumerate([100, 100, 50])))
         }
         assert np.array_equal(draws, np.concatenate([blocks[b] for b in range(3)]))
+
+
+def synthetic_law(atoms, zeros=(), columns=None):
+    """(sups, weights) of `atoms` atoms with random weights, the atoms in
+    `zeros` weighing 0: sups a column per row prefix when `columns`."""
+    gen = np.random.default_rng(atoms)
+    weights = gen.dirichlet(np.ones(atoms))
+    weights[list(zeros)] = 0.0
+    weights /= weights.sum()
+    shape = atoms if columns is None else (atoms, columns)
+    return gen.uniform(-1, 1, size=shape), weights
+
+
+SYNTHETIC_LAWS = {
+    "one_atom": synthetic_law(1),
+    # flat runs of the cumulative weights at both ends and in the middle
+    "zero_runs": synthetic_law(40, [0, 1, 2, 17, 18, 19, 20, 21, 37, 38, 39]),
+    "law_path_limit": synthetic_law(2_500, [0, 1249, 2499]),
+    "ends": synthetic_law(30, [0, 14, 15, 29], columns=3),
+}
+
+
+class _SearchCounter(np.ndarray):
+    """A cumulative weight array that counts the keys searched in it."""
+
+    def searchsorted(self, keys, *args, **kwargs):
+        self.searched += np.size(keys)
+        return np.asarray(self).searchsorted(keys, *args, **kwargs)
+
+
+class TestIndexedSearch:
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_LAWS))
+    def test_edge_uniforms_invert_as_a_full_search(self, name):
+        sups, weights = SYNTHETIC_LAWS[name]
+        cdf, first = _guide_table(weights)
+        # Generator.choice's cumulative weights, and at least 4 cells per atom
+        choice_cdf = weights.cumsum()
+        assert np.array_equal(cdf, choice_cdf / choice_cdf[-1])
+        assert first.size >= 4 * weights.size and first.size & (first.size - 1) == 0
+        # cell g counts the breakpoints up to g / cells
+        cell_starts = np.arange(first.size) / first.size
+        assert np.array_equal(first, cdf.searchsorted(cell_starts, side="right"))
+        # every breakpoint below 1 and the float just below it, and both ends of [0, 1)
+        inner = cdf[cdf < 1.0]
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], inner, np.nextafter(inner, 0.0)])
+        assert np.array_equal(_inverse_cdf(cdf, first, u), cdf.searchsorted(u, side="right"))
+        # no zero-weight atom is ever drawn
+        assert np.all(weights[_inverse_cdf(cdf, first, u)] > 0)
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_LAWS))
+    def test_draws_equal_generator_choice(self, monkeypatch, name):
+        sups, weights = SYNTHETIC_LAWS[name]
+        # an 11-vector class takes the law path; its law is replaced
+        monkeypatch.setattr(empirical_process, "exact_law", lambda *args: (sups, weights))
+        fc, scheme = make_antipodal_class(20, 0.25), SampleScheme(WITHOUT, 10)
+        rng = RngStream(37, 4)
+        draws = simulate_suprema(fc, scheme, 25_000, rng)
+        blocks = block_generators(25_000, rng)
+        chosen = np.concatenate([gen.choice(sups, rows, p=weights) for rows, gen in blocks])
+        assert draws.shape == (25_000, *sups.shape[1:])
+        assert np.array_equal(draws, chosen)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [np.array([0.5, 0.6, -0.1]), np.array([0.5, 0.5 + 1e-6]), np.array([0.5, np.nan])],
+        ids=["negative", "sum_1_plus_1e-6", "nan"],
+    )
+    def test_the_checks_of_p_still_fire(self, monkeypatch, weights):
+        sups = np.arange(weights.size, dtype=float)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(sups, 10, p=weights)
+        monkeypatch.setattr(empirical_process, "exact_law", lambda *args: (sups, weights))
+        fc, scheme = make_antipodal_class(20, 0.25), SampleScheme(WITHOUT, 10)
+        with pytest.raises(ValueError):
+            simulate_suprema(fc, scheme, 100, RngStream(38))
+
+    def test_few_uniforms_reach_the_full_search_on_the_grid(self):
+        # deterministic guard on the guide table: a uniform is searched in
+        # full only when a breakpoint lies in its cell below it, at most
+        # K / cells <= 1/4 of them in expectation.  Measured at these
+        # uniforms: 0.0 % (m = 2 with replacement, whose breakpoints 1/4 and
+        # 3/4 start cells) to 7.7 % (m = 10 with replacement, 11 atoms in 64
+        # cells)
+        shares = {}
+        for mode in (WITHOUT, WITH):
+            for n in ACCEPTANCE_GRID["N"]:
+                for frac in ACCEPTANCE_GRID["m_frac"]:
+                    scheme = SampleScheme(mode, max(1, round(frac * n)))
+                    sups, weights = exact_law(make_antipodal_class(n, 0.1), scheme)
+                    cdf, first = _guide_table(weights)
+                    (rows, gen), = block_generators(10_000, RngStream(18, 5))
+                    u = gen.random(rows)
+                    spy = cdf.view(_SearchCounter)
+                    spy.searched = 0
+                    idx = _inverse_cdf(spy, first, u)
+                    assert np.array_equal(idx, cdf.searchsorted(u, side="right"))
+                    shares[mode, n, scheme.m] = spy.searched / rows
+        assert len(shares) == 18
+        assert max(shares.values()) <= 0.25, shares
 
 
 def repeated_columns(seed, n, distinct, m_funcs=3):
