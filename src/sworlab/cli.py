@@ -206,6 +206,9 @@ def run(argv=None) -> int:
     except (SworlabError, OSError) as exc:  # OSError: --gram-csv cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # an input too large for this machine
+        print(f"config error: out of memory. {exc}".rstrip(), file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     elapsed = time.perf_counter() - start
     report = _write_report(cfg["out"], args.command, cfg, payload, elapsed)

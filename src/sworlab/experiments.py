@@ -551,7 +551,7 @@ def run_kernel_bound(
     gram = gram_matrix(points, spec)
     spectrum = eigen_spectrum(gram)
     value, theta = tailsum_bound(spectrum, k, c_L=c_l)
-    structural, _ = tailsum_bound(spectrum, k, c_L=1.0)
+    structural = value if c_l == 1.0 else tailsum_bound(spectrum, k, c_L=1.0)[0]
     if gram_csv:
         np.savetxt(gram_csv, gram, delimiter=",")
     return {

@@ -12,6 +12,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 PSD_TOL = 1e-10
+#: coordinate differences held at once while summing distances (512 KB),
+#: unless a single coordinate's N x N block is larger
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,31 @@ class EigenSpectrum:
         return float(self.lambdas.sum())
 
 
+def _squared_distances(points: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|^2 in O(N^2) memory whatever d.
+
+    The squared coordinate differences are summed a block of coordinates
+    at a time, at most BLOCK_ENTRIES of them (or one coordinate) per block,
+    so no N x N x d array is built.  Every pair sums its coordinates in
+    the same order, so the result is exactly symmetric with a zero diagonal.
+    """
+    n = points.shape[0]
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    cols = np.ascontiguousarray(points.T)  # strided columns broadcast slowly
+    sq = np.zeros((n, n))
+    for lo in range(0, cols.shape[0], step):
+        block = cols[lo : lo + step]
+        diff = block[:, :, None] - block[:, None, :]
+        sq += np.einsum("kij,kij->ij", diff, diff)
+    return sq
+
+
 def _raw_kernel_matrix(points: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Unnormalized N x N kernel matrix; O(N^2) memory whatever the dimension."""
     if spec.kind == "delta":
         return np.eye(points.shape[0])
     if spec.kind == "gaussian":
-        sq = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-sq / spec.scale)
+        return np.exp(-_squared_distances(points) / spec.scale)
     inner = points @ points.T
     if spec.kind == "linear":
         k = inner
@@ -90,7 +112,10 @@ def _raw_kernel_matrix(points: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
-    """Normalized Gram matrix with entries k(X_i, X_j)/N; diagonal <= 1/N."""
+    """Normalized Gram matrix with entries k(X_i, X_j)/N; diagonal <= 1/N;
+    exactly symmetric.  O(N^2) memory whatever the dimension: the gaussian
+    kernel sums squared distances over blocks of coordinates (see
+    _squared_distances), not over an N x N x d array of differences."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -113,7 +138,8 @@ def eigen_spectrum(gram: np.ndarray) -> EigenSpectrum:
         raise ConfigurationError("gram must be square")
     if not np.all(np.isfinite(a)):
         raise ConfigurationError("gram must be finite; got inf or nan (kernel overflow?)")
-    if not np.allclose(a, a.T, atol=1e-12):
+    # np.allclose(a, a.T, atol=1e-12) in one comparison: `a` is finite
+    if not np.all(np.abs(a - a.T) <= 1e-12 + 1e-5 * np.abs(a.T)):
         raise ConfigurationError("gram must be symmetric")
     lam = np.linalg.eigvalsh(a)[::-1]
     lam = np.where(np.abs(lam) < PSD_TOL, np.maximum(lam, 0.0), lam)

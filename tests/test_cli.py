@@ -550,6 +550,18 @@ class TestKernelBound:
         err = capsys.readouterr().err
         assert err.startswith("config error: gram must be finite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("detail", ["", "Unable to allocate 6.0 GiB for an array"])
+    def test_memory_error_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, detail):
+        # patched, so that nothing is allocated for real
+        def exhaust(*args, **kwargs):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(experiments, "run_kernel_bound", exhaust)
+        code = run(["kernel-bound", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == f"config error: out of memory. {detail}".rstrip() + "\n"
+
     def test_gram_csv_in_missing_directory_exits_2(self, tmp_path, capsys):
         gram_path = tmp_path / "missing" / "gram.csv"
         argv = ["kernel-bound", "--n", "6", "--gram-csv", str(gram_path)]

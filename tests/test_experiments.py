@@ -27,7 +27,7 @@ from sworlab.experiments import (
 )
 from sworlab.ground_set import RngStream
 from sworlab.transductive import TransductiveProblem, split_route
-from sworlab.kernels import KernelSpec, gram_matrix
+from sworlab.kernels import EigenSpectrum, KernelSpec, gram_matrix, tailsum_bound
 from sworlab.verify import binomial_lower_ci
 
 TABLE = np.random.default_rng(0).uniform(size=(3, 8))
@@ -273,6 +273,14 @@ def test_kernel_bound_without_points_draws_them_from_the_seed(tmp_path):
     assert drawn == run_kernel_bound(points)
     gram = np.loadtxt(tmp_path / "gram.csv", delimiter=",")
     assert np.allclose(gram, gram_matrix(points, KernelSpec("gaussian")), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("c_l", [1.0, 2.5])
+def test_kernel_bound_structural_is_the_bound_at_c_l_one(c_l):
+    report = run_kernel_bound(n=20, dim=2, k=8, c_l=c_l, seed=3)
+    spectrum = EigenSpectrum(lambdas=np.array(report["eigenvalues"]))
+    assert report["tailsum_bound_structural"] == tailsum_bound(spectrum, 8, c_L=1.0)[0]
+    assert report["tailsum_bound"] == tailsum_bound(spectrum, 8, c_L=c_l)[0]
 
 
 def test_batched_lower_limits_equal_each_entry_alone():

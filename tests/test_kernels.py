@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,51 @@ class TestGramMatrix:
         spec = eigen_spectrum(g)
         assert spec.lambdas[-1] >= -1e-10
 
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("dim", [1, 2, 16, 256])
+    def test_gaussian_matches_differences(self, dim, shift):
+        pts = np.random.default_rng(dim).standard_normal((48, dim)) + shift
+        g = gram_matrix(pts, KernelSpec("gaussian", bandwidth=1.0))
+        assert np.abs(g * 48 - reference_gaussian(pts, 2.0)).max() <= 1e-14
+
+    def test_gaussian_far_clusters_match_differences(self):
+        # close pairs far from the mean, where distances read off inner
+        # products would cancel
+        pts = np.random.default_rng(5).standard_normal((40, 2))
+        pts[:20] += 1e6
+        pts[20:] -= 1e6
+        g = gram_matrix(pts, KernelSpec("gaussian", bandwidth=1.0))
+        assert np.abs(g * 40 - reference_gaussian(pts, 2.0)).max() <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 1), (64, 2), (30, 300)])
+    def test_gaussian_is_exactly_symmetric_with_diagonal_one_over_n(self, shape):
+        pts = np.random.default_rng(6).standard_normal(shape)
+        g = gram_matrix(pts, KernelSpec("gaussian", bandwidth=0.8))
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(np.diag(g), np.full(shape[0], 1 / shape[0]))
+
+    def test_gaussian_of_overflowing_squares_keeps_the_finite_gram(self):
+        # every squared difference overflows, so each off-diagonal entry is
+        # exp(-inf) = 0; the sum must not turn inf into nan
+        pts = np.array([[1e200], [1.5e200], [-2.5e200]])
+        with np.errstate(over="ignore"):
+            reference = reference_gaussian(pts, 2.0)
+        g = gram_matrix(pts, KernelSpec("gaussian", bandwidth=1.0))
+        assert np.array_equal(g * 3, reference)
+        assert np.array_equal(g, np.eye(3) / 3)
+        assert np.array_equal(eigen_spectrum(g).lambdas, np.full(3, 1 / 3))
+
+    def test_gaussian_memory_is_quadratic_in_n_only(self):
+        # 400 x 400 x 64 differences would take 83 MB
+        pts = np.random.default_rng(7).standard_normal((400, 64))
+        tracemalloc.start()
+        try:
+            gram_matrix(pts, KernelSpec("gaussian", bandwidth=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             gram_matrix(np.empty((0, 2)), KernelSpec("delta"))
@@ -79,6 +125,12 @@ class TestGramMatrix:
             gram_matrix(np.empty((3, 0)), KernelSpec("delta"))
         with pytest.raises(ConfigurationError):
             gram_matrix(np.array([[np.nan]]), KernelSpec("delta"))
+
+
+def reference_gaussian(points, scale):
+    """exp(-|x_i - x_j|^2 / scale) from an N x N x d array of differences."""
+    sq = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    return np.exp(-sq / scale)
 
 
 def inertia_below(mat, x):
@@ -153,6 +205,34 @@ class TestEigenSpectrum:
     def test_rejects_asymmetric(self):
         with pytest.raises(ConfigurationError):
             eigen_spectrum(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("entry", [0.0, 1.0])  # the atol term, then the rtol term
+    def test_symmetry_check_is_allclose(self, entry, sign):
+        # a_10 runs through the floats on both sides of the last one that
+        # np.allclose(a, a.T, atol=1e-12) takes, found by bisection
+        def matrix(other):
+            return np.array([[2.0, entry], [other, 2.0]])
+
+        inside, outside = entry, entry + sign * 1e-4
+        while np.nextafter(inside, outside) != outside:
+            mid = 0.5 * (inside + outside)
+            if np.allclose(matrix(mid), matrix(mid).T, atol=1e-12):
+                inside = mid
+            else:
+                outside = mid
+        # the rtol term scales with the smaller of |a_01| and |a_10|
+        edge = 1e-12 + 1e-5 * min(abs(entry), abs(inside))
+        assert abs(abs(inside - entry) - edge) <= 1e-15
+        further_in, further_out = np.nextafter(inside, entry), np.nextafter(outside, sign * np.inf)
+        for other, symmetric in ((further_in, True), (inside, True), (outside, False), (further_out, False)):
+            a = matrix(other)
+            assert np.allclose(a, a.T, atol=1e-12) == symmetric
+            if symmetric:
+                eigen_spectrum(a)
+            else:
+                with pytest.raises(ConfigurationError, match="symmetric"):
+                    eigen_spectrum(a)
 
     def test_indefinite_matrix_rejected_by_spectrum_container(self):
         with pytest.raises(ConfigurationError):
