@@ -1,11 +1,11 @@
 """The inequality bank: every tail / deviation bound as one array formula.
 
-Each theorem family is typed once, as a log-tail: sub-Gaussian, Bennett
-(shared by the without-replacement Talagrand-type bound and Bousquet's
-with-replacement original) and the El-Yaniv-Pechyony baseline.  A tail
-bound is min(1, exp(log-tail)), and `compare_exponents` reports the same
-log-tails.  A deterministic supremum (sigma2 = 0, v = 0 or m = N) has
-log-tail 0 at eps = 0 and -inf beyond.
+Each theorem is typed once, as a log-tail under one tag: sub-Gaussian,
+the Bennett-form Talagrand-type bound for sampling without replacement and
+the El-Yaniv-Pechyony baseline.  A tail bound is min(1, exp(log-tail)),
+and `compare_exponents` reports the same log-tails.  A deterministic
+supremum (sigma2 = 0, v = 0 or m = N) has log-tail 0 at eps = 0 and -inf
+beyond.
 
 Array contract: `BoundParams` holds what a configuration fixes and is
 validated once; tail_*(p, eps) and deviation_*(p, t) take eps (or t) as a
@@ -16,9 +16,8 @@ Centering conventions matter and are part of each bound's contract:
 
 * sub-Gaussian and the McDiarmid-style baseline bound deviations of Q'
   around E[Q'] (and hold for both tails);
-* the Talagrand-type bound for sampling without replacement and its
-  with-replacement Bousquet original bound deviations of Q' (resp. Q)
-  around E[Q], upper tail only.
+* the Talagrand-type bound for sampling without replacement bounds
+  deviations of Q' around E[Q], upper tail only.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ BOUND_CENTERS = {
     "subgaussian": Center.AROUND_EQ_PRIME,
     "elyaniv_pechyony": Center.AROUND_EQ_PRIME,
     "talagrand_swor": Center.AROUND_EQ,
-    "bousquet": Center.AROUND_EQ,
 }
 
 
@@ -138,9 +136,8 @@ def deviation_subgaussian(p: BoundParams, t):
 
 
 def tail_bennett(p: BoundParams, eps):
-    """Bennett-form tail above E[Q]: exp(-v h(eps/v)), upper tail only.  The
-    Talagrand-type bound for Q' (without replacement) and Bousquet's
-    with-replacement original for Q share it."""
+    """Bennett-form tail of Q' above E[Q]: exp(-v h(eps/v)), upper tail only.
+    Bousquet's with-replacement original for Q has the same formula."""
     return np.minimum(1.0, np.exp(_log_tail_bennett(p, eps)))
 
 
@@ -167,14 +164,12 @@ def gap_bound(N: int, m: int) -> float:
 TAIL_BOUNDS = {
     "subgaussian": tail_subgaussian,
     "talagrand_swor": tail_bennett,
-    "bousquet": tail_bennett,
     "elyaniv_pechyony": tail_elyaniv_pechyony,
 }
 
 DEVIATION_BOUNDS = {
     "subgaussian": deviation_subgaussian,
     "talagrand_swor": deviation_bennett,
-    "bousquet": deviation_bennett,
 }
 
 
@@ -191,18 +186,16 @@ def compare_exponents(
     """
     p = BoundParams(N=N, m=m, sigma2=sigma2, eq_m=eq_m)
     subgaussian = float(_log_tail_subgaussian(p, eps))
-    bennett = float(_log_tail_bennett(p, eps))
     elyaniv_pechyony = float(_log_tail_elyaniv_pechyony(p, eps))
     exponents = {
         "subgaussian": subgaussian,
-        "talagrand_swor": bennett,
-        "bousquet": bennett,
+        "talagrand_swor": float(_log_tail_bennett(p, eps)),
         "elyaniv_pechyony": elyaniv_pechyony,
         # the log-tails rescaled: -(N+2)/N^2 becomes -1/N, and the factor goes
         "subgaussian_loose": subgaussian * (N / (N + 2)),
         "elyaniv_pechyony_uncorrected": elyaniv_pechyony / (1.0 - 1.0 / (2.0 * max(m, N - m))),
     }
-    ranked = sorted(("elyaniv_pechyony", "subgaussian", "talagrand_swor"), key=exponents.get)
+    ranked = sorted(sorted(TAIL_BOUNDS), key=exponents.get)
     return {
         "exponents": exponents,
         "tightest": ranked[0],

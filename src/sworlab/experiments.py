@@ -153,8 +153,8 @@ def run_oracle_check(
         for m in range(1, n + 1):
             without = expected_sup(fc, SampleScheme(WITHOUT, m)).mean
             with_ = expected_sup(fc, SampleScheme(WITH, m)).mean
-            gap = with_ - without
-            ok = gap >= -1e-12 and gap <= bank.gap_bound(n, m) + 1e-12
+            gap, gap_bound = with_ - without, bank.gap_bound(n, m)
+            ok = gap >= -1e-12 and gap <= gap_bound + 1e-12
             passed = passed and ok
             cases.append(
                 {
@@ -164,7 +164,7 @@ def run_oracle_check(
                     "mean_without": without,
                     "mean_with": with_,
                     "gap": gap,
-                    "gap_bound": bank.gap_bound(n, m),
+                    "gap_bound": gap_bound,
                     "ok": ok,
                 }
             )
@@ -222,7 +222,7 @@ def _config_checks(
         counts = exceedances(draws, centers[bank.BOUND_CENTERS[tag]].mean, levels)
         for t, level, k in zip(t_grid, levels.tolist(), counts.tolist()):
             table[f"{tag}@t={t}"] = level, k, math.exp(-float(t))
-    deviation = _exceedance(("level", "exceedance"), table, draws.size)
+    deviation = _validity_frequencies(("level", "exceedance"), table, draws.size)
 
     passed = all(r["passed"] for r in domination.values()) and all(
         d["ok"] for d in deviation.values()
@@ -329,49 +329,47 @@ def _split_statistics(tp: TransductiveProblem, m: int, route: dict, seed: int, *
     return (np.concatenate(weights) if exact else None), [np.concatenate(acc) for acc in out]
 
 
-def _exceedance(keys: tuple, table: dict, n: int) -> dict:
-    """Each table entry, name -> (level, k exceedances in n trials,
-    guarantee), becomes {keys[0]: level, keys[1]: k / n, lower_ci,
-    guarantee, ok}: ok when the exact lower CI of k / n is at most the
-    guarantee.  One binomial_lower_ci call serves the whole table."""
-    counts = [k for _, k, _ in table.values()]
-    lower = binomial_lower_ci(np.array(counts, dtype=int), n).tolist()
+def _validity_frequencies(keys: tuple, table: dict, n: int | None) -> dict:
+    """Each table entry, name -> (level, hits, guarantee), becomes the row
+    {keys[0]: level, keys[1]: frequency, lower_ci, guarantee, ok}, ok when
+    lower_ci is at most the guarantee.  With n, hits counts exceedances in
+    n draws, and lower_ci is the exact lower CI of the frequency hits / n;
+    one binomial_lower_ci call serves the whole table.  With n None, hits
+    is the exact probability of an exceedance, and lower_ci equals it."""
+    hits = [k for _, k, _ in table.values()]
+    frequencies = lower = hits
+    if n is not None:
+        frequencies = [k / n for k in hits]
+        lower = binomial_lower_ci(np.array(hits, dtype=int), n).tolist()
     return {
-        name: {keys[0]: level, keys[1]: k / n, "lower_ci": lo, "guarantee": g, "ok": lo <= g}
-        for (name, (level, k, g)), lo in zip(table.items(), lower)
+        name: {keys[0]: level, keys[1]: f, "lower_ci": lo, "guarantee": g, "ok": lo <= g}
+        for (name, (level, _, g)), f, lo in zip(table.items(), frequencies, lower)
     }
 
 
-def _validity_frequencies(
+def _split_validity(
     stats: np.ndarray, weights, t_grid, bound_fns: dict, guarantee_factor: float = 1.0
 ) -> dict:
-    """How often the per-split `stats` exceed each bound.
+    """How often the per-split `stats` exceed each bound, as validity rows.
 
     bound_fns maps name -> callable(t) giving the bound level, and each
     bound is checked against guarantee_factor * e^{-t}.  With weights
-    (exact splits, see _split_statistics) violation_frequency is the exact
-    probability of an exceedance, lower_ci equals it, and the bound is
-    valid when it is at most the guarantee; else it is the frequency over
-    the drawn splits, valid when its exact lower CI is.
+    (exact splits, see _split_statistics) the violation_frequency is the
+    exact probability of an exceedance; else it is the frequency over the
+    drawn splits (see _validity_frequencies).
     """
     table = {}
     for name, fn in bound_fns.items():
         for t in t_grid:
             level = fn(float(t))
-            guarantee = guarantee_factor * math.exp(-float(t))
             exceeds = stats > level + 1e-12
             if weights is None:
-                table[f"{name}@t={t}"] = level, int(exceeds.sum()), guarantee
+                hits = int(exceeds.sum())
             else:  # the weights sum to 1 up to rounding
-                table[f"{name}@t={t}"] = level, min(1.0, float(weights[exceeds].sum())), guarantee
-    if weights is None:
-        return _exceedance(("bound", "violation_frequency"), table, stats.size)
-    return {
-        name: {
-            "bound": level, "violation_frequency": p, "lower_ci": p, "guarantee": g, "ok": p <= g
-        }
-        for name, (level, p, g) in table.items()
-    }
+                hits = min(1.0, float(weights[exceeds].sum()))
+            table[f"{name}@t={t}"] = level, hits, guarantee_factor * math.exp(-float(t))
+    n = stats.size if weights is None else None
+    return _validity_frequencies(("bound", "violation_frequency"), table, n)
 
 
 def run_transductive_erm(
@@ -411,7 +409,7 @@ def run_transductive_erm(
         "thm5": lambda t: gen_bound_thm5(tp, m, t, sup_exp),
         "thm6": lambda t: gen_bound_thm6(tp, m, t, e_m),
     }
-    validity = _validity_frequencies(gaps, weights, t_grid, bound_fns)
+    validity = _split_validity(gaps, weights, t_grid, bound_fns)
 
     train, test, _ = next(split_risks(tp, m, 1, RngStream(seed, EXAMPLE_STREAM), exact=False))
     passed = all(v["ok"] for v in validity.values())
@@ -497,8 +495,8 @@ def run_localize(
     }
     test_fns = {"cor10": lambda t: excess_bound_cor10(B, r_m, r_u, n, m, u, t)}
     validity = {
-        **_validity_frequencies(overall_stats, weights, t_grid, excess_fns),
-        **_validity_frequencies(test_stats, weights, t_grid, test_fns, guarantee_factor=2.0),
+        **_split_validity(overall_stats, weights, t_grid, excess_fns),
+        **_split_validity(test_stats, weights, t_grid, test_fns, guarantee_factor=2.0),
     }
     passed = all(v["ok"] for v in validity.values())
     return {

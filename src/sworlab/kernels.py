@@ -95,7 +95,8 @@ def _squared_distances(points: np.ndarray) -> np.ndarray:
 
 
 def _raw_kernel_matrix(points: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Unnormalized N x N kernel matrix; O(N^2) memory whatever the dimension."""
+    """Unnormalized N x N kernel matrix, exactly symmetric; O(N^2) memory
+    whatever the dimension."""
     if spec.kind == "delta":
         return np.eye(points.shape[0])
     if spec.kind == "gaussian":
@@ -108,7 +109,7 @@ def _raw_kernel_matrix(points: np.ndarray, spec: KernelSpec) -> np.ndarray:
     top = np.abs(np.diag(k)).max()
     if top > 1.0:
         k = k / top
-    return k
+    return 0.5 * (k + k.T)  # exactly symmetric, however BLAS rounded the product
 
 
 def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
@@ -126,7 +127,6 @@ def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
     n = pts.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # eigen_spectrum refuses inf and nan
         k = _raw_kernel_matrix(pts, spec)
-    k = 0.5 * (k + k.T)
     return k / n
 
 

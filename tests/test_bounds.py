@@ -104,11 +104,17 @@ class TestBennett:
         p = BoundParams(N=10, m=5, sigma2=0.0, eq_m=0.0)
         assert tail_bennett(p, np.array([0.0, 0.5])).tolist() == [1.0, 0.0]
 
-    def test_both_tags_share_one_formula(self):
-        # the without-replacement Talagrand-type bound and Bousquet's original
+    def test_one_tag_per_theorem(self):
+        # the Bennett form is the without-replacement Talagrand-type bound
+        # alone; no second tag reports the same formula again
         for table, fn in ((TAIL_BOUNDS, tail_bennett), (DEVIATION_BOUNDS, deviation_bennett)):
-            assert table["talagrand_swor"] is table["bousquet"] is fn
-        assert BOUND_CENTERS["talagrand_swor"] is BOUND_CENTERS["bousquet"] is Center.AROUND_EQ
+            assert table["talagrand_swor"] is fn
+            assert len(set(table.values())) == len(table)
+        assert BOUND_CENTERS["talagrand_swor"] is Center.AROUND_EQ
+        assert set(BOUND_CENTERS) == set(TAIL_BOUNDS)
+        # at eps = 0 every exponent is 0, so the ranking lists each tag it ranks
+        report = compare_exponents(N=100, m=50, sigma2=0.1, eps=0.0)
+        assert [report["tightest"], *report["ties"]] == sorted(TAIL_BOUNDS)
 
 
 class TestElYanivPechyony:
@@ -307,7 +313,6 @@ def _scalar_log_tails(n, m, s2, eq, eps):
     return {
         "subgaussian": -(n + 2) * eps**2 / (8.0 * n**2 * s2) if s2 else point_mass(),
         "talagrand_swor": bennett,
-        "bousquet": bennett,
         "elyaniv_pechyony": (
             -(eps**2 / (2.0 * m)) * ((n - 0.5) / (n - m)) * (1.0 - 1.0 / (2.0 * max(m, n - m)))
             if m < n

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -347,8 +348,8 @@ class TestCompareExponents:
         [
             # eps^2 overflows: the sub-Gaussian and McDiarmid-form exponents are -inf
             (["--eps", "1e160"], ("subgaussian", "elyaniv_pechyony")),
-            # eps / v overflows: h(inf) = inf, so the Bennett exponents are -inf, not NaN
-            (["--sigma2", "1e-300", "--m", "1", "--eps", "1e10"], ("talagrand_swor", "bousquet")),
+            # eps / v overflows: h(inf) = inf, so the Bennett exponent is -inf, not NaN
+            (["--sigma2", "1e-300", "--m", "1", "--eps", "1e10"], ("talagrand_swor",)),
         ],
     )
     def test_overflowing_exponents_are_minus_infinity(self, tmp_path, capsys, argv, infinite):
@@ -706,12 +707,13 @@ def assert_matches_pin(pinned, got, path="results"):
 
 
 VALUES_PIN = Path(__file__).parent / "results_values.json"
+KEY_PATHS_PIN = Path(__file__).parent / "results_key_paths.json"
 
 
 class TestResultsKeys:
-    PINNED = json.loads((Path(__file__).parent / "results_key_paths.json").read_text())
-    #: the results of the same small runs; a change that moves draws
-    #: regenerates the pins of the subcommands it moves with
+    PINNED = json.loads(KEY_PATHS_PIN.read_text())
+    #: the results of the same small runs; a change that moves draws or
+    #: keys regenerates both pins of the subcommands it changes with
     #: `PYTHONPATH=src python tests/test_cli.py <subcommand> ...`
     VALUES = json.loads(VALUES_PIN.read_text())
 
@@ -726,6 +728,25 @@ class TestResultsKeys:
     @pytest.mark.parametrize("command", list(KEY_PATH_RUNS))
     def test_results_values_are_pinned(self, tmp_path, command):
         assert_matches_pin(self.VALUES[command], small_run_results(command, tmp_path))
+
+    @pytest.mark.parametrize("command", list(KEY_PATH_RUNS))
+    def test_regenerating_a_stale_pin_rewrites_both_files(self, tmp_path, command):
+        values_pin, paths_pin = tmp_path / "values.json", tmp_path / "paths.json"
+        values_pin.write_text(json.dumps({**self.VALUES, command: {}}, indent=1, sort_keys=True))
+        paths_pin.write_text(json.dumps({**self.PINNED, command: []}, indent=1))
+        regenerate_pins([command], values_pin, paths_pin)
+        # key paths come out byte for byte; values within the pin's tolerance
+        assert paths_pin.read_text() == KEY_PATHS_PIN.read_text()
+        values = json.loads(values_pin.read_text())
+        assert_matches_pin(self.VALUES, values)
+        others = {name: pin for name, pin in self.VALUES.items() if name != command}
+        assert {name: values[name] for name in others} == others
+
+    def test_regenerating_an_unknown_subcommand_writes_nothing(self, tmp_path):
+        values_pin, paths_pin = tmp_path / "values.json", tmp_path / "paths.json"
+        with pytest.raises(SystemExit, match="no pin for nonsense; choose from verify-bounds"):
+            regenerate_pins(["verify-bounds", "nonsense"], values_pin, paths_pin)
+        assert list(tmp_path.iterdir()) == []
 
 
 SUBCOMMANDS = list(_cli()[1])
@@ -843,17 +864,21 @@ class TestStartup:
         assert done.stdout == "1\n", done.stderr
 
 
-if __name__ == "__main__":
-    # regenerate the values pin of the named subcommands (all when none is
-    # named) from the code under src/; the others' pins keep their bytes
-    import tempfile
-
-    commands = sys.argv[1:] or list(KEY_PATH_RUNS)
+def regenerate_pins(commands, values_pin=VALUES_PIN, paths_pin=KEY_PATHS_PIN):
+    """Rewrite the values and key-path pins of `commands` from the code under
+    src/, both from one small run each; the others' pins keep their bytes."""
     unknown = sorted(set(commands) - set(KEY_PATH_RUNS))
     if unknown:
-        sys.exit(f"no values pin for {', '.join(unknown)}; choose from {', '.join(KEY_PATH_RUNS)}")
-    pin = json.loads(VALUES_PIN.read_text())
+        raise SystemExit(f"no pin for {', '.join(unknown)}; choose from {', '.join(KEY_PATH_RUNS)}")
+    values, paths = json.loads(values_pin.read_text()), json.loads(paths_pin.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         for command in commands:
-            pin[command] = small_run_results(command, Path(tmp) / command)
-    VALUES_PIN.write_text(json.dumps(pin, indent=1, sort_keys=True) + "\n")
+            values[command] = small_run_results(command, Path(tmp) / command)
+            paths[command] = sorted(key_paths(values[command]))
+    values_pin.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
+    paths_pin.write_text(json.dumps(paths, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    # regenerate the pins of the named subcommands, all when none is named
+    regenerate_pins(sys.argv[1:] or list(KEY_PATH_RUNS))

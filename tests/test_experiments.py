@@ -22,6 +22,7 @@ from sworlab.experiments import (
     _problem,
     run_kernel_bound,
     run_localize,
+    run_oracle_check,
     run_transductive_erm,
     run_verify_bounds,
 )
@@ -165,7 +166,7 @@ def test_one_verify_bounds_config_sorts_once_and_batches_its_limits(monkeypatch)
     monkeypatch.setattr(bounds.BoundParams, "__post_init__", counting("params", post_init))
     expected = {}
     for table, shape in ((bounds.TAIL_BOUNDS, (20,)), (bounds.DEVIATION_BOUNDS, (3,))):
-        for tag, fn in table.items():  # keyed by entry: two tags share each Bennett formula
+        for tag, fn in table.items():
             expected[fn.__name__, tag] = [shape]
             monkeypatch.setitem(table, tag, recording((fn.__name__, tag), fn))
     out = run_verify_bounds(n=20, m=10, trials=2000, t_grid=(1.0, 2.0, 4.0))
@@ -283,6 +284,49 @@ def test_kernel_bound_structural_is_the_bound_at_c_l_one(c_l):
     assert report["tailsum_bound"] == tailsum_bound(spectrum, 8, c_L=c_l)[0]
 
 
+@pytest.mark.parametrize(
+    "n, hits, ok",
+    [
+        # drawn counts: frequency k / n, its exact lower limit, one call per table
+        (10, (0, 3, 10), (True, True, False)),
+        # exact probabilities are their own lower limit; p == guarantee is ok
+        (None, (0.0, 0.5, 1.0), (True, True, False)),
+    ],
+)
+def test_one_builder_makes_every_validity_row(monkeypatch, n, hits, ok):
+    calls = []
+    lower_ci = experiments.binomial_lower_ci
+
+    def recording(k, trials):
+        calls.append((k.tolist(), trials))
+        return lower_ci(k, trials)
+
+    monkeypatch.setattr(experiments, "binomial_lower_ci", recording)
+    table = {f"b@t={i}": (float(i), h, 0.5) for i, h in enumerate(hits)}
+    rows = experiments._validity_frequencies(("bound", "violation_frequency"), table, n)
+    assert list(rows) == list(table)
+    assert calls == ([] if n is None else [(list(hits), n)])
+    for (name, (level, h, guarantee)), expected in zip(table.items(), ok):
+        p = h if n is None else h / n
+        lower = p if n is None else binomial_lower_ci(h, n)
+        row = {"bound": level, "violation_frequency": p, "lower_ci": lower}
+        assert rows[name] == {**row, "guarantee": guarantee, "ok": expected}
+
+
+def test_oracle_check_evaluates_each_gap_bound_once(monkeypatch):
+    calls = []
+    gap_bound = bounds.gap_bound
+
+    def recording(n, m):
+        calls.append((n, m))
+        return gap_bound(n, m)
+
+    monkeypatch.setattr(bounds, "gap_bound", recording)
+    out = run_oracle_check(n_max=4, classes=3, seed=2)
+    assert calls == [(case["N"], case["m"]) for case in out["cases"]]
+    assert all(case["gap_bound"] == 2.0 * case["m"] ** 3 / case["N"] for case in out["cases"])
+
+
 def test_batched_lower_limits_equal_each_entry_alone():
     # each table's limits come from one binomial_lower_ci call; every entry
     # must read what a call for its own count would give
@@ -328,6 +372,14 @@ def test_exact_splits_report_the_probability_of_each_violation(monkeypatch):
         assert p == pytest.approx((gaps > entry["bound"] + 1e-12).mean(), abs=1e-12)
         assert entry["lower_ci"] == p and entry["ok"] == (p <= entry["guarantee"])
     assert out["validity"]["thm5@t=0.0"]["violation_frequency"] > 0.1
+    # localize builds its rows the same way, and cor10 checks against 2 e^{-t}
+    out = run_localize(splits=924, t_grid=(0.0, 0.5, 1.0), seed=1)
+    assert out["provenance"]["splits"] == route and len(drawn) == 1
+    for entry in out["validity"].values():
+        p = entry["violation_frequency"]
+        assert entry["lower_ci"] == p and entry["ok"] == (p <= entry["guarantee"])
+    for t in (0.0, 0.5, 1.0):
+        assert out["validity"][f"cor10@t={t}"]["guarantee"] == 2.0 * math.exp(-t)
 
 
 @pytest.mark.parametrize(

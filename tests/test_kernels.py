@@ -89,12 +89,22 @@ class TestGramMatrix:
         g = gram_matrix(pts, KernelSpec("gaussian", bandwidth=1.0))
         assert np.abs(g * 40 - reference_gaussian(pts, 2.0)).max() <= 1e-14
 
-    @pytest.mark.parametrize("shape", [(1, 3), (7, 1), (64, 2), (30, 300)])
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 1), (64, 2), (30, 300), (400, 64)])
     def test_gaussian_is_exactly_symmetric_with_diagonal_one_over_n(self, shape):
+        # gram_matrix does not mirror a gaussian Gram: _squared_distances
+        # makes it exactly symmetric
         pts = np.random.default_rng(6).standard_normal(shape)
         g = gram_matrix(pts, KernelSpec("gaussian", bandwidth=0.8))
         assert np.array_equal(g, g.T)
         assert np.array_equal(np.diag(g), np.full(shape[0], 1 / shape[0]))
+
+    @pytest.mark.parametrize("kind", ["linear", "polynomial"])
+    def test_inner_product_grams_are_exactly_symmetric_on_strided_points(self, kind):
+        # numpy multiplies a strided view by a general product, not a
+        # symmetric rank-k update, and x_i . x_j may round apart from x_j . x_i
+        pts = np.random.default_rng(7).standard_normal((100, 514))[:, ::2]
+        g = gram_matrix(pts, KernelSpec(kind, degree=3, offset=1.0))
+        assert np.array_equal(g, g.T)
 
     def test_gaussian_of_overflowing_squares_keeps_the_finite_gram(self):
         # every squared difference overflows, so each off-diagonal entry is

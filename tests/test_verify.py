@@ -228,8 +228,10 @@ class TestCheckDomination:
             500,
             RngStream(8),
         )
-        with pytest.raises(ConfigurationError, match="unknown theorem tag"):
-            check_domination(curve, "nonsense", np.ones(1))
+        # "bousquet" would repeat talagrand_swor's formula and centre under a second tag
+        for tag in ("nonsense", "bousquet"):
+            with pytest.raises(ConfigurationError, match="unknown theorem tag"):
+                check_domination(curve, tag, np.ones(1))
 
 
 class TestSerialization:
