@@ -46,8 +46,8 @@ from .transductive import (
     gen_bound_thm5,
     gen_bound_thm6,
     require_split,
-    split_risks,
     split_route,
+    split_statistics,
 )
 from .verify import (
     binomial_lower_ci,
@@ -314,21 +314,6 @@ def _problem(loss, n: int, hypotheses: int, m: int, seed: int) -> TransductivePr
     return tp
 
 
-def _split_statistics(tp: TransductiveProblem, m: int, route: dict, seed: int, *statistics):
-    """(weights, values): each statistic(train, test) -> per-split values,
-    evaluated on the splits of `route` (see transductive.split_route).  On
-    the exact route these are every distinct split, with its probability in
-    weights; else route["splits"] uniform splits drawn from SPLIT_STREAM,
-    and weights is None."""
-    exact, rng = route["route"] == "exact", RngStream(seed, SPLIT_STREAM)
-    out, weights = [[] for _ in statistics], []
-    for train, test, probabilities in split_risks(tp, m, route["splits"], rng, exact):
-        weights.append(probabilities)
-        for acc, statistic in zip(out, statistics):
-            acc.append(statistic(train, test))
-    return (np.concatenate(weights) if exact else None), [np.concatenate(acc) for acc in out]
-
-
 def _validity_frequencies(keys: tuple, table: dict, n: int | None) -> dict:
     """Each table entry, name -> (level, hits, guarantee), becomes the row
     {keys[0]: level, keys[1]: frequency, lower_ci, guarantee, ok}, ok when
@@ -354,9 +339,9 @@ def _split_validity(
 
     bound_fns maps name -> callable(t) giving the bound level, and each
     bound is checked against guarantee_factor * e^{-t}.  With weights
-    (exact splits, see _split_statistics) the violation_frequency is the
-    exact probability of an exceedance; else it is the frequency over the
-    drawn splits (see _validity_frequencies).
+    (exact splits, see transductive.split_statistics) the
+    violation_frequency is the exact probability of an exceedance; else it
+    is the frequency over the drawn splits (see _validity_frequencies).
     """
     table = {}
     for name, fn in bound_fns.items():
@@ -400,7 +385,7 @@ def run_transductive_erm(
     without, with_, (weights, (gaps,)) = _concurrently(
         partial(expected_sup, fc, schemes[0], trials, RngStream(seed, 888)),
         partial(expected_sup, fc, schemes[1], trials, RngStream(seed, 889)),
-        partial(_split_statistics, tp, m, route, seed, sup_gap),
+        partial(split_statistics, tp, m, route, RngStream(seed, SPLIT_STREAM), sup_gap),
     )
     sup_exp = without.mean / m
     e_m = with_.mean / m
@@ -411,7 +396,10 @@ def run_transductive_erm(
     }
     validity = _split_validity(gaps, weights, t_grid, bound_fns)
 
-    train, test, _ = next(split_risks(tp, m, 1, RngStream(seed, EXAMPLE_STREAM), exact=False))
+    _, (train, test) = split_statistics(
+        tp, m, split_route(tp, m, 1), RngStream(seed, EXAMPLE_STREAM),
+        lambda train, test: train, lambda train, test: test,
+    )
     passed = all(v["ok"] for v in validity.values())
     return {
         "passed": passed,
@@ -486,8 +474,8 @@ def run_localize(
         h_hat = train.argmin(axis=1)[:, None]
         return np.take_along_axis(test, h_hat, axis=1)[:, 0] - test.min(axis=1)
 
-    weights, (overall_stats, test_stats) = _split_statistics(
-        tp, m, route, seed, overall_excess, test_excess
+    weights, (overall_stats, test_stats) = split_statistics(
+        tp, m, route, RngStream(seed, SPLIT_STREAM), overall_excess, test_excess
     )
     excess_fns = {
         "thm8": lambda t: excess_bound_thm8(B, r_m, n, m, t),
@@ -539,7 +527,10 @@ def run_kernel_bound(
 ) -> dict:
     """Spectrum and tailsum bound of the Gram matrix of `points` (rows), or
     else of n x dim standard normal points drawn from `seed`, under a
-    built-in kernel (see kernels.KernelSpec); written to gram_csv if given."""
+    built-in kernel (see kernels.KernelSpec); written to gram_csv if given.
+    The bound is c_l times the structural bound, the bound at c_l = 1."""
+    if not 0 < c_l < math.inf:
+        raise ConfigurationError(f"c_L must be positive and finite, got {c_l}")
     if points is None:
         for key, size in (("n", n), ("dim", dim)):
             if size < 1:
@@ -548,8 +539,7 @@ def run_kernel_bound(
     spec = KernelSpec(kind=kernel, bandwidth=bandwidth, degree=degree, offset=offset)
     gram = gram_matrix(points, spec)
     spectrum = eigen_spectrum(gram)
-    value, theta = tailsum_bound(spectrum, k, c_L=c_l)
-    structural = value if c_l == 1.0 else tailsum_bound(spectrum, k, c_L=1.0)[0]
+    structural, theta = tailsum_bound(spectrum, k)
     if gram_csv:
         np.savetxt(gram_csv, gram, delimiter=",")
     return {
@@ -560,7 +550,7 @@ def run_kernel_bound(
         "trace": spectrum.trace,
         "k": k,
         "c_L": c_l,
-        "tailsum_bound": value,
+        "tailsum_bound": c_l * structural,
         "tailsum_bound_structural": structural,
         "theta_star": theta,
         "theta_convention": "exclusive",

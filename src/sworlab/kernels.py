@@ -146,28 +146,26 @@ def eigen_spectrum(gram: np.ndarray) -> EigenSpectrum:
     return EigenSpectrum(lambdas=lam)
 
 
-def tailsum_bound(spectrum: EigenSpectrum, k: int, c_L: float = 1.0) -> tuple[float, int]:
+def tailsum_bound(spectrum: EigenSpectrum, k: int) -> tuple[float, int]:
     """(value, minimizing theta): the min over integer theta in [0, k] of
-    c_L (theta/k + sqrt((1/k) sum_{i > theta} lambda_i)).
+    theta/k + sqrt((1/k) sum_{i > theta} lambda_i), the bound for a loss
+    of Lipschitz constant 1 (another constant scales the whole bound).
 
     lambda_1 >= lambda_2 >= ... are the eigenvalues of the normalized Gram
-    matrix.  k is the sample size the complexity averages over, c_L the
-    Lipschitz constant of the loss (it scales the whole bound), and theta
+    matrix.  k is the sample size the complexity averages over, and theta
     the number of leading eigenvalues left out of the tailsum, each
     charged 1/k instead.  The tailsum always excludes the theta largest
     eigenvalues, so theta = N gives 0.
     """
     if k < 1:
         raise ConfigurationError("k must be >= 1")
-    if not 0 < c_L < math.inf:
-        raise ConfigurationError(f"c_L must be positive and finite, got {c_L}")
     lam = spectrum.lambdas
     n = lam.size
     suffix = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])  # suffix[i] = sum lam[i:]
     best_val, best_theta = math.inf, 0
     for theta in range(min(k, n) + 1):
         tail = max(suffix[theta], 0.0)
-        val = c_L * (theta / k + math.sqrt(tail / k))
+        val = theta / k + math.sqrt(tail / k)
         if val < best_val - 1e-15:
             best_val, best_theta = val, theta
     return best_val, best_theta

@@ -5,8 +5,8 @@ an H x N table with entries in [0, 1].  A uniform without-replacement
 split of size m defines training risk, test risk, and the (nonrandom)
 overall risk, linked by the exact identity N L_N = m L_m + u L_u.  A
 split is a without-replacement sample of the loss table, listed or drawn
-by empirical_process (split_risks); split_route picks the route before
-any draw.
+by empirical_process and scored by split_statistics; split_route picks
+the route before any draw.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -98,9 +97,9 @@ def split_route(tp: TransductiveProblem, m: int, splits: int) -> dict:
     """How the validity checks see the law of a uniform m-split, decided
     without a draw: "exact" when the splits' count vectors over the level
     sets of tp.loss_class number at most min(`splits`, DEFAULT_ENUM_BUDGET)
-    (split_risks then lists them all, so it never scores more rows than a
-    draw would nor holds more vectors than expected_sup may), else
-    "monte_carlo" (split_risks draws `splits` of them).  As {route,
+    (split_statistics then lists them all, so it never scores more rows
+    than a draw would nor holds more vectors than expected_sup may), else
+    "monte_carlo" (split_statistics draws `splits` of them).  As {route,
     enumeration_size, splits}; refuses m outside [1, N) and splits < 1."""
     require_split(tp, m)
     if splits < 1:
@@ -110,26 +109,34 @@ def split_route(tp: TransductiveProblem, m: int, splits: int) -> dict:
     return {"route": route, "enumeration_size": size, "splits": splits}
 
 
-def split_risks(
-    tp: TransductiveProblem, m: int, splits: int, rng: RngStream, exact: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """(rows, H) train and test risks of uniform m-splits and their
-    probabilities, one block at a time: exact, each count vector over the
-    level sets of tp.loss_class once, with its probability (law_blocks;
-    `splits` and `rng` go unused), else `splits` splits drawn from `rng`
-    (draw_blocks), with None.  Test risks come from N L_N = m L_m + u L_u,
-    without forming the complement."""
+def split_statistics(
+    tp: TransductiveProblem, m: int, route: dict, rng: RngStream, *statistics
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """(weights, values): each statistic(train, test) -> per-split values,
+    on (rows, H) train and test risks of the uniform m-splits of `route`
+    (see split_route), scored a block at a time.  On the exact route these
+    are every count vector over the level sets of tp.loss_class once, with
+    its probability in weights (law_blocks; `rng` goes unused); else
+    route["splits"] splits drawn from `rng` (draw_blocks), and weights is
+    None.  Test risks come from N L_N = m L_m + u L_u, without forming the
+    complement."""
     require_split(tp, m)
+    exact = route["route"] == "exact"
     loss, scheme = tp.loss_class, SampleScheme(SampleMode.WITHOUT_REPLACEMENT, m)
-    blocks = law_blocks(loss, scheme) if exact else draw_blocks(loss, scheme, splits, rng)
-    for table, counts, weights in blocks:
+    blocks = law_blocks(loss, scheme) if exact else draw_blocks(loss, scheme, route["splits"], rng)
+    out, weights = [[] for _ in statistics], []
+    for table, counts, probabilities in blocks:
         train = np.asarray(counts @ table.T) / m
-        yield train, (tp.N * tp.overall_risk - m * train) / (tp.N - m), weights
+        test = (tp.N * tp.overall_risk - m * train) / (tp.N - m)
+        weights.append(probabilities)
+        for acc, statistic in zip(out, statistics):
+            acc.append(statistic(train, test))
+    return (np.concatenate(weights) if exact else None), [np.concatenate(acc) for acc in out]
 
 
 def erm(tp: TransductiveProblem, train_risk: np.ndarray, test_risk: np.ndarray) -> dict:
-    """Argmins of one split's train and test risks (a row pair of
-    split_risks) and of the overall risk, ties broken by lowest
+    """Argmins of one split's train and test risks (a row pair as
+    split_statistics scores them) and of the overall risk, ties broken by lowest
     hypothesis index, as {"h_hat_m", "h_star_u", "h_star_N"}, and the
     test excess risk of the ERM choice, "excess_risk"."""
     h_hat_m = int(np.argmin(train_risk))

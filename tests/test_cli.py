@@ -217,7 +217,9 @@ class TestInputErrors:
                 ["transductive-erm", "--t-grid", "inf"],
                 "--t-grid values must be nonnegative and finite, got inf",
             ),
-            (["kernel-bound", "--c-l", "inf"], "c_L must be positive and finite"),
+            (["kernel-bound", "--c-l", "0"], "c_L must be positive and finite, got 0.0"),
+            (["kernel-bound", "--c-l", "inf"], "c_L must be positive and finite, got inf"),
+            (["kernel-bound", "--c-l", "nan"], "c_L must be positive and finite, got nan"),
             (["oracle-check", "--classes", "0"], "classes must be >= 1"),
             (["verify-bounds", "--trials", "0"], "trials must be >= 2, got 0"),
             (["verify-bounds", "--trials", "1"], "trials must be >= 2, got 1"),
@@ -661,7 +663,7 @@ class TestDeterminism:
 
 #: subcommand -> small-setting arguments; verify-bounds weakens Thm 1 so that
 #: its domination entries hold violations
-KEY_PATH_RUNS = {
+PIN_RUNS = {
     "verify-bounds": ["--n", "20", "--m", "10", "--trials", "2000", "--corrupt-thm1"],
     "compare-exponents": [],
     "oracle-check": ["--n-max", "3", "--classes", "2"],
@@ -671,23 +673,15 @@ KEY_PATH_RUNS = {
 }
 
 
-def key_paths(node, prefix="") -> set:
-    """Every key path of a JSON value, a list's items written as []."""
-    if isinstance(node, dict):
-        return {p for k, v in node.items() for p in key_paths(v, f"{prefix}.{k}" if prefix else k)}
-    if isinstance(node, list):
-        return {p for v in node for p in key_paths(v, prefix + "[]")} or {prefix + "[]"}
-    return {prefix}
-
-
 def small_run_results(command: str, out_dir) -> dict:
-    run([command, *KEY_PATH_RUNS[command], "--out", str(out_dir)])
+    run([command, *PIN_RUNS[command], "--out", str(out_dir)])
     return read_report(out_dir)["results"]
 
 
 def assert_matches_pin(pinned, got, path="results"):
-    """ints, bools and strings equal; floats within 1e-9 relative or 1e-12
-    absolute, so last-bit differences between hosts pass."""
+    """Every dict's keys and every list's length equal; ints, bools and
+    strings equal; floats within 1e-9 relative or 1e-12 absolute, so
+    last-bit differences between hosts pass."""
     if isinstance(pinned, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(pinned), path
         for key, value in pinned.items():
@@ -707,45 +701,34 @@ def assert_matches_pin(pinned, got, path="results"):
 
 
 VALUES_PIN = Path(__file__).parent / "results_values.json"
-KEY_PATHS_PIN = Path(__file__).parent / "results_key_paths.json"
 
 
 class TestResultsKeys:
-    PINNED = json.loads(KEY_PATHS_PIN.read_text())
-    #: the results of the same small runs; a change that moves draws or
-    #: keys regenerates both pins of the subcommands it changes with
+    #: the results of the small runs; a change that moves draws or keys
+    #: regenerates the pins of the subcommands it changes with
     #: `PYTHONPATH=src python tests/test_cli.py <subcommand> ...`
     VALUES = json.loads(VALUES_PIN.read_text())
 
     def test_every_subcommand_is_pinned(self):
-        assert set(KEY_PATH_RUNS) == set(self.PINNED) == set(self.VALUES) == set(_cli()[1])
+        assert set(PIN_RUNS) == set(self.VALUES) == set(_cli()[1])
 
-    @pytest.mark.parametrize("command", list(KEY_PATH_RUNS))
-    def test_results_key_paths_are_pinned(self, tmp_path, command):
-        results = small_run_results(command, tmp_path)
-        assert sorted(key_paths(results)) == self.PINNED[command]
-
-    @pytest.mark.parametrize("command", list(KEY_PATH_RUNS))
+    @pytest.mark.parametrize("command", list(PIN_RUNS))
     def test_results_values_are_pinned(self, tmp_path, command):
         assert_matches_pin(self.VALUES[command], small_run_results(command, tmp_path))
 
-    @pytest.mark.parametrize("command", list(KEY_PATH_RUNS))
-    def test_regenerating_a_stale_pin_rewrites_both_files(self, tmp_path, command):
-        values_pin, paths_pin = tmp_path / "values.json", tmp_path / "paths.json"
+    @pytest.mark.parametrize("command", list(PIN_RUNS))
+    def test_regenerating_a_stale_pin_rewrites_it(self, tmp_path, command):
+        values_pin = tmp_path / "values.json"
         values_pin.write_text(json.dumps({**self.VALUES, command: {}}, indent=1, sort_keys=True))
-        paths_pin.write_text(json.dumps({**self.PINNED, command: []}, indent=1))
-        regenerate_pins([command], values_pin, paths_pin)
-        # key paths come out byte for byte; values within the pin's tolerance
-        assert paths_pin.read_text() == KEY_PATHS_PIN.read_text()
+        regenerate_pins([command], values_pin)
         values = json.loads(values_pin.read_text())
         assert_matches_pin(self.VALUES, values)
         others = {name: pin for name, pin in self.VALUES.items() if name != command}
         assert {name: values[name] for name in others} == others
 
     def test_regenerating_an_unknown_subcommand_writes_nothing(self, tmp_path):
-        values_pin, paths_pin = tmp_path / "values.json", tmp_path / "paths.json"
         with pytest.raises(SystemExit, match="no pin for nonsense; choose from verify-bounds"):
-            regenerate_pins(["verify-bounds", "nonsense"], values_pin, paths_pin)
+            regenerate_pins(["verify-bounds", "nonsense"], tmp_path / "values.json")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -864,21 +847,19 @@ class TestStartup:
         assert done.stdout == "1\n", done.stderr
 
 
-def regenerate_pins(commands, values_pin=VALUES_PIN, paths_pin=KEY_PATHS_PIN):
-    """Rewrite the values and key-path pins of `commands` from the code under
-    src/, both from one small run each; the others' pins keep their bytes."""
-    unknown = sorted(set(commands) - set(KEY_PATH_RUNS))
+def regenerate_pins(commands, values_pin=VALUES_PIN):
+    """Rewrite the pins of `commands` from the code under src/, from one
+    small run each; the others' pins keep their bytes."""
+    unknown = sorted(set(commands) - set(PIN_RUNS))
     if unknown:
-        raise SystemExit(f"no pin for {', '.join(unknown)}; choose from {', '.join(KEY_PATH_RUNS)}")
-    values, paths = json.loads(values_pin.read_text()), json.loads(paths_pin.read_text())
+        raise SystemExit(f"no pin for {', '.join(unknown)}; choose from {', '.join(PIN_RUNS)}")
+    values = json.loads(values_pin.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         for command in commands:
             values[command] = small_run_results(command, Path(tmp) / command)
-            paths[command] = sorted(key_paths(values[command]))
     values_pin.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
-    paths_pin.write_text(json.dumps(paths, indent=1) + "\n")
 
 
 if __name__ == "__main__":
     # regenerate the pins of the named subcommands, all when none is named
-    regenerate_pins(sys.argv[1:] or list(KEY_PATH_RUNS))
+    regenerate_pins(sys.argv[1:] or list(PIN_RUNS))

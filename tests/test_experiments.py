@@ -27,7 +27,7 @@ from sworlab.experiments import (
     run_verify_bounds,
 )
 from sworlab.ground_set import RngStream
-from sworlab.transductive import TransductiveProblem, split_route
+from sworlab.transductive import TransductiveProblem, split_route, split_statistics
 from sworlab.kernels import EigenSpectrum, KernelSpec, gram_matrix, tailsum_bound
 from sworlab.verify import binomial_lower_ci
 
@@ -64,13 +64,13 @@ def test_modulus_fit_does_not_hide_exact_route_errors():
 @pytest.mark.parametrize("run", [run_localize, run_transductive_erm])
 def test_splits_are_drawn_once_from_the_split_stream(monkeypatch, run):
     calls = []
-    split_risks = experiments.split_risks
+    split_statistics = experiments.split_statistics
 
-    def counting(tp, m, splits, rng, exact):
+    def counting(tp, m, route, rng, *statistics):
         calls.append(rng)
-        return split_risks(tp, m, splits, rng, exact)
+        return split_statistics(tp, m, route, rng, *statistics)
 
-    monkeypatch.setattr(experiments, "split_risks", counting)
+    monkeypatch.setattr(experiments, "split_statistics", counting)
     # 60 drawn splits: from C(8, 4) = 70 on, the exact route draws none
     out = run(loss=TABLE, m=4, splits=60, trials=200, seed=3)
     route = {"route": "monte_carlo", "enumeration_size": 70, "splits": 60}
@@ -276,12 +276,17 @@ def test_kernel_bound_without_points_draws_them_from_the_seed(tmp_path):
     assert np.allclose(gram, gram_matrix(points, KernelSpec("gaussian")), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("c_l", [1.0, 2.5])
+@pytest.mark.parametrize("c_l", [0.3, 1.0, 2.5, 7.0])
 def test_kernel_bound_structural_is_the_bound_at_c_l_one(c_l):
+    # the bound is linear in c_L: one tailsum serves every c_L, and its
+    # minimizing theta does not move
     report = run_kernel_bound(n=20, dim=2, k=8, c_l=c_l, seed=3)
     spectrum = EigenSpectrum(lambdas=np.array(report["eigenvalues"]))
-    assert report["tailsum_bound_structural"] == tailsum_bound(spectrum, 8, c_L=1.0)[0]
-    assert report["tailsum_bound"] == tailsum_bound(spectrum, 8, c_L=c_l)[0]
+    structural, theta = tailsum_bound(spectrum, 8)
+    assert report["tailsum_bound_structural"] == structural
+    assert report["tailsum_bound"] == c_l * structural
+    assert report["theta_star"] == theta
+    assert theta == run_kernel_bound(n=20, dim=2, k=8, seed=3)["theta_star"]
 
 
 @pytest.mark.parametrize(
@@ -353,14 +358,13 @@ def test_exact_splits_report_the_probability_of_each_violation(monkeypatch):
     # each scored once, none drawn but the reported example; at t = 0 thm5's
     # bound is E sup, so some splits violate it
     drawn = []
-    split_risks = experiments.split_risks
+    draw_blocks = transductive.draw_blocks
 
-    def recording(tp, m, splits, rng, exact):
-        if not exact:
-            drawn.append(rng)
-        return split_risks(tp, m, splits, rng, exact)
+    def recording(fc, scheme, rows, rng):
+        drawn.append(rng)
+        return draw_blocks(fc, scheme, rows, rng)
 
-    monkeypatch.setattr(experiments, "split_risks", recording)
+    monkeypatch.setattr(transductive, "draw_blocks", recording)
     out = run_transductive_erm(splits=924, t_grid=(0.0, 0.5, 1.0), seed=1)
     route = {"route": "exact", "enumeration_size": 924, "splits": 924}
     assert out["provenance"]["splits"] == route and drawn == [RngStream(1, EXAMPLE_STREAM)]
@@ -380,6 +384,19 @@ def test_exact_splits_report_the_probability_of_each_violation(monkeypatch):
         assert entry["lower_ci"] == p and entry["ok"] == (p <= entry["guarantee"])
     for t in (0.0, 0.5, 1.0):
         assert out["validity"][f"cor10@t={t}"]["guarantee"] == 2.0 * math.exp(-t)
+
+
+def test_the_example_split_of_a_one_level_table_is_its_only_split(monkeypatch):
+    # every point has the same losses: the split law has one count vector,
+    # listed with the others' risks, so no split is drawn, the example's neither
+    drawn, draw_blocks = [], transductive.draw_blocks
+    monkeypatch.setattr(
+        transductive, "draw_blocks", lambda *args: drawn.append(args) or draw_blocks(*args)
+    )
+    out = run_transductive_erm(loss=np.full((2, 5), 0.5), m=2, splits=50, trials=50)
+    assert out["provenance"]["splits"]["enumeration_size"] == 1 and drawn == []
+    example = out["example_split"]
+    assert example["train_risk"] == example["test_risk"] == example["overall_risk"] == [0.5, 0.5]
 
 
 @pytest.mark.parametrize(
@@ -430,8 +447,8 @@ def test_traced_peak_of_the_exact_split_route_stays_small():
     empirical_process._count_vectors.cache_clear()
     tracemalloc.start()
     try:
-        _, (gaps,) = experiments._split_statistics(
-            tp, 10, route, 0, lambda train, test: (tp.overall_risk - train).max(axis=1)
+        _, (gaps,) = split_statistics(
+            tp, 10, route, RngStream(0), lambda train, test: (tp.overall_risk - train).max(axis=1)
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -531,7 +548,7 @@ class TestConcurrently:
         pool = RecordingPool(experiments._POOL)
         splits = []
         monkeypatch.setattr(experiments, "_POOL", pool)
-        monkeypatch.setattr(experiments, "_split_statistics", lambda *args: splits.append(args))
+        monkeypatch.setattr(experiments, "split_statistics", lambda *args: splits.append(args))
         argv = ["transductive-erm", "--n", "40", "--m", "20", "--trials", str(trials)]
         assert run([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err

@@ -284,17 +284,7 @@ class TestTailsumBound:
         vals = [tailsum_bound(spec, k)[0] for k in (1, 2, 4, 8, 16)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_c_L_scales_linearly(self):
-        spec = self.spectrum([0.4, 0.2, 0.1])
-        v1, t1 = tailsum_bound(spec, 5, c_L=1.0)
-        v3, t3 = tailsum_bound(spec, 5, c_L=3.0)
-        assert v3 == pytest.approx(3 * v1)
-        assert t1 == t3
-
     def test_validation(self):
         spec = self.spectrum([0.5])
         with pytest.raises(ConfigurationError):
             tailsum_bound(spec, 0)
-        for c_L in (0.0, math.inf, math.nan):
-            with pytest.raises(ConfigurationError):
-                tailsum_bound(spec, 3, c_L=c_L)

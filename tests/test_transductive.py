@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from sworlab import empirical_process, ground_set
-from sworlab.empirical_process import expected_sup, law_size
+from sworlab.empirical_process import DEFAULT_ENUM_BUDGET, expected_sup, law_size
 from sworlab.errors import ConfigurationError
-from sworlab.experiments import _split_statistics
 from sworlab.ground_set import (
     RngStream,
     SampleMode,
@@ -22,17 +21,32 @@ from sworlab.transductive import (
     gen_bound_thm5,
     gen_bound_thm6,
     require_split,
-    split_risks,
     split_route,
+    split_statistics,
 )
 from sworlab.verify import binomial_lower_ci, binomial_upper_ci
 
 WITHOUT = SampleMode.WITHOUT_REPLACEMENT
 
 
+def drawn(splits):
+    """A split route that draws `splits` splits, whatever the law's size."""
+    return {"route": "monte_carlo", "splits": splits}
+
+
+def scored(tp, m, route, rng):
+    """(weights, train risks, test risks, rows per block): split_statistics
+    with identity statistics, the first of which notes each block's rows."""
+    rows = []
+    weights, (train, test) = split_statistics(
+        tp, m, route, rng, lambda tr, te: rows.append(len(tr)) or tr, lambda tr, te: te
+    )
+    return weights, train, test, rows
+
+
 def one_split(tp, m, rng):
-    """Train and test risks of one uniform split: row 0 of a drawn split_risks."""
-    train, test, _ = next(split_risks(tp, m, 1, rng, exact=False))
+    """Train and test risks of one uniform split, drawn by split_statistics."""
+    _, train, test, _ = scored(tp, m, drawn(1), rng)
     return train[0], test[0]
 
 
@@ -49,8 +63,8 @@ def split_rows(tp, m, splits, rng):
     """Per split: the 0/1 indicator of its training points, its train risks
     and its test risks."""
     indicators = np.vstack(count_blocks(tp.N, m, splits, rng))
-    train, test, _ = zip(*split_risks(tp, m, splits, rng, exact=False))
-    return indicators, np.vstack(train), np.vstack(test)
+    _, train, test, _ = scored(tp, m, drawn(splits), rng)
+    return indicators, train, test
 
 
 class TestProblemValidation:
@@ -85,7 +99,7 @@ class TestSplitAndRisks:
         assert levels.sizes.tolist() == [2, 2] and levels.columns.tolist() == [[0.0, 1.0]]
         ((rows, gen),) = block_generators(60, RngStream(1))
         counts = sample_level_counts(levels.sizes, 2, rows, WITHOUT, gen)
-        train, test, _ = next(split_risks(tp, 2, 60, RngStream(1), exact=False))
+        _, train, test, _ = scored(tp, 2, drawn(60), RngStream(1))
         # by hand: each risk counts the split's points among {2, 3}
         assert np.array_equal(train[:, 0], counts[:, 1] / 2)
         assert np.array_equal(test[:, 0], (2 - counts[:, 1]) / 2)
@@ -102,10 +116,8 @@ class TestSplitAndRisks:
         gen = np.random.default_rng(1)
         tp = TransductiveProblem(gen.uniform(size=(4, 10)))
         m = 3
-        for train, test, _ in split_risks(tp, m, 20, RngStream(2), exact=False):
-            lhs = tp.N * tp.overall_risk
-            rhs = m * train + (tp.N - m) * test
-            assert np.allclose(lhs, rhs, atol=1e-12)
+        _, train, test, _ = scored(tp, m, drawn(20), RngStream(2))
+        assert np.allclose(tp.N * tp.overall_risk, m * train + (tp.N - m) * test, atol=1e-12)
 
     def test_partition(self):
         tp = TransductiveProblem(np.random.default_rng(3).uniform(size=(2, 9)))
@@ -127,19 +139,18 @@ class TestSplitAndRisks:
         monkeypatch.setattr(ground_set, "BLOCK_ROWS", 10)
         tp = TransductiveProblem(np.random.default_rng(7).uniform(size=(3, 11)))
         m, rng = 4, RngStream(12, 3)
-        blocks = count_blocks(11, m, 25, rng)
-        risks = list(split_risks(tp, m, 25, rng, exact=False))
-        assert [len(train) for train, *_ in risks] == [10, 10, 5]
-        for (train, test, _), counts in zip(risks, blocks):
-            for row, tr, te in zip(counts, train, test):
-                assert np.allclose(tr, tp.loss_table[:, row > 0].mean(axis=1), atol=1e-12)
-                assert np.allclose(te, tp.loss_table[:, row == 0].mean(axis=1), atol=1e-12)
+        counts = np.vstack(count_blocks(11, m, 25, rng))
+        _, train, test, rows = scored(tp, m, drawn(25), rng)
+        assert rows == [10, 10, 5]
+        for row, tr, te in zip(counts, train, test, strict=True):
+            assert np.allclose(tr, tp.loss_table[:, row > 0].mean(axis=1), atol=1e-12)
+            assert np.allclose(te, tp.loss_table[:, row == 0].mean(axis=1), atol=1e-12)
 
     def test_degenerate_sizes_rejected(self):
         tp = TransductiveProblem(np.full((1, 4), 0.5))
         for m in (0, 4):
             with pytest.raises(ConfigurationError, match=f"got m={m}"):
-                next(split_risks(tp, m, 1, RngStream(0), exact=False))
+                split_statistics(tp, m, drawn(1), RngStream(0))
             with pytest.raises(ConfigurationError, match=f"got m={m}"):
                 require_split(tp, m)
 
@@ -296,14 +307,26 @@ def merged_table(gen, sizes=(3, 2, 4, 3)):
     return base[:, gen.permutation(owner)]
 
 
-def exact_split_risks(tp, m):
-    """split_risks over every distinct split, which draws nothing."""
-    return split_risks(tp, m, 0, None, exact=True)
+class Undrawable(RngStream):
+    """A stream that refuses every draw, its substreams' too."""
+
+    def generator(self):
+        raise AssertionError("the exact split route drew from its stream")
+
+    def substream(self, index):
+        return self
+
+
+def exact_scores(tp, m):
+    """scored() over every distinct split, which draws nothing."""
+    route = split_route(tp, m, DEFAULT_ENUM_BUDGET)
+    assert route["route"] == "exact"
+    return scored(tp, m, route, Undrawable(0))
 
 
 def split_law(tp, m):
     """(sup gaps, train risks, probabilities) over every distinct split."""
-    train, _, weights = (np.concatenate(part) for part in zip(*exact_split_risks(tp, m)))
+    weights, train, _, _ = exact_scores(tp, m)
     return (tp.overall_risk - train).max(axis=1), train, weights
 
 
@@ -345,26 +368,25 @@ class TestExactSplits:
         tp = TransductiveProblem(self.TABLES[kind](np.random.default_rng(31)))
         m, splits = 6, 20_000
         gaps, _, weights = split_law(tp, m)
-        drawn_risks = split_risks(tp, m, splits, RngStream(32), exact=False)
-        train = np.vstack([tr for tr, *_ in drawn_risks])
+        _, train, _, _ = scored(tp, m, drawn(splits), RngStream(32))
         assert len(calls) == (2 if kind == "two_levels" else 0)
-        drawn = (tp.overall_risk - train).max(axis=1)
+        drawn_gaps = (tp.overall_risk - train).max(axis=1)
         mean = weights @ gaps
-        assert abs(drawn.mean() - mean) <= 4 * drawn.std(ddof=1) / math.sqrt(splits)
+        assert abs(drawn_gaps.mean() - mean) <= 4 * drawn_gaps.std(ddof=1) / math.sqrt(splits)
         for q in (0.25, 0.5, 0.75, 0.95):
-            level = float(np.quantile(drawn, q))
+            level = float(np.quantile(drawn_gaps, q))
             p = weights[gaps > level + 1e-12].sum()
-            k = int((drawn > level + 1e-12).sum())
+            k = int((drawn_gaps > level + 1e-12).sum())
             assert binomial_lower_ci(k, splits) <= p <= binomial_upper_ci(k, splits), (q, k, p)
 
     def test_blocks_hold_at_most_block_rows(self, monkeypatch):
         monkeypatch.setattr(ground_set, "BLOCK_ROWS", 100)
         tp = TransductiveProblem(np.random.default_rng(33).uniform(size=(2, 10)))
-        blocks = list(exact_split_risks(tp, 5))
-        assert [len(w) for *_, w in blocks] == [100, 100, 52]
+        *blocks, rows = exact_scores(tp, 5)
+        assert rows == [100, 100, 52]
         monkeypatch.setattr(ground_set, "BLOCK_ROWS", 10_000)
-        whole = [np.concatenate(part) for part in zip(*blocks)]
-        assert all(np.array_equal(a, b) for a, b in zip(whole, next(exact_split_risks(tp, 5))))
+        *whole, rows = exact_scores(tp, 5)
+        assert rows == [252] and all(np.array_equal(a, b) for a, b in zip(blocks, whole))
 
     def test_levels_come_from_the_losses_not_the_centred_class(self):
         # L_N = 0.5 exactly, and 0.5 - 1e-17 rounds to 0.5: centring merges
@@ -407,7 +429,7 @@ class TestSplitRoute:
         assert route["route"] == "monte_carlo"
         assert route["enumeration_size"] == math.comb(24, 12) > 10**6
         with pytest.raises(Drawn, match=r"\(10000, 2\)"):
-            _split_statistics(tp, 12, route, 0, first_block)
+            split_statistics(tp, 12, route, RngStream(0), first_block)
 
     @pytest.mark.parametrize("m, splits", [(0, 10), (5, 0), (5, -1)])
     def test_refusals(self, m, splits):
