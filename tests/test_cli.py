@@ -673,6 +673,15 @@ PIN_RUNS = {
 }
 
 
+def key_paths(node, prefix="") -> set:
+    """Every key path of a JSON value, a list's items written as []."""
+    if isinstance(node, dict):
+        return {p for k, v in node.items() for p in key_paths(v, f"{prefix}.{k}" if prefix else k)}
+    if isinstance(node, list):
+        return {p for v in node for p in key_paths(v, prefix + "[]")} or {prefix + "[]"}
+    return {prefix}
+
+
 def small_run_results(command: str, out_dir) -> dict:
     run([command, *PIN_RUNS[command], "--out", str(out_dir)])
     return read_report(out_dir)["results"]
@@ -711,6 +720,13 @@ class TestResultsKeys:
 
     def test_every_subcommand_is_pinned(self):
         assert set(PIN_RUNS) == set(self.VALUES) == set(_cli()[1])
+
+    @pytest.mark.parametrize("command", list(PIN_RUNS))
+    def test_results_key_paths_are_pinned(self, tmp_path, command):
+        # the values pin also fails on a moved key, but at the first one it
+        # meets; this lists every key path a change adds or drops
+        results = small_run_results(command, tmp_path)
+        assert sorted(key_paths(results)) == sorted(key_paths(self.VALUES[command]))
 
     @pytest.mark.parametrize("command", list(PIN_RUNS))
     def test_results_values_are_pinned(self, tmp_path, command):
