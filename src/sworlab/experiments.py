@@ -203,7 +203,7 @@ def _config_checks(
     eq = expected_sup(fc, SampleScheme(WITH, m), trials, eq_rng, budget=0)
     draws = np.sort(simulate_suprema(fc, scheme, trials, tail_rng))
     eq_prime, eq_m = cw.mean, eq.mean
-    centers = {Center.AROUND_EQ_PRIME: cw, Center.AROUND_EQ: eq}
+    centers = {Center.AROUND_EQ_PRIME: eq_prime, Center.AROUND_EQ: eq_m}
     eps_grid = default_eps_grid(m, s2)
     curves = tail_curves(draws, eps_grid, centers)
 
@@ -219,7 +219,7 @@ def _config_checks(
     table = {}
     for tag, fn in bank.DEVIATION_BOUNDS.items():
         levels = fn(params, np.asarray(t_grid, dtype=float))
-        counts = exceedances(draws, centers[bank.BOUND_CENTERS[tag]].mean, levels)
+        counts = exceedances(draws, centers[bank.BOUND_CENTERS[tag]], levels)
         for t, level, k in zip(t_grid, levels.tolist(), counts.tolist()):
             table[f"{tag}@t={t}"] = level, k, math.exp(-float(t))
     deviation = _validity_frequencies(("level", "exceedance"), table, draws.size)
@@ -283,7 +283,6 @@ def run_verify_bounds(
             "centers": "Monte Carlo estimates at the stated trial counts",
             "ci": "one-sided exact binomial, delta = 0.01",
         },
-        "corrupt_thm1": corrupt_thm1,
     }
 
 
@@ -531,6 +530,8 @@ def run_kernel_bound(
     The bound is c_l times the structural bound, the bound at c_l = 1."""
     if not 0 < c_l < math.inf:
         raise ConfigurationError(f"c_L must be positive and finite, got {c_l}")
+    if k < 1:  # refused before the Gram matrix and its eigensolve
+        raise ConfigurationError(f"k must be >= 1, got {k}")
     if points is None:
         for key, size in (("n", n), ("dim", dim)):
             if size < 1:

@@ -24,7 +24,6 @@ from scipy.special import betaincinv  # beta.ppf's own kernel; scipy.stats costs
 
 from . import bounds as bank
 from .bounds import Center
-from .empirical_process import SupremumStats
 from .errors import ConfigurationError, ContractError
 
 #: confidence level of every binomial bound
@@ -79,10 +78,7 @@ class TailCurve:
     tail_estimate: np.ndarray
     upper_ci: np.ndarray
     lower_ci: np.ndarray
-    trials: int
     center: Center
-    center_value: float
-    center_std_error: float
 
     def __post_init__(self):
         if np.any(np.diff(self.eps_grid) <= 0):
@@ -98,11 +94,6 @@ class TailCurve:
             "tail_estimate": [float(p) for p in self.tail_estimate],
             "upper_ci": [float(p) for p in self.upper_ci],
             "lower_ci": [float(p) for p in self.lower_ci],
-            "trials": self.trials,
-            "center": self.center.name,
-            "center_value": self.center_value,
-            "center_std_error": self.center_std_error,
-            "delta": DELTA,
         }
 
 
@@ -114,28 +105,28 @@ def exceedances(sorted_draws: np.ndarray, center: float, levels) -> np.ndarray:
 
 
 def tail_curves(
-    sorted_draws: np.ndarray, eps_grid: np.ndarray, centers: dict[Center, SupremumStats]
+    sorted_draws: np.ndarray, eps_grid: np.ndarray, centers: dict[Center, float]
 ) -> dict[Center, TailCurve]:
     """The TailCurve of the same supremum draws, sorted ascending, around
-    each centre (its mean and std_error), on one eps grid; one
-    binomial_upper_ci and one binomial_lower_ci call serve every curve."""
+    each centre's value, on one eps grid; one binomial_upper_ci and one
+    binomial_lower_ci call serve every curve."""
     eps_grid = np.asarray(eps_grid, dtype=float)
     n = sorted_draws.size
     if n < 1:
         raise ConfigurationError("need at least one draw")
     if np.any(sorted_draws[1:] < sorted_draws[:-1]):
         raise ConfigurationError("tail curves need the draws sorted ascending")
-    ks = np.array([exceedances(sorted_draws, stats.mean, eps_grid) for stats in centers.values()])
+    ks = np.array([exceedances(sorted_draws, value, eps_grid) for value in centers.values()])
     upper, lower = binomial_upper_ci(ks, n), binomial_lower_ci(ks, n)
     return {
-        center: TailCurve(eps_grid, k / n, up, lo, n, center, stats.mean, stats.std_error)
-        for (center, stats), k, up, lo in zip(centers.items(), ks, upper, lower)
+        center: TailCurve(eps_grid, k / n, up, lo, center)
+        for center, k, up, lo in zip(centers, ks, upper, lower)
     }
 
 
 def check_domination(curve: TailCurve, theorem_tag: str, bound) -> dict:
     """Compare an empirical tail curve against one theorem's bound, its values
-    on the curve's eps grid: {"theorem_tag", "passed", "violations":
+    on the curve's eps grid: {"passed", "violations":
     [{"eps", "empirical_lower_ci", "bound_value"}]}.
 
     Refuses to compare when the curve's centering convention does not
@@ -158,4 +149,4 @@ def check_domination(curve: TailCurve, theorem_tag: str, bound) -> dict:
         for eps, lo, b in zip(curve.eps_grid.tolist(), curve.lower_ci.tolist(), bound.tolist())
         if lo > b
     ]
-    return {"theorem_tag": theorem_tag, "passed": not violations, "violations": violations}
+    return {"passed": not violations, "violations": violations}

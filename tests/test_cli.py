@@ -574,6 +574,11 @@ class TestKernelBound:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(gram_path) in err
 
+    def test_zero_k_exits_2(self, tmp_path, capsys):
+        code = run(["kernel-bound", "--k", "0", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "config error: k must be >= 1, got 0\n"
+
     def test_bad_kernel_exits_2(self, tmp_path):
         code = run(
             ["kernel-bound", "--kernel", "bogus", "--out", str(tmp_path / "o")]

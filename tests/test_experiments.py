@@ -289,6 +289,19 @@ def test_kernel_bound_structural_is_the_bound_at_c_l_one(c_l):
     assert theta == run_kernel_bound(n=20, dim=2, k=8, seed=3)["theta_star"]
 
 
+def test_kernel_bound_refuses_k_zero_before_the_gram(monkeypatch):
+    built = []
+
+    def failing(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("gram_matrix ran before k was checked")
+
+    monkeypatch.setattr(experiments, "gram_matrix", failing)
+    with pytest.raises(ConfigurationError, match="k must be >= 1, got 0"):
+        run_kernel_bound(n=8, k=0)
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "n, hits, ok",
     [

@@ -128,3 +128,38 @@ def test_no_module_imports_another_modules_private_name():
 def test_the_check_covers_imports_and_module_attributes(source, private):
     trees = {"a.py": ast.parse("_count = 1\ntotal = 2\n"), "b.py": ast.parse(source)}
     assert _private_imports(trees) == private
+
+
+#: module -> the only package modules it may import; verify compares curves
+#: against bounds and takes plain float centres, so the sampling layers
+#: (empirical_process, ground_set) stay out of it
+LAYERS = {"verify.py": {"bounds", "errors"}}
+
+
+def _package_imports(tree) -> set:
+    """The package modules a module imports: `from .x import y` gives x,
+    `from . import x` gives x."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_module_imports_only_its_layers(module):
+    assert _package_imports(_trees()[module]) <= LAYERS[module]
+
+
+@pytest.mark.parametrize(
+    "source, imported",
+    [
+        ("from . import bounds as bank\nfrom .bounds import Center\n", {"bounds"}),
+        ("from .empirical_process import SupremumStats\n", {"empirical_process"}),
+        ("from . import errors, ground_set\nimport math\nfrom numpy import sort\n",
+         {"errors", "ground_set"}),
+    ],
+    ids=["module-and-name", "name", "two-modules-and-outside-imports"],
+)
+def test_the_layer_check_covers_both_import_forms(source, imported):
+    assert _package_imports(ast.parse(source)) == imported

@@ -10,7 +10,6 @@ from sworlab.bounds import TAIL_BOUNDS, BoundParams, Center, tail_subgaussian
 from sworlab.cli import _write_curves
 from sworlab.empirical_process import (
     FunctionClass,
-    SupremumStats,
     center_class,
     class_variance,
     exact_law,
@@ -89,17 +88,13 @@ def antipodal(n, a=0.5):
 
 
 def estimate_tail(fc, scheme, eps_grid, trials, rng):
-    """P{Q' - E[Q'] >= eps} with its binomial bands: the centre from
-    expected_sup (exact within the budget, else Monte Carlo on an
-    independent substream), the curve from `trials` fresh draws."""
-    centre = expected_sup(fc, scheme, trials, rng.substream(1_000_003))
+    """(E[Q'], the curve of P{Q' - E[Q'] >= eps} with its binomial bands):
+    the centre from expected_sup (exact within the budget, else Monte Carlo
+    on an independent substream), the curve from `trials` fresh draws."""
+    centre = expected_sup(fc, scheme, trials, rng.substream(1_000_003)).mean
     draws = np.sort(simulate_suprema(fc, scheme, trials, rng))
-    return tail_curves(draws, eps_grid, {Center.AROUND_EQ_PRIME: centre})[Center.AROUND_EQ_PRIME]
-
-
-def around(center_value: float) -> SupremumStats:
-    """An exact centre, as tail_curves takes it."""
-    return SupremumStats(center_value, 0.0, {})
+    curves = tail_curves(draws, eps_grid, {Center.AROUND_EQ_PRIME: centre})
+    return centre, curves[Center.AROUND_EQ_PRIME]
 
 
 def domination(curve, tag, params):
@@ -110,12 +105,12 @@ class TestEstimateTail:
     def test_beyond_range_is_zero(self):
         fc = antipodal(8)
         grid = np.array([1.0, 2 * 4 + 1.0])  # |sum| <= m = 4
-        curve = estimate_tail(fc, SampleScheme(WITHOUT, 4), grid, 2000, RngStream(0))
+        _, curve = estimate_tail(fc, SampleScheme(WITHOUT, 4), grid, 2000, RngStream(0))
         assert curve.tail_estimate[-1] == 0.0
 
     def test_eps_zero_probability_positive(self):
         fc = antipodal(8)
-        curve = estimate_tail(
+        _, curve = estimate_tail(
             fc,
             SampleScheme(WITHOUT, 4),
             np.array([0.0, 1.0]),
@@ -132,8 +127,8 @@ class TestEstimateTail:
         exact_mean = sums.mean()
         grid = np.array([0.1, 0.4, 0.8])
         exact_tail = np.array([(sums - exact_mean >= e).mean() for e in grid])
-        curve = estimate_tail(fc, SampleScheme(WITHOUT, m), grid, 20_000, RngStream(2))
-        assert curve.center_value == pytest.approx(exact_mean)  # enumerable -> exact
+        centre, curve = estimate_tail(fc, SampleScheme(WITHOUT, m), grid, 20_000, RngStream(2))
+        assert centre == pytest.approx(exact_mean)  # enumerable -> exact
         for est, up, exact, e in zip(
             curve.tail_estimate, curve.upper_ci, exact_tail, grid
         ):
@@ -152,7 +147,7 @@ class TestEstimateTail:
 
     def test_curve_invariants(self):
         fc = antipodal(10)
-        curve = estimate_tail(
+        _, curve = estimate_tail(
             fc,
             SampleScheme(WITHOUT, 5),
             default_eps_grid(5, 0.25),
@@ -168,7 +163,7 @@ class TestCheckDomination:
     def test_all_zero_class_trivially_dominated(self):
         fc = FunctionClass(np.zeros((2, 6)), centered=True)
         grid = np.array([0.1, 0.5, 1.0])
-        curve = estimate_tail(fc, SampleScheme(WITHOUT, 3), grid, 1000, RngStream(4))
+        _, curve = estimate_tail(fc, SampleScheme(WITHOUT, 3), grid, 1000, RngStream(4))
         params = BoundParams(N=6, m=3, sigma2=0.0)
         for tag in ("subgaussian", "elyaniv_pechyony"):
             assert domination(curve, tag, params)["passed"]
@@ -177,7 +172,7 @@ class TestCheckDomination:
         n, m = 40, 20
         fc = antipodal(n)
         sigma2 = 0.25
-        curve = estimate_tail(
+        _, curve = estimate_tail(
             fc,
             SampleScheme(WITHOUT, m),
             default_eps_grid(m, sigma2),
@@ -190,7 +185,7 @@ class TestCheckDomination:
 
     def test_centering_mismatch_refused(self):
         fc = antipodal(8)
-        curve = estimate_tail(
+        _, curve = estimate_tail(
             fc,
             SampleScheme(WITHOUT, 4),
             np.array([0.5]),
@@ -204,7 +199,7 @@ class TestCheckDomination:
         # dividing the sub-Gaussian constant by 100 must produce violations
         n, m, sigma2 = 20, 10, 0.25
         fc = antipodal(n)
-        curve = estimate_tail(
+        _, curve = estimate_tail(
             fc,
             SampleScheme(WITHOUT, m),
             default_eps_grid(m, sigma2),
@@ -221,7 +216,7 @@ class TestCheckDomination:
 
     def test_unknown_tag(self):
         fc = antipodal(8)
-        curve = estimate_tail(
+        _, curve = estimate_tail(
             fc,
             SampleScheme(WITHOUT, 4),
             np.array([0.5]),
@@ -237,7 +232,7 @@ class TestCheckDomination:
 class TestSerialization:
     def test_curve_dict_and_csv(self, tmp_path):
         fc = antipodal(8)
-        curve = estimate_tail(
+        _, curve = estimate_tail(
             fc,
             SampleScheme(WITHOUT, 4),
             np.array([0.2, 0.6, 1.4]),
@@ -245,7 +240,10 @@ class TestSerialization:
             RngStream(9),
         )
         d = curve.to_dict()
-        assert d["trials"] == 2000 and len(d["eps_grid"]) == 3
+        # the trial count, the centre and delta live beside the curve, not in it
+        assert set(d) == {"eps_grid", "tail_estimate", "upper_ci", "lower_ci"}
+        assert len(d["eps_grid"]) == 3
+        assert d["tail_estimate"] == curve.tail_estimate.tolist()
         _write_curves(tmp_path, {"configurations": [{"curves": {"around_eq_prime": d}}]})
         lines = (tmp_path / "curves.csv").read_text().strip().splitlines()
         assert lines[0] == "config_index,center,eps,estimate,upper_ci,lower_ci"
@@ -253,7 +251,7 @@ class TestSerialization:
 
     def test_report_dict(self):
         fc = antipodal(8)
-        curve = estimate_tail(
+        _, curve = estimate_tail(
             fc,
             SampleScheme(WITHOUT, 4),
             np.array([0.5]),
@@ -261,8 +259,7 @@ class TestSerialization:
             RngStream(10),
         )
         d = domination(curve, "subgaussian", BoundParams(N=8, m=4, sigma2=0.25))
-        assert set(d) == {"theorem_tag", "passed", "violations"}
-        assert d["theorem_tag"] == "subgaussian"
+        assert set(d) == {"passed", "violations"}
         assert d["passed"] == (not d["violations"])
 
 
@@ -273,12 +270,12 @@ def test_tail_curve_bands_equal_the_scalar_intervals(n):
     # from one batched call per side and equal the per-count calls
     draws = np.random.default_rng(n).integers(-4, 5, n).astype(float)
     eps = np.concatenate([[-1e9], np.linspace(-4.0, 4.0, 17), [1e9]])
-    centres = {Center.AROUND_EQ_PRIME: around(0.0), Center.AROUND_EQ: around(0.5)}
+    centres = {Center.AROUND_EQ_PRIME: 0.0, Center.AROUND_EQ: 0.5}
     curves = tail_curves(np.sort(draws), eps, centres)
-    for center, stats in centres.items():
+    for center, value in centres.items():
         curve = curves[center]
-        ks = [int((draws - stats.mean >= e).sum()) for e in eps]
-        assert curve.center is center and curve.center_value == stats.mean
+        ks = [int((draws - value >= e).sum()) for e in eps]
+        assert curve.center is center
         assert np.array_equal(curve.tail_estimate, np.array(ks) / n)
         assert curve.upper_ci.tolist() == [binomial_upper_ci(k, n) for k in ks]
         assert curve.lower_ci.tolist() == [binomial_lower_ci(k, n) for k in ks]
@@ -296,7 +293,7 @@ def test_one_sort_counts_every_centre_exactly(center):
 
 
 def test_tail_curves_refuse_unsorted_or_no_draws():
-    centres = {Center.AROUND_EQ_PRIME: around(0.0)}
+    centres = {Center.AROUND_EQ_PRIME: 0.0}
     with pytest.raises(ConfigurationError, match="sorted ascending"):
         tail_curves(np.array([1.0, 0.0]), np.array([0.5]), centres)
     with pytest.raises(ConfigurationError, match="at least one draw"):
@@ -305,7 +302,7 @@ def test_tail_curves_refuse_unsorted_or_no_draws():
 
 def test_domination_refuses_a_bound_off_the_curve_grid():
     fc = antipodal(8)
-    curve = estimate_tail(fc, SampleScheme(WITHOUT, 4), np.array([0.5, 1.0]), 500, RngStream(8))
+    _, curve = estimate_tail(fc, SampleScheme(WITHOUT, 4), np.array([0.5, 1.0]), 500, RngStream(8))
     params = BoundParams(N=8, m=4, sigma2=0.25)
     for eps in ([0.5], [0.5, 1.0, 2.0], [[0.5, 1.0]]):
         with pytest.raises(ConfigurationError, match="one value per eps"):
@@ -319,10 +316,7 @@ def test_tail_curve_rejects_bad_grids():
             tail_estimate=np.array([0.5, 0.4]),
             upper_ci=np.array([0.6, 0.5]),
             lower_ci=np.array([0.4, 0.3]),
-            trials=100,
             center=Center.AROUND_EQ_PRIME,
-            center_value=0.0,
-            center_std_error=0.0,
         )
 
 
@@ -355,7 +349,7 @@ def test_monte_carlo_harness_agrees_with_the_exact_law(n, m):
     misses = np.zeros(grid.size, dtype=int)
     for seed in range(seeds):
         draws = simulate_suprema(fc, scheme, trials, RngStream(seed))
-        curve = tail_curves(np.sort(draws), grid, {Center.AROUND_EQ_PRIME: around(mean)})[
+        curve = tail_curves(np.sort(draws), grid, {Center.AROUND_EQ_PRIME: mean})[
             Center.AROUND_EQ_PRIME
         ]
         misses += curve.upper_ci < exact_tail
