@@ -384,16 +384,14 @@ def simulate_suprema(
     return np.concatenate([sup_sums(table, counts, ends) for table, counts, _ in blocks])
 
 
-def sup_route(
-    fc: FunctionClass, scheme: SampleScheme, trials: int = 0, budget: int = DEFAULT_ENUM_BUDGET
-) -> dict:
+def sup_route(fc: FunctionClass, scheme: SampleScheme, trials: int = 0) -> dict:
     """The provenance expected_sup reports for these arguments, decided
     without a draw, and its refusals: callers may check before they start
     other work."""
     if trials < 0:
         raise ConfigurationError(f"trials must be >= 0, got {trials}")
     scheme.validate_for(fc.n_points)
-    size = law_size(fc, scheme)
+    size, budget = law_size(fc, scheme), DEFAULT_ENUM_BUDGET
     if size <= budget:
         return {"route": "exact", "enumeration_size": size, "budget": budget, "trials": 0}
     if trials < 1:
@@ -411,7 +409,6 @@ def expected_sup(
     scheme: SampleScheme,
     trials: int = 0,
     rng: Optional[RngStream] = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
     ends=None,
 ) -> SupremumStats:
     """E[Q] for the sampling scheme, from exact_law or Monte Carlo: floats,
@@ -419,15 +416,14 @@ def expected_sup(
 
     The route is decided once, by sup_route, counting the vectors exact_law
     would list: C(N, m) or C(N + m - 1, m) on distinct columns, at most m + 1
-    for the antipodal class.  Within `budget` the mean is exact, std_error 0;
-    budget = 0 always takes Monte Carlo (verify-bounds passes it).  Else
-    `trials` draws from `rng` give the mean and std_error = sample std /
-    sqrt(trials); with trials = 0 it raises OracleScaleError, and trials = 1
-    (no standard error) is a ConfigurationError, as is trials < 0 on either
-    route.  provenance holds route ("exact" or "monte_carlo"),
-    enumeration_size (the count), budget and trials.
+    for the antipodal class.  Within DEFAULT_ENUM_BUDGET the mean is exact,
+    std_error 0.  Else `trials` draws from `rng` give the mean and std_error
+    = sample std / sqrt(trials); with trials = 0 it raises OracleScaleError,
+    and trials = 1 (no standard error) is a ConfigurationError, as is
+    trials < 0 on either route.  provenance holds route ("exact" or
+    "monte_carlo"), enumeration_size (the count), budget and trials.
     """
-    provenance = sup_route(fc, scheme, trials, budget)
+    provenance = sup_route(fc, scheme, trials)
     if provenance["route"] == "exact":
         sups, weights = exact_law(fc, scheme, ends)
         mean, se = weights @ sups, np.zeros(np.shape(ends))

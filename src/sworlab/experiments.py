@@ -195,14 +195,16 @@ def _config_checks(
     eq_rng = RngStream(seed, stream_base + 1)
     tail_rng = RngStream(seed, stream_base + 2)
 
-    # budget 0: the centres stay Monte Carlo, with a standard error, even
-    # where exact_law is short enough that their draws come from it.  The
-    # three draws run in turn: on such draws a pool handoff costs more than
-    # it overlaps
-    cw = expected_sup(fc, scheme, trials, center_rng, budget=0)
-    eq = expected_sup(fc, SampleScheme(WITH, m), trials, eq_rng, budget=0)
+    # the centres stay Monte Carlo, with the mean and standard error that
+    # expected_sup takes from draws, even where exact_law is short enough
+    # that their draws come from it.  The three draws run in turn: on such
+    # draws a pool handoff costs more than it overlaps
+    def center(mode, rng):
+        sups = simulate_suprema(fc, SampleScheme(mode, m), trials, rng)
+        return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(trials))
+
+    (eq_prime, eq_prime_se), (eq_m, eq_m_se) = center(WITHOUT, center_rng), center(WITH, eq_rng)
     draws = np.sort(simulate_suprema(fc, scheme, trials, tail_rng))
-    eq_prime, eq_m = cw.mean, eq.mean
     centers = {Center.AROUND_EQ_PRIME: eq_prime, Center.AROUND_EQ: eq_m}
     eps_grid = default_eps_grid(m, s2)
     curves = tail_curves(draws, eps_grid, centers)
@@ -233,9 +235,9 @@ def _config_checks(
         "sigma2": s2,
         "trials": trials,
         "eq_prime": eq_prime,
-        "eq_prime_std_error": cw.std_error,
+        "eq_prime_std_error": eq_prime_se,
         "eq_m": eq_m,
-        "eq_m_std_error": eq.std_error,
+        "eq_m_std_error": eq_m_se,
         "domination": domination,
         "deviation": deviation,
         "passed": passed,
@@ -422,12 +424,12 @@ def run_transductive_erm(
 
 
 def _fit_modulus(ec, B, m, flavor, rng, trials) -> dict:
-    radii, psi = modulus_curve(ec, m, flavor, trials, rng, B=B)
-    grid = zip(radii.tolist(), psi.mean.tolist(), psi.std_error.tolist())
+    """psi_hat and std_error at each of ec.radii, and their r*."""
+    psi = modulus_curve(ec, m, flavor, trials, rng, B=B)
     return {
-        "flavor": flavor.value,
-        "grid": [{"r": r, "psi_hat": p, "std_error": s} for r, p, s in grid],
-        "r_star": fit_subroot(radii, psi.mean, psi.std_error),
+        "psi_hat": psi.mean.tolist(),
+        "std_error": psi.std_error.tolist(),
+        "r_star": fit_subroot(ec.radii, psi.mean, psi.std_error),
         "exact": psi.provenance["route"] == "exact",
     }
 
@@ -494,6 +496,7 @@ def run_localize(
         "B": B,
         "B_witness": witness,
         "star_index": star,
+        "radii": ec.radii.tolist(),
         "fits": fits,
         "validity": validity,
         "constants": {

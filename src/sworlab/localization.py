@@ -12,17 +12,15 @@ standard errors) keeps the majorant statistically conservative when the
 modulus is only estimated.
 
 The slices are a property of the class alone: its breakpoints, its rows
-sorted by E f^2 and the prefix end of each slice are built once per class
-(ExcessLossClass.slices), so the four fits of a localize report (m and u,
-with and without replacement) share one sorted class and its level sets.
+sorted by E f^2 and the prefix end of each slice are built once, with the
+class (build_excess_class), so the four fits of a localize report (m and
+u, with and without replacement) share one sorted class and its level sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,53 +36,39 @@ from .transductive import TransductiveProblem
 ZERO_TOL = 1e-12
 
 
-class VarianceSlices(NamedTuple):
-    """The slices {f : E f^2 <= r} at their breakpoints, the distinct
+@dataclass(frozen=True)
+class ExcessLossClass:
+    """Rows f_h = loss_h - loss_{h*}, where h* minimizes the overall risk,
+    their E f (all >= 0 by optimality of h*) and E f^2, and the variance
+    slices {f : E f^2 <= r} at their breakpoints `radii`, the distinct
     positive E f^2 in increasing order: with the rows sorted by E f^2
-    (stable), the slice at radii[i] is the first ends[i] rows (h* and
-    every row with E f^2 <= radii[i]) of gclass, whose rows are g = E f - f.
+    (stable), the slice at radii[i] is the first ends[i] rows (h* and every
+    row with E f^2 <= radii[i]) of gclass, whose rows are g = E f - f.
     Below radii[0] the slice holds only rows equal to h*: its modulus is 0."""
 
+    star_index: int
+    rows: np.ndarray
+    means: np.ndarray
+    second_moments: np.ndarray
     radii: np.ndarray
     ends: np.ndarray
     gclass: FunctionClass
 
 
-@dataclass(frozen=True)
-class ExcessLossClass:
-    """Rows f_h = loss_h - loss_{h*}, where h* minimizes the overall risk."""
-
-    star_index: int
-    rows: np.ndarray
-
-    @property
-    def means(self) -> np.ndarray:
-        """E f per row (all >= 0 by optimality of h*)."""
-        return self.rows.mean(axis=1)
-
-    @cached_property
-    def second_moments(self) -> np.ndarray:
-        """E f^2 per row."""
-        return (self.rows**2).mean(axis=1)
-
-    @cached_property
-    def slices(self) -> VarianceSlices:
-        """The variance slices, built once per class, so that every
-        modulus fit on it shares one sorted g-class and its level sets."""
-        order = np.argsort(self.second_moments, kind="stable")
-        moments = self.second_moments[order]
-        radii = np.unique(moments[moments > 0.0])
-        ends = np.searchsorted(moments, radii, "right")
-        rows = self.rows[order]
-        # per-sample statistic: sup over slice rows of the sum of g = Ef - f
-        return VarianceSlices(radii, ends, FunctionClass(rows.mean(axis=1, keepdims=True) - rows))
-
-
 def build_excess_class(tp: TransductiveProblem) -> ExcessLossClass:
-    """Subtract the overall-risk minimizer's loss row (index tie-break)."""
+    """Subtract the overall-risk minimizer's loss row (index tie-break), and
+    sort the rows once into the slices every modulus fit on the class shares."""
     star = int(np.argmin(tp.overall_risk))
     rows = tp.loss_table - tp.loss_table[star]
-    return ExcessLossClass(star_index=star, rows=rows)
+    second_moments = (rows**2).mean(axis=1)
+    order = np.argsort(second_moments, kind="stable")
+    moments = second_moments[order]
+    radii = np.unique(moments[moments > 0.0])
+    ends = np.searchsorted(moments, radii, "right")
+    sorted_rows = rows[order]
+    # per-sample statistic: sup over slice rows of the sum of g = Ef - f
+    gclass = FunctionClass(sorted_rows.mean(axis=1, keepdims=True) - sorted_rows)
+    return ExcessLossClass(star, rows, rows.mean(axis=1), second_moments, radii, ends, gclass)
 
 
 def compute_B(ec: ExcessLossClass) -> tuple[float, int]:
@@ -124,20 +108,19 @@ def modulus_curve(
     trials: int,
     rng: RngStream,
     B: float = 1.0,
-) -> tuple[np.ndarray, SupremumStats]:
-    """(radii, psi_hat): at every breakpoint r of ec.slices, B times the
-    expected supremum over the slice {f : E f^2 <= r} of
+) -> SupremumStats:
+    """psi_hat: at every breakpoint r of ec.radii, B times the expected
+    supremum over the slice {f : E f^2 <= r} of
     E f - (empirical mean of f over the size-m sample).
 
-    Each slice is a row prefix of ec.slices, so one expected_sup call,
+    Each slice is a row prefix of ec.gclass, so one expected_sup call,
     exact or `trials` draws from `rng`, gives every radius, nondecreasing
     in r; means and std_errors are scaled by B/m.
     """
     b_val = _as_B(B)
-    radii, ends, gclass = ec.slices
-    stats = expected_sup(gclass, SampleScheme(flavor, m), trials, rng, ends=ends)
+    stats = expected_sup(ec.gclass, SampleScheme(flavor, m), trials, rng, ends=ec.ends)
     mean, std_error = (b_val * x / m for x in (stats.mean, stats.std_error))
-    return radii, SupremumStats(mean, std_error, stats.provenance)
+    return SupremumStats(mean, std_error, stats.provenance)
 
 
 def fit_subroot(radii: np.ndarray, psi_hat: np.ndarray, std_error: np.ndarray) -> float:

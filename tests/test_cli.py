@@ -325,9 +325,12 @@ class TestInputErrors:
     def test_localize_of_one_hypothesis_reports_r_star_zero(self, tmp_path):
         # h* alone: no slice breakpoint, so every fit's majorant is 0
         assert run(["localize", "--hypotheses", "1", "--out", str(tmp_path)]) == EXIT_OK
-        fits = read_report(tmp_path)["results"]["fits"]
-        assert len(fits) == 4
-        assert all(fit["r_star"] == 0.0 and fit["grid"] == [] for fit in fits.values())
+        results = read_report(tmp_path)["results"]
+        assert results["radii"] == [] and len(results["fits"]) == 4
+        assert all(
+            fit["r_star"] == 0.0 and fit["psi_hat"] == fit["std_error"] == []
+            for fit in results["fits"].values()
+        )
 
 
 class TestCompareExponents:

@@ -174,27 +174,31 @@ class TestExpectedSup:
         stats = expected_sup(fc, SampleScheme(WITHOUT, 2))
         assert stats.mean >= 0.0
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
         fc = center_class(np.random.default_rng(6).uniform(-1, 1, size=(2, 30)))
+        monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 100)
         with pytest.raises(OracleScaleError):
-            expected_sup(fc, SampleScheme(WITHOUT, 15), budget=100)
+            expected_sup(fc, SampleScheme(WITHOUT, 15))
 
-    def test_monte_carlo_within_four_se_of_exact(self):
+    def test_monte_carlo_within_four_se_of_exact(self, monkeypatch):
         gen = np.random.default_rng(7)
         hits = 0
         runs = 30
         for seed in range(runs):
             fc = center_class(gen.uniform(-1, 1, size=(3, 5)))
             exact = expected_sup(fc, SampleScheme(WITHOUT, 3))
-            mc = expected_sup(fc, SampleScheme(WITHOUT, 3), 4000, RngStream(seed), budget=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 0)
+                mc = expected_sup(fc, SampleScheme(WITHOUT, 3), 4000, RngStream(seed))
             if abs(mc.mean - exact.mean) <= 4 * mc.std_error:
                 hits += 1
         assert hits >= runs - 1
 
-    def test_monte_carlo_requires_rng(self):
+    def test_monte_carlo_requires_rng(self, monkeypatch):
         fc = center_class(np.array([[1.0, -1.0]]))
-        with pytest.raises(ConfigurationError):
-            expected_sup(fc, SampleScheme(WITHOUT, 1), trials=10, budget=0)
+        monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 0)
+        with pytest.raises(ConfigurationError, match="Monte Carlo needs an rng"):
+            expected_sup(fc, SampleScheme(WITHOUT, 1), trials=10)
 
 
 def _budget_class():
@@ -203,15 +207,18 @@ def _budget_class():
 
 class TestRouteDecision:
     """expected_sup enumerates C(6, 3) = 20 subsets or C(8, 3) = 56 multisets
-    when the count fits the budget, and runs Monte Carlo otherwise."""
+    when the count fits the budget, and runs Monte Carlo otherwise; each
+    test sets the budget by patching DEFAULT_ENUM_BUDGET, which expected_sup
+    reads on every call."""
 
     SIZES = {WITHOUT: 20, WITH: 56}
 
     @pytest.mark.parametrize("mode", [WITHOUT, WITH])
-    def test_count_equal_to_budget_is_exact(self, mode):
+    def test_count_equal_to_budget_is_exact(self, monkeypatch, mode):
         size = self.SIZES[mode]
         fc, scheme = _budget_class(), SampleScheme(mode, 3)
-        stats = expected_sup(fc, scheme, 500, RngStream(0), size)
+        monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", size)
+        stats = expected_sup(fc, scheme, 500, RngStream(0))
         assert stats.std_error == 0.0
         assert stats.provenance == {
             "route": "exact", "enumeration_size": size, "budget": size, "trials": 0
@@ -220,10 +227,11 @@ class TestRouteDecision:
         assert stats.mean == pytest.approx(brute(fc, 3), abs=1e-12)
 
     @pytest.mark.parametrize("mode", [WITHOUT, WITH])
-    def test_count_above_budget_with_trials_is_monte_carlo(self, mode):
+    def test_count_above_budget_with_trials_is_monte_carlo(self, monkeypatch, mode):
         size = self.SIZES[mode]
         fc, scheme = _budget_class(), SampleScheme(mode, 3)
-        stats = expected_sup(fc, scheme, 500, RngStream(1), size - 1)
+        monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", size - 1)
+        stats = expected_sup(fc, scheme, 500, RngStream(1))
         assert stats.provenance == {
             "route": "monte_carlo",
             "enumeration_size": size,
@@ -236,25 +244,31 @@ class TestRouteDecision:
         assert stats.std_error == pytest.approx(draws.std(ddof=1) / math.sqrt(500))
 
     @pytest.mark.parametrize("budget", [0, DEFAULT_ENUM_BUDGET])
-    def test_one_supremum_gives_python_floats(self, budget):
-        stats = expected_sup(_budget_class(), SampleScheme(WITHOUT, 3), 500, RngStream(2), budget)
+    def test_one_supremum_gives_python_floats(self, monkeypatch, budget):
+        monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", budget)
+        stats = expected_sup(_budget_class(), SampleScheme(WITHOUT, 3), 500, RngStream(2))
+        assert stats.provenance["route"] == ("exact" if budget else "monte_carlo")
         assert type(stats.mean) is float and type(stats.std_error) is float
 
     @pytest.mark.parametrize("budget", [0, DEFAULT_ENUM_BUDGET])
-    def test_prefix_ends_share_one_law_or_one_draw(self, budget):
+    def test_prefix_ends_share_one_law_or_one_draw(self, monkeypatch, budget):
         fc, scheme = _budget_class(), SampleScheme(WITH, 3)
-        curve = expected_sup(fc, scheme, 500, RngStream(3), budget, ends=[1, 2, 3])
+        monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", budget)
+        curve = expected_sup(fc, scheme, 500, RngStream(3), ends=[1, 2, 3])
+        assert curve.provenance["route"] == ("exact" if budget else "monte_carlo")
         assert curve.mean.shape == curve.std_error.shape == (3,)
         assert np.all(np.diff(curve.mean) >= 0)
-        whole = expected_sup(fc, scheme, 500, RngStream(3), budget)
+        whole = expected_sup(fc, scheme, 500, RngStream(3))
         assert curve.mean[-1] == pytest.approx(whole.mean, rel=1e-12)
         assert curve.std_error[-1] == pytest.approx(whole.std_error, rel=1e-12)
 
     @pytest.mark.parametrize("mode", [WITHOUT, WITH])
-    def test_count_above_budget_without_trials_raises(self, mode):
+    def test_count_above_budget_without_trials_raises(self, monkeypatch, mode):
         size = self.SIZES[mode]
-        with pytest.raises(OracleScaleError, match=f"{size} .* budget {size - 1}"):
-            expected_sup(_budget_class(), SampleScheme(mode, 3), budget=size - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", size - 1)
+            with pytest.raises(OracleScaleError, match=f"{size} .* budget {size - 1}"):
+                expected_sup(_budget_class(), SampleScheme(mode, 3))
         # the default budget refuses C(40, 20) subsets and C(29, 10) multisets
         n, m = (40, 20) if mode is WITHOUT else (20, 10)
         fc = center_class(np.random.default_rng(19).uniform(-1, 1, size=(2, n)))

@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -90,7 +89,7 @@ def test_localize_fits_do_not_share_draws_across_seeds():
     def psi_grid(seed, fit):
         out = run_localize(loss=table, m=20, splits=50, trials=200, seed=seed)
         assert not out["fits"][fit]["exact"]
-        return [point["psi_hat"] for point in out["fits"][fit]["grid"]]
+        return out["fits"][fit]["psi_hat"]
 
     assert psi_grid(0, "u_without") != psi_grid(2, "m_without")
 
@@ -108,30 +107,33 @@ def test_each_modulus_fit_makes_one_oracle_call(monkeypatch):
     monkeypatch.setattr(localization, "expected_sup", counting)
     out = run_localize(loss=TABLE, m=4, splits=50, trials=200)
     assert calls == [TABLE_BREAKPOINTS] * 4
-    assert all(len(fit["grid"]) == TABLE_BREAKPOINTS for fit in out["fits"].values())
+    assert len(out["radii"]) == TABLE_BREAKPOINTS
+    assert all(
+        len(fit["psi_hat"]) == len(fit["std_error"]) == TABLE_BREAKPOINTS
+        for fit in out["fits"].values()
+    )
 
 
 def test_one_localize_report_builds_the_variance_slices_once(monkeypatch):
-    # the four fits share one set of breakpoints and one sorted g-class
-    # (and so its level sets)
-    builds, classes = [], []
-    build, oracle = localization.ExcessLossClass.slices.func, localization.expected_sup
+    # one excess-loss class per report: the four fits share its breakpoints
+    # and its one sorted g-class (and so its level sets)
+    built, calls = [], []
+    build, oracle = experiments.build_excess_class, localization.expected_sup
 
-    def counting(ec):
-        builds.append(ec)
-        return build(ec)
+    def counting(tp):
+        built.append(build(tp))
+        return built[-1]
 
-    def recording(fc, *args, **kwargs):
-        classes.append(fc)
-        return oracle(fc, *args, **kwargs)
+    def recording(fc, *args, ends, **kwargs):
+        calls.append((fc, ends))
+        return oracle(fc, *args, ends=ends, **kwargs)
 
-    slices = cached_property(counting)
-    slices.__set_name__(localization.ExcessLossClass, "slices")
-    monkeypatch.setattr(localization.ExcessLossClass, "slices", slices)
+    monkeypatch.setattr(experiments, "build_excess_class", counting)
     monkeypatch.setattr(localization, "expected_sup", recording)
-    run_localize(loss=TABLE, m=4, splits=50, trials=200)
-    assert len(builds) == 1
-    assert len(classes) == 4 and all(fc is classes[0] for fc in classes)
+    out = run_localize(loss=TABLE, m=4, splits=50, trials=200)
+    [ec] = built
+    assert len(calls) == 4 and all(fc is ec.gclass and ends is ec.ends for fc, ends in calls)
+    assert out["radii"] == ec.radii.tolist()
 
 
 def test_one_verify_bounds_config_sorts_once_and_batches_its_limits(monkeypatch):
@@ -197,8 +199,8 @@ def test_each_fit_reports_the_fixed_point_of_its_majorant():
     for fit in out["fits"].values():
         r_star = fit["r_star"]
         terms = [
-            (p["psi_hat"] + 2 * p["std_error"]) * min(1.0, math.sqrt(r_star / p["r"]))
-            for p in fit["grid"]
+            (p + 2 * se) * min(1.0, math.sqrt(r_star / r))
+            for r, p, se in zip(out["radii"], fit["psi_hat"], fit["std_error"], strict=True)
         ]
         assert r_star > 0 and max(terms) == pytest.approx(r_star, rel=1e-12)
 
@@ -220,6 +222,22 @@ def test_localize_checks_each_bound_at_the_fits_it_reads():
         }
         for name, bound in expected.items():
             assert out["validity"][f"{name}@t={t}"]["bound"] == bound
+
+
+def test_localize_constants_are_the_bound_formulas():
+    # the report writes the constants of Thm 8 and Thm 9 apart from the
+    # functions that use them: each bound, rebuilt from the report's
+    # constants, B and r*, must be the function's value
+    out = run_localize(loss=TABLE, m=4, splits=50, trials=200, t_grid=(0.0, 1.0, 2.0))
+    c, b, n, m = out["constants"], out["B"], out["N"], out["m"]
+    r_m, r_m_w = out["fits"]["m_without"]["r_star"], out["fits"]["m_with"]["r_star"]
+    t_term = c["thm9_t_term"].replace("25B", "25 * B").replace("3m", "3 * m")
+    for t in (0.0, 1.0, 2.0):
+        thm8 = c["thm8"][0] * r_m / b + c["thm8"][1] * b * t * n / m**2
+        thm9 = c["thm9_numerator"] * r_m_w / b + t * eval(t_term, {"B": b, "m": m})
+        assert thm8 == pytest.approx(localization.excess_bound_thm8(b, r_m, n, m, t), rel=1e-12)
+        assert thm9 == pytest.approx(localization.excess_bound_thm9(b, r_m_w, m, t), rel=1e-12)
+    assert r_m > 0 and r_m_w > 0
 
 
 def brute_force_moduli(table: np.ndarray, m: int, with_replacement: bool):
@@ -255,6 +273,11 @@ def test_r_star_is_certified_at_every_slice_breakpoint(seed, m):
     # it, and on the exact route (N = 12) it is that value
     out = run_localize(m=m, splits=50, seed=seed)
     table = _problem(None, 12, 4, m, seed).loss_table
+    # the report states the breakpoints once: the distinct positive E f^2 of
+    # the excess-loss rows, recomputed here from the loss table
+    excess = table - table[np.argmin(table.mean(axis=1))]
+    moments = (excess**2).mean(axis=1)
+    assert out["radii"] == pytest.approx(sorted(set(moments[moments > 0].tolist())), rel=1e-12)
     for name, size, with_replacement in (
         ("m_without", m, False), ("m_with", m, True),
         ("u_without", 12 - m, False), ("u_with", 12 - m, True),
@@ -265,7 +288,8 @@ def test_r_star_is_certified_at_every_slice_breakpoint(seed, m):
         assert fit["exact"]
         assert fit["r_star"] >= reference - 1e-12, (name, fit["r_star"], reference)
         assert abs(fit["r_star"] - reference) <= 1e-12, (name, fit["r_star"], reference)
-        assert [p["r"] for p in fit["grid"]] == pytest.approx(breakpoints.tolist(), rel=1e-12)
+        assert out["radii"] == pytest.approx(breakpoints.tolist(), rel=1e-12)
+        assert fit["psi_hat"] == pytest.approx(psi.tolist(), rel=1e-12)
 
 
 def test_kernel_bound_without_points_draws_them_from_the_seed(tmp_path):

@@ -1,12 +1,11 @@
 import math
-from functools import partial
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from subroot import fixed_point
-from sworlab import localization
+from sworlab import empirical_process
 from sworlab.empirical_process import FunctionClass, expected_sup
 from sworlab.errors import BernsteinConditionError, ConfigurationError
 from sworlab.ground_set import RngStream, SampleMode, SampleScheme
@@ -102,16 +101,16 @@ class TestModulusCurve:
 
     def test_last_slice_is_the_whole_class(self):
         ec = self.make_ec()
-        radii, psi = modulus_curve(ec, 3, WITHOUT, 0, RngStream(0))
-        assert radii[-1] == ec.second_moments.max()
+        psi = modulus_curve(ec, 3, WITHOUT, 0, RngStream(0))
+        assert ec.radii[-1] == ec.second_moments.max()
         assert psi.mean[-1] == pytest.approx(slice_reference(ec, math.inf, 3, WITHOUT, 1.0))
 
     def test_first_slice_is_the_smallest_positive_moment(self):
         ec = self.make_ec()
-        radii, psi = modulus_curve(ec, 3, WITHOUT, 100, RngStream(0))
+        psi = modulus_curve(ec, 3, WITHOUT, 100, RngStream(0))
         nonzero = ec.second_moments[ec.second_moments > 0]
-        assert radii[0] == nonzero.min()
-        assert psi.mean[0] == pytest.approx(slice_reference(ec, radii[0], 3, WITHOUT, 1.0))
+        assert ec.radii[0] == nonzero.min()
+        assert psi.mean[0] == pytest.approx(slice_reference(ec, ec.radii[0], 3, WITHOUT, 1.0))
         assert psi.std_error[0] == 0.0
         assert psi.provenance["route"] == "exact"
 
@@ -119,18 +118,18 @@ class TestModulusCurve:
     def test_a_class_of_h_star_alone_has_no_breakpoints(self, monkeypatch, route):
         ec = build_excess_class(TransductiveProblem(np.full((3, 5), 0.25)))
         if route == "monte_carlo":
-            monkeypatch.setattr(localization, "expected_sup", partial(expected_sup, budget=0))
-        radii, psi = modulus_curve(ec, 2, WITH, 100, RngStream(0))
+            monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 0)
+        psi = modulus_curve(ec, 2, WITH, 100, RngStream(0))
         assert psi.provenance["route"] == route
-        assert radii.size == psi.mean.size == psi.std_error.size == 0
-        assert fit_subroot(radii, psi.mean, psi.std_error) == 0.0
+        assert ec.radii.size == psi.mean.size == psi.std_error.size == 0
+        assert fit_subroot(ec.radii, psi.mean, psi.std_error) == 0.0
 
     def test_exact_matches_enumeration(self):
         gen = np.random.default_rng(3)
         tp = TransductiveProblem(gen.uniform(size=(3, 4)))
         ec = build_excess_class(tp)
         m = 2
-        _, psi = modulus_curve(ec, m, WITHOUT, 0, RngStream(0), B=2.0)
+        psi = modulus_curve(ec, m, WITHOUT, 0, RngStream(0), B=2.0)
         assert np.all(psi.std_error == 0.0) and psi.provenance["enumeration_size"] == 6
         # direct oracle over the 6 splits, on the last slice: the whole class
         vals = []
@@ -143,17 +142,17 @@ class TestModulusCurve:
     def test_monte_carlo_agrees_with_exact(self, monkeypatch):
         ec = self.make_ec()
         m = 3
-        _, exact = modulus_curve(ec, m, WITHOUT, 0, RngStream(0))
-        monkeypatch.setattr(localization, "expected_sup", partial(expected_sup, budget=0))
-        _, mc = modulus_curve(ec, m, WITHOUT, 20_000, RngStream(1))
+        exact = modulus_curve(ec, m, WITHOUT, 0, RngStream(0))
+        monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 0)
+        mc = modulus_curve(ec, m, WITHOUT, 20_000, RngStream(1))
         assert exact.provenance["route"] == "exact"
         assert mc.provenance["route"] == "monte_carlo"
         assert abs(mc.mean[-1] - exact.mean[-1]) <= 4 * mc.std_error[-1]
 
     def test_radii_are_positive_and_B_is_checked(self):
         ec = self.make_ec()
-        radii, _ = modulus_curve(ec, 2, WITHOUT, 0, RngStream(0))
-        assert radii.size == 3 and np.all(radii > 0)
+        psi = modulus_curve(ec, 2, WITHOUT, 0, RngStream(0))
+        assert ec.radii.size == psi.mean.size == 3 and np.all(ec.radii > 0)
         with pytest.raises(ConfigurationError, match="B must be"):
             modulus_curve(ec, 2, WITHOUT, 0, RngStream(0), B=0.0)
 
@@ -161,20 +160,20 @@ class TestModulusCurve:
     def test_every_radius_matches_its_own_slice(self, flavor):
         ec = self.make_tied_ec()
         m, B = 3, 1.5
-        radii, psi = modulus_curve(ec, m, flavor, 0, RngStream(0), B=B)
+        psi = modulus_curve(ec, m, flavor, 0, RngStream(0), B=B)
         assert psi.provenance["route"] == "exact"
         # one slice per distinct moment: each tied pair (rows 1 and 2, 3 and 4) enters together
-        sizes = [int(np.sum(ec.second_moments <= r)) for r in radii]
+        sizes = [int(np.sum(ec.second_moments <= r)) for r in ec.radii]
         assert sizes == [3, 4, 6]
-        for r, p in zip(radii, psi.mean):
+        for r, p in zip(ec.radii, psi.mean):
             assert p == pytest.approx(slice_reference(ec, r, m, flavor, B), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("flavor", [WITHOUT, WITH])
     def test_monte_carlo_curve_is_monotone_and_near_exact(self, monkeypatch, flavor):
         ec = self.make_tied_ec()
-        _, exact = modulus_curve(ec, 3, flavor, 0, RngStream(0))
-        monkeypatch.setattr(localization, "expected_sup", partial(expected_sup, budget=0))
-        _, mc = modulus_curve(ec, 3, flavor, 20_000, RngStream(4))
+        exact = modulus_curve(ec, 3, flavor, 0, RngStream(0))
+        monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 0)
+        mc = modulus_curve(ec, 3, flavor, 20_000, RngStream(4))
         assert mc.provenance["route"] == "monte_carlo"
         assert np.all(np.diff(mc.mean) >= 0)
         assert np.all(np.abs(mc.mean - exact.mean) <= 4 * mc.std_error)
@@ -298,7 +297,13 @@ def test_slice_radii_are_the_distinct_positive_second_moments():
     table[3] = table[2]  # a tie: one radius, both rows enter there
     ec = build_excess_class(TransductiveProblem(table))
     moments = ec.second_moments
-    radii, ends, gclass = ec.slices
-    assert radii.tolist() == sorted(set(moments[moments > 0].tolist()))
-    assert ends.tolist() == [int(np.sum(moments <= r)) for r in radii]
-    assert gclass.n_functions == 4
+    assert ec.radii.tolist() == sorted(set(moments[moments > 0].tolist()))
+    assert ec.ends.tolist() == [int(np.sum(moments <= r)) for r in ec.radii]
+    assert ec.gclass.n_functions == 4
+    # the moments are those of the rows, and the g-class holds E f - f for
+    # the rows sorted (stably) by E f^2
+    assert np.array_equal(ec.means, ec.rows.mean(axis=1))
+    assert np.array_equal(moments, (ec.rows**2).mean(axis=1))
+    order = np.argsort(moments, kind="stable")
+    expected = ec.rows[order].mean(axis=1, keepdims=True) - ec.rows[order]
+    assert np.array_equal(ec.gclass.values, expected)

@@ -326,11 +326,12 @@ def test_deviation_exceedance_calibrated():
     n, m, sigma2, trials = 30, 15, 0.25, 30_000
     fc = antipodal(n)
     scheme = SampleScheme(WITHOUT, m)
-    center = expected_sup(fc, scheme, trials, RngStream(11), budget=0)
+    # a Monte Carlo centre, drawn as verify-bounds draws its centres
+    center = simulate_suprema(fc, scheme, trials, RngStream(11)).mean()
     draws = simulate_suprema(fc, scheme, trials, RngStream(12))
     levels = deviation_subgaussian(BoundParams(N=n, m=m, sigma2=sigma2), np.array([1.0, 2.0, 4.0]))
     for t, level in zip((1.0, 2.0, 4.0), levels):
-        k = int((draws - center.mean > level).sum())
+        k = int((draws - center > level).sum())
         assert binomial_lower_ci(k, trials) <= math.exp(-t)
 
 
