@@ -25,10 +25,11 @@ from .empirical_process import (
     center_class,
     class_variance,
     expected_sup,
+    law_size,
     simulate_suprema,
     sup_route,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, OracleScaleError
 from .ground_set import RngStream, SampleMode, SampleScheme
 from .kernels import KernelSpec, eigen_spectrum, gram_matrix, tailsum_bound
 from .localization import (
@@ -129,6 +130,19 @@ def _check_t_grid(t_grid) -> None:
             raise ConfigurationError(f"--t-grid values must be nonnegative and finite, got {t:g}")
 
 
+def _exact_mean(fc: FunctionClass, scheme: SampleScheme) -> float:
+    """E sup by exact enumeration; a class too large for it is refused with
+    the option that sizes it."""
+    try:
+        return expected_sup(fc, scheme).mean
+    except OracleScaleError:
+        raise OracleScaleError(
+            f"oracle-check enumerates exactly, and the class drawn with N = {fc.n_points},"
+            f" m = {scheme.m}, {scheme.mode.value} has {law_size(fc, scheme)} count vectors,"
+            " more than the enumeration budget; lower --n-max"
+        ) from None
+
+
 def run_oracle_check(
     *, n_max: int = 6, classes: int = 20, max_funcs: int = 5, seed: int = 0
 ) -> dict:
@@ -151,8 +165,7 @@ def run_oracle_check(
         fc = center_class(raw)
         stream += 2
         for m in range(1, n + 1):
-            without = expected_sup(fc, SampleScheme(WITHOUT, m)).mean
-            with_ = expected_sup(fc, SampleScheme(WITH, m)).mean
+            without, with_ = (_exact_mean(fc, SampleScheme(mode, m)) for mode in (WITHOUT, WITH))
             gap, gap_bound = with_ - without, bank.gap_bound(n, m)
             ok = gap >= -1e-12 and gap <= gap_bound + 1e-12
             passed = passed and ok
@@ -447,7 +460,8 @@ def run_localize(
 ) -> dict:
     """Localized bounds: B, sub-root fits for both flavors and both sample
     sizes, and the validity of Thm 8, Thm 9 and Cor 10 over the split law.
-    Each bound's value at each t appears once, under validity."""
+    Each bound's value at each t appears once, under validity. When u = m
+    the u fits are the m fits, computed once."""
     _check_t_grid(t_grid)
     tp = _problem(loss, n, hypotheses, m, seed)
     route = split_route(tp, m, splits)  # refused before the fits start drawing
@@ -457,13 +471,20 @@ def run_localize(
     B, witness = compute_B(ec)
 
     fit_rng = RngStream(seed, FIT_STREAM)
-    # no bound reads u_with's r*; the report keeps all four fits
+    # no bound reads u_with's r*; the report keeps all four fits. A fit
+    # depends only on (class, size, scheme), so when u = m the u fits are
+    # the m fits, and substreams 2 and 3 go unused
     fits = {
         "m_without": _fit_modulus(ec, B, m, WITHOUT, fit_rng.substream(0), trials),
         "m_with": _fit_modulus(ec, B, m, WITH, fit_rng.substream(1), trials),
-        "u_without": _fit_modulus(ec, B, u, WITHOUT, fit_rng.substream(2), trials),
-        "u_with": _fit_modulus(ec, B, u, WITH, fit_rng.substream(3), trials),
     }
+    if u == m:
+        fits.update(u_without=fits["m_without"], u_with=fits["m_with"])
+    else:
+        fits.update(
+            u_without=_fit_modulus(ec, B, u, WITHOUT, fit_rng.substream(2), trials),
+            u_with=_fit_modulus(ec, B, u, WITH, fit_rng.substream(3), trials),
+        )
     r_m, r_u = fits["m_without"]["r_star"], fits["u_without"]["r_star"]
     r_m_w = fits["m_with"]["r_star"]
     star = ec.star_index

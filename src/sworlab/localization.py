@@ -15,6 +15,8 @@ The slices are a property of the class alone: its breakpoints, its rows
 sorted by E f^2 and the prefix end of each slice are built once, with the
 class (build_excess_class), so the four fits of a localize report (m and
 u, with and without replacement) share one sorted class and its level sets.
+A fit depends only on the class, the sample size and the scheme, so when
+u = m the u fits are the m fits and the report computes two.
 """
 
 from __future__ import annotations

@@ -399,6 +399,17 @@ class TestOracleCheck:
         assert results["n_cases"] > 0
         assert all(case["ok"] for case in results["cases"])
 
+    def test_budget_refusal_names_n_max_and_the_drawn_class(self, tmp_path, capsys):
+        # seed 0 draws N = 33 of up to 40; C(33, 6) = 1107568 subsets exceed
+        # the enumeration budget, and oracle-check has no Monte Carlo option
+        argv = ["oracle-check", "--n-max", "40", "--classes", "1", "--out", str(tmp_path / "o")]
+        assert run(argv) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "config error: oracle-check enumerates exactly, and the class drawn with N = 33,"
+            " m = 6, without_replacement has 1107568 count vectors, more than the enumeration"
+            " budget; lower --n-max\n"
+        )
+
 
 class TestVerifyBounds:
     def test_small_run_writes_curves(self, tmp_path):

@@ -18,6 +18,7 @@ from sworlab.experiments import (
     SPLIT_STREAM,
     WITH,
     WITHOUT,
+    _fit_modulus,
     _problem,
     run_kernel_bound,
     run_localize,
@@ -25,7 +26,7 @@ from sworlab.experiments import (
     run_transductive_erm,
     run_verify_bounds,
 )
-from sworlab.ground_set import RngStream
+from sworlab.ground_set import RngStream, SampleScheme
 from sworlab.transductive import TransductiveProblem, split_route, split_statistics
 from sworlab.kernels import EigenSpectrum, KernelSpec, gram_matrix, tailsum_bound
 from sworlab.verify import binomial_lower_ci
@@ -83,39 +84,56 @@ def test_splits_are_drawn_once_from_the_split_stream(monkeypatch, run):
 
 
 def test_localize_fits_do_not_share_draws_across_seeds():
-    # m = u = 20 of 40: exact enumeration is refused, so every fit runs Monte Carlo
+    # m = 15, u = 25 of 40: exact enumeration is refused, so every fit runs
+    # Monte Carlo, and the u fits are fits of their own
     table = np.random.default_rng(1).uniform(size=(4, 40))
 
     def psi_grid(seed, fit):
-        out = run_localize(loss=table, m=20, splits=50, trials=200, seed=seed)
+        out = run_localize(loss=table, m=15, splits=50, trials=200, seed=seed)
         assert not out["fits"][fit]["exact"]
         return out["fits"][fit]["psi_hat"]
 
     assert psi_grid(0, "u_without") != psi_grid(2, "m_without")
 
 
-def test_each_modulus_fit_makes_one_oracle_call(monkeypatch):
-    # four fits (m and u, with and without replacement), every breakpoint
-    # of a fit's grid from the same call
+@pytest.mark.parametrize(
+    "m, sizes",
+    [
+        # u = m = 4: the u fits are the m fits, and substreams 2 and 3 go unused
+        (4, [4]),
+        # m = 3, u = 5: four fits, m and u, each without and then with replacement
+        (3, [3, 5]),
+    ],
+    ids=["u_equals_m", "u_differs"],
+)
+def test_each_distinct_modulus_fit_makes_one_oracle_call(monkeypatch, m, sizes):
+    # fit i draws on substream i of the fit stream, and every breakpoint of
+    # its grid comes from the same call
     calls = []
     oracle = localization.expected_sup
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["ends"].size)
-        return oracle(*args, **kwargs)
+    def counting(fc, scheme, trials, rng, **kwargs):
+        calls.append((scheme, rng, kwargs["ends"].size))
+        return oracle(fc, scheme, trials, rng, **kwargs)
 
     monkeypatch.setattr(localization, "expected_sup", counting)
-    out = run_localize(loss=TABLE, m=4, splits=50, trials=200)
-    assert calls == [TABLE_BREAKPOINTS] * 4
+    out = run_localize(loss=TABLE, m=m, splits=50, trials=200)
+    fit_rng = RngStream(0, FIT_STREAM)
+    schemes = [SampleScheme(mode, size) for size in sizes for mode in (WITHOUT, WITH)]
+    assert calls == [
+        (scheme, fit_rng.substream(i), TABLE_BREAKPOINTS) for i, scheme in enumerate(schemes)
+    ]
     assert len(out["radii"]) == TABLE_BREAKPOINTS
+    assert list(out["fits"]) == ["m_without", "m_with", "u_without", "u_with"]
     assert all(
         len(fit["psi_hat"]) == len(fit["std_error"]) == TABLE_BREAKPOINTS
         for fit in out["fits"].values()
     )
 
 
-def test_one_localize_report_builds_the_variance_slices_once(monkeypatch):
-    # one excess-loss class per report: the four fits share its breakpoints
+@pytest.mark.parametrize("m, n_calls", [(4, 2), (3, 4)], ids=["u_equals_m", "u_differs"])
+def test_one_localize_report_builds_the_variance_slices_once(monkeypatch, m, n_calls):
+    # one excess-loss class per report: its fits share its breakpoints
     # and its one sorted g-class (and so its level sets)
     built, calls = [], []
     build, oracle = experiments.build_excess_class, localization.expected_sup
@@ -130,10 +148,42 @@ def test_one_localize_report_builds_the_variance_slices_once(monkeypatch):
 
     monkeypatch.setattr(experiments, "build_excess_class", counting)
     monkeypatch.setattr(localization, "expected_sup", recording)
-    out = run_localize(loss=TABLE, m=4, splits=50, trials=200)
+    out = run_localize(loss=TABLE, m=m, splits=50, trials=200)
     [ec] = built
-    assert len(calls) == 4 and all(fc is ec.gclass and ends is ec.ends for fc, ends in calls)
+    assert len(calls) == n_calls
+    assert all(fc is ec.gclass and ends is ec.ends for fc, ends in calls)
     assert out["radii"] == ec.radii.tolist()
+
+
+def test_reused_exact_u_fits_equal_fits_made_afresh():
+    # u = m = 4 on the exact route: the reported u fits are what a fit at
+    # size u on its own substream gives, so a fit reads only its size and scheme
+    out = run_localize(loss=TABLE, m=4, splits=50, trials=200)
+    ec = localization.build_excess_class(TransductiveProblem(TABLE))
+    B, _ = localization.compute_B(ec)
+    fit_rng = RngStream(0, FIT_STREAM)
+    for key, flavor, index in (("u_without", WITHOUT, 2), ("u_with", WITH, 3)):
+        fresh = _fit_modulus(ec, B, out["u"], flavor, fit_rng.substream(index), 200)
+        assert fresh["exact"] and out["fits"][key] == fresh
+
+
+def test_monte_carlo_u_fits_are_the_m_fits_when_u_equals_m(monkeypatch):
+    # u = m = 20 of 40: every fit runs Monte Carlo; the u fits reuse the m
+    # fits, so only substreams 0 and 1 of the fit stream are ever drawn
+    drawn = []
+    generator = RngStream.generator
+
+    def recording(self):
+        drawn.append(self)
+        return generator(self)
+
+    monkeypatch.setattr(RngStream, "generator", recording)
+    table = np.random.default_rng(1).uniform(size=(4, 40))
+    out = run_localize(loss=table, m=20, splits=50, trials=200)
+    fits = out["fits"]
+    assert not fits["m_without"]["exact"] and not fits["m_with"]["exact"]
+    assert fits["u_without"] == fits["m_without"] and fits["u_with"] == fits["m_with"]
+    assert {s.path[0] for s in drawn if s.stream_index == FIT_STREAM} == {0, 1}
 
 
 def test_one_verify_bounds_config_sorts_once_and_batches_its_limits(monkeypatch):
