@@ -47,8 +47,8 @@ from .localization import (
     excess_bound_cor10,
     excess_bound_thm8,
     excess_bound_thm9,
+    fit_modulus,
     fit_subroot,
-    modulus_curve,
 )
 from .transductive import (
     TransductiveProblem,

@@ -7,7 +7,8 @@ A bool is a switch, a tuple a comma-separated grid and None a path.  Each
 positional parameter x is a table, read from the CSV file at --x-csv.
 Every subcommand also takes --config, --seed and --out.  Every run writes
 report.json (and curves.csv for verify-bounds) into --out.  Exit codes: 0
-all checks pass, 1 a check failed, 2 configuration error.
+all checks pass, 1 a check failed, 2 configuration error or an
+unwritable output.
 
 Options can come from a key=value config file (--config); command-line
 flags override file values.  A file value is read as the argument of its
@@ -126,8 +127,8 @@ def _write_curves(out_dir, payload: dict):
     rows = ["config_index,center,eps,estimate,upper_ci,lower_ci"]
     for i, cfg in enumerate(payload.get("configurations", [])):
         for name, curve in cfg.get("curves", {}).items():
-            columns = ("eps_grid", "tail_estimate", "upper_ci", "lower_ci")
-            for eps, est, up, lo in zip(*(curve[c] for c in columns)):
+            columns = ("tail_estimate", "upper_ci", "lower_ci")
+            for eps, est, up, lo in zip(cfg["eps_grid"], *(curve[c] for c in columns)):
                 rows.append(f"{i},{name},{eps!r},{est!r},{up!r},{lo!r}")
     (Path(out_dir) / "curves.csv").write_text("\n".join(rows) + "\n")
 
@@ -203,17 +204,17 @@ def run(argv=None) -> int:
     try:
         # looked up per run, so a patched or traced experiment is the one called
         payload = getattr(experiments, command.experiment)(**kwargs)
-    except (SworlabError, OSError) as exc:  # OSError: --gram-csv cannot be written
+        elapsed = time.perf_counter() - start
+        report = _write_report(cfg["out"], args.command, cfg, payload, elapsed)
+        if args.command == "verify-bounds":
+            _write_curves(cfg["out"], payload)
+    except (SworlabError, OSError) as exc:  # OSError: --gram-csv or an output cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except MemoryError as exc:  # an input too large for this machine
         print(f"config error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    elapsed = time.perf_counter() - start
-    report = _write_report(cfg["out"], args.command, cfg, payload, elapsed)
-    if args.command == "verify-bounds":
-        _write_curves(cfg["out"], payload)
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{args.command}: {status} ({elapsed:.2f}s) -> {cfg['out']}/report.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED

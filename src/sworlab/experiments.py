@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from . import bounds as bank
+from . import bounds as bank, empirical_process
 from .bounds import BoundParams, Center
 from .empirical_process import (
     FunctionClass,
@@ -38,8 +38,7 @@ from .localization import (
     excess_bound_cor10,
     excess_bound_thm8,
     excess_bound_thm9,
-    fit_subroot,
-    modulus_curve,
+    fit_modulus,
 )
 from .transductive import (
     TransductiveProblem,
@@ -130,19 +129,6 @@ def _check_t_grid(t_grid) -> None:
             raise ConfigurationError(f"--t-grid values must be nonnegative and finite, got {t:g}")
 
 
-def _exact_mean(fc: FunctionClass, scheme: SampleScheme) -> float:
-    """E sup by exact enumeration; a class too large for it is refused with
-    the option that sizes it."""
-    try:
-        return expected_sup(fc, scheme).mean
-    except OracleScaleError:
-        raise OracleScaleError(
-            f"oracle-check enumerates exactly, and the class drawn with N = {fc.n_points},"
-            f" m = {scheme.m}, {scheme.mode.value} has {law_size(fc, scheme)} count vectors,"
-            " more than the enumeration budget; lower --n-max"
-        ) from None
-
-
 def run_oracle_check(
     *, n_max: int = 6, classes: int = 20, max_funcs: int = 5, seed: int = 0
 ) -> dict:
@@ -153,36 +139,48 @@ def run_oracle_check(
         raise ConfigurationError(f"max_funcs must be >= 1, got {max_funcs}")
     if classes < 1:
         raise ConfigurationError(f"classes must be >= 1, got {classes}")
-    cases = []
-    passed = True
-    stream = 0
-    for _ in range(classes):
-        rng = RngStream(seed, stream)
-        gen = rng.generator()
+    fcs = []
+    for i in range(classes):  # class i draws from stream indices 2 i and 2 i + 1
+        gen = RngStream(seed, 2 * i).generator()
         n = int(gen.integers(2, n_max + 1))
         m_funcs = int(gen.integers(1, max_funcs + 1))
-        raw = RngStream(seed, stream + 1).generator().uniform(-1.0, 1.0, size=(m_funcs, n))
-        fc = center_class(raw)
-        stream += 2
-        for m in range(1, n + 1):
-            without, with_ = (_exact_mean(fc, SampleScheme(mode, m)) for mode in (WITHOUT, WITH))
-            gap, gap_bound = with_ - without, bank.gap_bound(n, m)
-            ok = gap >= -1e-12 and gap <= gap_bound + 1e-12
-            passed = passed and ok
-            cases.append(
-                {
-                    "N": n,
-                    "m": m,
-                    "n_functions": m_funcs,
-                    "mean_without": without,
-                    "mean_with": with_,
-                    "gap": gap,
-                    "gap_bound": gap_bound,
-                    "ok": ok,
-                }
+        raw = RngStream(seed, 2 * i + 1).generator().uniform(-1.0, 1.0, size=(m_funcs, n))
+        fcs.append(center_class(raw))
+    # every scheme in the order it runs, so the first refusal comes before any enumeration
+    schemes = [
+        (fc, SampleScheme(mode, m))
+        for fc in fcs
+        for m in range(1, fc.n_points + 1)
+        for mode in (WITHOUT, WITH)
+    ]
+    for fc, scheme in schemes:
+        size = law_size(fc, scheme)
+        if size > empirical_process.DEFAULT_ENUM_BUDGET:
+            raise OracleScaleError(
+                f"oracle-check enumerates exactly, and the class drawn with N = {fc.n_points},"
+                f" m = {scheme.m}, {scheme.mode.value} has {size} count vectors, more than"
+                " the enumeration budget; lower --n-max"
             )
+    means = [expected_sup(fc, scheme).mean for fc, scheme in schemes]
+    cases = []
+    for (fc, scheme), without, with_ in zip(schemes[::2], means[::2], means[1::2]):
+        n, m = fc.n_points, scheme.m
+        gap, gap_bound = with_ - without, bank.gap_bound(n, m)
+        ok = gap >= -1e-12 and gap <= gap_bound + 1e-12
+        cases.append(
+            {
+                "N": n,
+                "m": m,
+                "n_functions": fc.n_functions,
+                "mean_without": without,
+                "mean_with": with_,
+                "gap": gap,
+                "gap_bound": gap_bound,
+                "ok": ok,
+            }
+        )
     return {
-        "passed": passed,
+        "passed": all(case["ok"] for case in cases),
         "n_cases": len(cases),
         "cases": cases,
         "provenance": {"expectations": "exact enumeration"},
@@ -254,6 +252,7 @@ def _config_checks(
         "domination": domination,
         "deviation": deviation,
         "passed": passed,
+        "eps_grid": eps_grid.tolist(),
         "curves": {center.name.lower(): curve.to_dict() for center, curve in curves.items()},
     }
 
@@ -436,17 +435,6 @@ def run_transductive_erm(
     }
 
 
-def _fit_modulus(ec, B, m, flavor, rng, trials) -> dict:
-    """psi_hat and std_error at each of ec.radii, and their r*."""
-    psi = modulus_curve(ec, m, flavor, trials, rng, B=B)
-    return {
-        "psi_hat": psi.mean.tolist(),
-        "std_error": psi.std_error.tolist(),
-        "r_star": fit_subroot(ec.radii, psi.mean, psi.std_error),
-        "exact": psi.provenance["route"] == "exact",
-    }
-
-
 def run_localize(
     loss=None,
     *,
@@ -475,15 +463,15 @@ def run_localize(
     # depends only on (class, size, scheme), so when u = m the u fits are
     # the m fits, and substreams 2 and 3 go unused
     fits = {
-        "m_without": _fit_modulus(ec, B, m, WITHOUT, fit_rng.substream(0), trials),
-        "m_with": _fit_modulus(ec, B, m, WITH, fit_rng.substream(1), trials),
+        "m_without": fit_modulus(ec, m, WITHOUT, trials, fit_rng.substream(0), B),
+        "m_with": fit_modulus(ec, m, WITH, trials, fit_rng.substream(1), B),
     }
     if u == m:
         fits.update(u_without=fits["m_without"], u_with=fits["m_with"])
     else:
         fits.update(
-            u_without=_fit_modulus(ec, B, u, WITHOUT, fit_rng.substream(2), trials),
-            u_with=_fit_modulus(ec, B, u, WITH, fit_rng.substream(3), trials),
+            u_without=fit_modulus(ec, u, WITHOUT, trials, fit_rng.substream(2), B),
+            u_with=fit_modulus(ec, u, WITH, trials, fit_rng.substream(3), B),
         )
     r_m, r_u = fits["m_without"]["r_star"], fits["u_without"]["r_star"]
     r_m_w = fits["m_with"]["r_star"]

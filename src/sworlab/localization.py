@@ -9,7 +9,8 @@ function whose breakpoints are the distinct positive second moments; the
 least sub-root function above it at those breakpoints has a closed-form
 fixed point (fit_subroot).  Upper-confidence fitting (estimate + 2
 standard errors) keeps the majorant statistically conservative when the
-modulus is only estimated.
+modulus is only estimated.  fit_modulus makes a fit with one expected_sup
+call and returns its record: psi_hat, std_error, r_star and exact.
 
 The slices are a property of the class alone: its breakpoints, its rows
 sorted by E f^2 and the prefix end of each slice are built once, with the
@@ -26,11 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical_process import (
-    FunctionClass,
-    SupremumStats,
-    expected_sup,
-)
+from .empirical_process import FunctionClass, expected_sup
 from .errors import BernsteinConditionError, ConfigurationError
 from .ground_set import RngStream, SampleMode, SampleScheme
 from .transductive import TransductiveProblem
@@ -103,28 +100,6 @@ def _as_B(B: float) -> float:
     return B
 
 
-def modulus_curve(
-    ec: ExcessLossClass,
-    m: int,
-    flavor: SampleMode,
-    trials: int,
-    rng: RngStream,
-    B: float = 1.0,
-) -> SupremumStats:
-    """psi_hat: at every breakpoint r of ec.radii, B times the expected
-    supremum over the slice {f : E f^2 <= r} of
-    E f - (empirical mean of f over the size-m sample).
-
-    Each slice is a row prefix of ec.gclass, so one expected_sup call,
-    exact or `trials` draws from `rng`, gives every radius, nondecreasing
-    in r; means and std_errors are scaled by B/m.
-    """
-    b_val = _as_B(B)
-    stats = expected_sup(ec.gclass, SampleScheme(flavor, m), trials, rng, ends=ec.ends)
-    mean, std_error = (b_val * x / m for x in (stats.mean, stats.std_error))
-    return SupremumStats(mean, std_error, stats.provenance)
-
-
 def fit_subroot(radii: np.ndarray, psi_hat: np.ndarray, std_error: np.ndarray) -> float:
     """r*, the fixed point of the least sub-root majorant of the modulus.
 
@@ -138,6 +113,29 @@ def fit_subroot(radii: np.ndarray, psi_hat: np.ndarray, std_error: np.ndarray) -
         raise ConfigurationError("slice radii must be positive")
     y = psi_hat + 2.0 * std_error
     return float(np.max(np.minimum(y, y * y / radii), initial=0.0))
+
+
+def fit_modulus(
+    ec: ExcessLossClass, m: int, flavor: SampleMode, trials: int, rng: RngStream, B: float = 1.0
+) -> dict:
+    """The modulus fit at sample size m: psi_hat, which at each breakpoint r
+    of ec.radii is B times the expected supremum over the slice
+    {f : E f^2 <= r} of E f - (empirical mean of f over the size-m sample),
+    its std_error, r* (fit_subroot) and whether it is exact.
+
+    Each slice is a row prefix of ec.gclass, so one expected_sup call,
+    exact or `trials` draws from `rng`, gives every radius, nondecreasing
+    in r; its means and std_errors are scaled by B/m.
+    """
+    b_val = _as_B(B)
+    stats = expected_sup(ec.gclass, SampleScheme(flavor, m), trials, rng, ends=ec.ends)
+    psi_hat, std_error = (b_val * x / m for x in (stats.mean, stats.std_error))
+    return {
+        "psi_hat": psi_hat.tolist(),
+        "std_error": std_error.tolist(),
+        "r_star": fit_subroot(ec.radii, psi_hat, std_error),
+        "exact": stats.provenance["route"] == "exact",
+    }
 
 
 def excess_bound_thm8(B: float, r_star: float, N: int, m: int, t: float) -> float:

@@ -90,7 +90,6 @@ class TailCurve:
 
     def to_dict(self) -> dict:
         return {
-            "eps_grid": [float(e) for e in self.eps_grid],
             "tail_estimate": [float(p) for p in self.tail_estimate],
             "upper_ci": [float(p) for p in self.upper_ci],
             "lower_ci": [float(p) for p in self.lower_ci],

@@ -184,6 +184,23 @@ class TestInputErrors:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(out) in err
 
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["compare-exponents"], "report.json"),
+            (["verify-bounds", "--n", "20", "--m", "10", "--trials", "200"], "curves.csv"),
+        ],
+        ids=["report", "curves"],
+    )
+    def test_unwritable_output_exits_2_with_one_line(self, tmp_path, capsys, argv, blocked):
+        # a directory where an output file goes: the run finishes, its write fails
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        assert run([*argv, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(out / blocked) in err
+
     def test_single_point_antipodal_class_exits_2(self, tmp_path, capsys):
         # one point has no antipodal pair: sigma2 would silently become 0
         argv = ["verify-bounds", "--n", "1", "--m", "1", "--trials", "100"]
@@ -399,16 +416,41 @@ class TestOracleCheck:
         assert results["n_cases"] > 0
         assert all(case["ok"] for case in results["cases"])
 
-    def test_budget_refusal_names_n_max_and_the_drawn_class(self, tmp_path, capsys):
-        # seed 0 draws N = 33 of up to 40; C(33, 6) = 1107568 subsets exceed
-        # the enumeration budget, and oracle-check has no Monte Carlo option
-        argv = ["oracle-check", "--n-max", "40", "--classes", "1", "--out", str(tmp_path / "o")]
-        assert run(argv) == EXIT_CONFIG_ERROR
+    @pytest.mark.parametrize(
+        "argv, budget, refused",
+        [
+            # seed 0 draws N = 33 of up to 40; C(33, 6) = 1107568 subsets exceed
+            # the budget, and oracle-check has no Monte Carlo option
+            (
+                ["--n-max", "40", "--classes", "1"],
+                10**6,
+                "N = 33, m = 6, without_replacement has 1107568",
+            ),
+            # seed 1 draws N = 2, which fits, then N = 18, whose C(25, 8) = 1081575
+            # multisets exceed the budget: the first class is not enumerated either
+            (
+                ["--n-max", "40", "--classes", "2", "--seed", "1"],
+                10**6,
+                "N = 18, m = 8, with_replacement has 1081575",
+            ),
+            # the budget is read at call time, as expected_sup reads it
+            (["--n-max", "6", "--classes", "1"], 2, "N = 6, m = 1, without_replacement has 6"),
+        ],
+        ids=["first-class", "second-class", "patched-budget"],
+    )
+    def test_budget_refusal_comes_before_any_enumeration(
+        self, tmp_path, capsys, monkeypatch, argv, budget, refused
+    ):
+        calls = []
+        oracle = experiments.expected_sup
+        monkeypatch.setattr(experiments, "expected_sup", lambda *a: calls.append(a) or oracle(*a))
+        monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", budget)
+        assert run(["oracle-check", *argv, "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
-            "config error: oracle-check enumerates exactly, and the class drawn with N = 33,"
-            " m = 6, without_replacement has 1107568 count vectors, more than the enumeration"
-            " budget; lower --n-max\n"
+            f"config error: oracle-check enumerates exactly, and the class drawn with {refused}"
+            " count vectors, more than the enumeration budget; lower --n-max\n"
         )
+        assert calls == []
 
 
 class TestVerifyBounds:

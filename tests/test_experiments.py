@@ -18,7 +18,6 @@ from sworlab.experiments import (
     SPLIT_STREAM,
     WITH,
     WITHOUT,
-    _fit_modulus,
     _problem,
     run_kernel_bound,
     run_localize,
@@ -163,7 +162,7 @@ def test_reused_exact_u_fits_equal_fits_made_afresh():
     B, _ = localization.compute_B(ec)
     fit_rng = RngStream(0, FIT_STREAM)
     for key, flavor, index in (("u_without", WITHOUT, 2), ("u_with", WITH, 3)):
-        fresh = _fit_modulus(ec, B, out["u"], flavor, fit_rng.substream(index), 200)
+        fresh = localization.fit_modulus(ec, out["u"], flavor, 200, fit_rng.substream(index), B)
         assert fresh["exact"] and out["fits"][key] == fresh
 
 
@@ -224,7 +223,7 @@ def test_one_verify_bounds_config_sorts_once_and_batches_its_limits(monkeypatch)
     out = run_verify_bounds(n=20, m=10, trials=2000, t_grid=(1.0, 2.0, 4.0))
     assert calls == {"sort": 1, "upper": 1, "lower": 1, "table": 1, "params": 1}
     assert grids == expected
-    assert len(out["configurations"][0]["curves"]["around_eq"]["eps_grid"]) == 20
+    assert len(out["configurations"][0]["eps_grid"]) == 20
 
 
 def test_transductive_erm_builds_its_centred_class_once(monkeypatch):
@@ -487,7 +486,7 @@ def test_the_example_split_of_a_one_level_table_is_its_only_split(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, guarded", [("transductive-erm", "expected_sup"), ("localize", "_fit_modulus")]
+    "command, guarded", [("transductive-erm", "expected_sup"), ("localize", "fit_modulus")]
 )
 def test_no_splits_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, command, guarded):
     calls = []

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from subroot import fixed_point
-from sworlab import empirical_process
-from sworlab.empirical_process import FunctionClass, expected_sup
+from sworlab import empirical_process, localization
+from sworlab.empirical_process import FunctionClass, expected_sup, law_size
 from sworlab.errors import BernsteinConditionError, ConfigurationError
 from sworlab.ground_set import RngStream, SampleMode, SampleScheme
 from sworlab.localization import (
@@ -15,8 +15,8 @@ from sworlab.localization import (
     excess_bound_cor10,
     excess_bound_thm8,
     excess_bound_thm9,
+    fit_modulus,
     fit_subroot,
-    modulus_curve,
 )
 from sworlab.transductive import TransductiveProblem
 
@@ -83,7 +83,7 @@ def slice_reference(ec, r, m, flavor, B):
     return B * expected_sup(gfc, SampleScheme(flavor, m)).mean / m
 
 
-class TestModulusCurve:
+class TestFitModulus:
     def make_ec(self):
         gen = np.random.default_rng(2)
         return build_excess_class(TransductiveProblem(gen.uniform(size=(4, 6))))
@@ -99,84 +99,105 @@ class TestModulusCurve:
         assert ec.star_index == 0 and ec.second_moments[3] == ec.second_moments[4]
         return ec
 
+    @pytest.mark.parametrize("route", ["exact", "monte_carlo"])
+    def test_fit_is_expected_sup_scaled_by_B_over_m(self, monkeypatch, route):
+        # bit for bit: the one expected_sup call of the fit, times B / m
+        ec = self.make_tied_ec()
+        if route == "monte_carlo":
+            monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 0)
+        m, B = 3, 1.5
+        fit = fit_modulus(ec, m, WITH, 500, RngStream(7), B=B)
+        stats = expected_sup(ec.gclass, SampleScheme(WITH, m), 500, RngStream(7), ends=ec.ends)
+        assert stats.provenance["route"] == route and fit["exact"] == (route == "exact")
+        psi_hat, std_error = B * stats.mean / m, B * stats.std_error / m
+        assert fit == {
+            "psi_hat": psi_hat.tolist(),
+            "std_error": std_error.tolist(),
+            "r_star": fit_subroot(ec.radii, psi_hat, std_error),
+            "exact": route == "exact",
+        }
+
     def test_last_slice_is_the_whole_class(self):
         ec = self.make_ec()
-        psi = modulus_curve(ec, 3, WITHOUT, 0, RngStream(0))
+        fit = fit_modulus(ec, 3, WITHOUT, 0, RngStream(0))
         assert ec.radii[-1] == ec.second_moments.max()
-        assert psi.mean[-1] == pytest.approx(slice_reference(ec, math.inf, 3, WITHOUT, 1.0))
+        assert fit["psi_hat"][-1] == pytest.approx(slice_reference(ec, math.inf, 3, WITHOUT, 1.0))
 
     def test_first_slice_is_the_smallest_positive_moment(self):
         ec = self.make_ec()
-        psi = modulus_curve(ec, 3, WITHOUT, 100, RngStream(0))
+        fit = fit_modulus(ec, 3, WITHOUT, 100, RngStream(0))
         nonzero = ec.second_moments[ec.second_moments > 0]
         assert ec.radii[0] == nonzero.min()
-        assert psi.mean[0] == pytest.approx(slice_reference(ec, ec.radii[0], 3, WITHOUT, 1.0))
-        assert psi.std_error[0] == 0.0
-        assert psi.provenance["route"] == "exact"
+        assert fit["psi_hat"][0] == pytest.approx(slice_reference(ec, ec.radii[0], 3, WITHOUT, 1.0))
+        assert fit["std_error"][0] == 0.0
+        assert fit["exact"]
 
     @pytest.mark.parametrize("route", ["exact", "monte_carlo"])
     def test_a_class_of_h_star_alone_has_no_breakpoints(self, monkeypatch, route):
         ec = build_excess_class(TransductiveProblem(np.full((3, 5), 0.25)))
         if route == "monte_carlo":
             monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 0)
-        psi = modulus_curve(ec, 2, WITH, 100, RngStream(0))
-        assert psi.provenance["route"] == route
-        assert ec.radii.size == psi.mean.size == psi.std_error.size == 0
-        assert fit_subroot(ec.radii, psi.mean, psi.std_error) == 0.0
+        fit = fit_modulus(ec, 2, WITH, 100, RngStream(0))
+        assert fit["exact"] == (route == "exact")
+        assert ec.radii.size == len(fit["psi_hat"]) == len(fit["std_error"]) == 0
+        assert fit["r_star"] == 0.0
 
     def test_exact_matches_enumeration(self):
         gen = np.random.default_rng(3)
         tp = TransductiveProblem(gen.uniform(size=(3, 4)))
         ec = build_excess_class(tp)
         m = 2
-        psi = modulus_curve(ec, m, WITHOUT, 0, RngStream(0), B=2.0)
-        assert np.all(psi.std_error == 0.0) and psi.provenance["enumeration_size"] == 6
+        fit = fit_modulus(ec, m, WITHOUT, 0, RngStream(0), B=2.0)
+        assert fit["exact"] and law_size(ec.gclass, SampleScheme(WITHOUT, m)) == 6
+        assert all(se == 0.0 for se in fit["std_error"])
         # direct oracle over the 6 splits, on the last slice: the whole class
         vals = []
         for subset in combinations(range(4), m):
             vals.append(max((ec.means - ec.rows[:, list(subset)].mean(axis=1)).max(), 0.0))
         # the zero row is always in the slice, so the sup is >= 0 already
         expected = 2.0 * float(np.mean(vals))
-        assert psi.mean[-1] == pytest.approx(expected)
+        assert fit["psi_hat"][-1] == pytest.approx(expected)
 
     def test_monte_carlo_agrees_with_exact(self, monkeypatch):
         ec = self.make_ec()
         m = 3
-        exact = modulus_curve(ec, m, WITHOUT, 0, RngStream(0))
+        exact = fit_modulus(ec, m, WITHOUT, 0, RngStream(0))
         monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 0)
-        mc = modulus_curve(ec, m, WITHOUT, 20_000, RngStream(1))
-        assert exact.provenance["route"] == "exact"
-        assert mc.provenance["route"] == "monte_carlo"
-        assert abs(mc.mean[-1] - exact.mean[-1]) <= 4 * mc.std_error[-1]
+        mc = fit_modulus(ec, m, WITHOUT, 20_000, RngStream(1))
+        assert exact["exact"] and not mc["exact"]
+        assert abs(mc["psi_hat"][-1] - exact["psi_hat"][-1]) <= 4 * mc["std_error"][-1]
 
-    def test_radii_are_positive_and_B_is_checked(self):
+    def test_radii_are_positive_and_B_is_checked(self, monkeypatch):
         ec = self.make_ec()
-        psi = modulus_curve(ec, 2, WITHOUT, 0, RngStream(0))
-        assert ec.radii.size == psi.mean.size == 3 and np.all(ec.radii > 0)
+        fit = fit_modulus(ec, 2, WITHOUT, 0, RngStream(0))
+        assert ec.radii.size == len(fit["psi_hat"]) == 3 and np.all(ec.radii > 0)
+        # B = 0 is refused before the expectation is taken
+        monkeypatch.setattr(localization, "expected_sup", None)
         with pytest.raises(ConfigurationError, match="B must be"):
-            modulus_curve(ec, 2, WITHOUT, 0, RngStream(0), B=0.0)
+            fit_modulus(ec, 2, WITHOUT, 0, RngStream(0), B=0.0)
 
     @pytest.mark.parametrize("flavor", [WITHOUT, WITH])
     def test_every_radius_matches_its_own_slice(self, flavor):
         ec = self.make_tied_ec()
         m, B = 3, 1.5
-        psi = modulus_curve(ec, m, flavor, 0, RngStream(0), B=B)
-        assert psi.provenance["route"] == "exact"
+        fit = fit_modulus(ec, m, flavor, 0, RngStream(0), B=B)
+        assert fit["exact"]
         # one slice per distinct moment: each tied pair (rows 1 and 2, 3 and 4) enters together
         sizes = [int(np.sum(ec.second_moments <= r)) for r in ec.radii]
         assert sizes == [3, 4, 6]
-        for r, p in zip(ec.radii, psi.mean):
+        for r, p in zip(ec.radii, fit["psi_hat"]):
             assert p == pytest.approx(slice_reference(ec, r, m, flavor, B), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("flavor", [WITHOUT, WITH])
     def test_monte_carlo_curve_is_monotone_and_near_exact(self, monkeypatch, flavor):
         ec = self.make_tied_ec()
-        exact = modulus_curve(ec, 3, flavor, 0, RngStream(0))
+        exact = fit_modulus(ec, 3, flavor, 0, RngStream(0))
         monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 0)
-        mc = modulus_curve(ec, 3, flavor, 20_000, RngStream(4))
-        assert mc.provenance["route"] == "monte_carlo"
-        assert np.all(np.diff(mc.mean) >= 0)
-        assert np.all(np.abs(mc.mean - exact.mean) <= 4 * mc.std_error)
+        mc = fit_modulus(ec, 3, flavor, 20_000, RngStream(4))
+        assert not mc["exact"]
+        psi_mc, psi_exact = np.array(mc["psi_hat"]), np.array(exact["psi_hat"])
+        assert np.all(np.diff(psi_mc) >= 0)
+        assert np.all(np.abs(psi_mc - psi_exact) <= 4 * np.array(mc["std_error"]))
 
 
 class TestFitSubroot:

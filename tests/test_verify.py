@@ -240,14 +240,16 @@ class TestSerialization:
             RngStream(9),
         )
         d = curve.to_dict()
-        # the trial count, the centre and delta live beside the curve, not in it
-        assert set(d) == {"eps_grid", "tail_estimate", "upper_ci", "lower_ci"}
-        assert len(d["eps_grid"]) == 3
+        # the eps grid, the trial count, the centre and delta live beside the curve, not in it
+        assert set(d) == {"tail_estimate", "upper_ci", "lower_ci"}
+        assert all(len(values) == 3 for values in d.values())
         assert d["tail_estimate"] == curve.tail_estimate.tolist()
-        _write_curves(tmp_path, {"configurations": [{"curves": {"around_eq_prime": d}}]})
+        config = {"eps_grid": curve.eps_grid.tolist(), "curves": {"around_eq_prime": d}}
+        _write_curves(tmp_path, {"configurations": [config]})
         lines = (tmp_path / "curves.csv").read_text().strip().splitlines()
         assert lines[0] == "config_index,center,eps,estimate,upper_ci,lower_ci"
         assert len(lines) == 4
+        assert [float(line.split(",")[2]) for line in lines[1:]] == [0.2, 0.6, 1.4]
 
     def test_report_dict(self):
         fc = antipodal(8)
