@@ -6,8 +6,8 @@ whose signature declares its options: keyword-only parameter p is --p
 A bool is a switch, a tuple a comma-separated grid and None a path.  Each
 positional parameter x is a table, read from the CSV file at --x-csv.
 Every subcommand also takes --config, --seed and --out.  Every run writes
-report.json (and curves.csv for verify-bounds) into --out.  Exit codes: 0
-all checks pass, 1 a check failed, 2 configuration error or an
+report.json into --out, last (verify-bounds writes curves.csv first).  Exit
+codes: 0 all checks pass, 1 a check failed, 2 configuration error or an
 unwritable output.
 
 Options can come from a key=value config file (--config); command-line
@@ -205,9 +205,10 @@ def run(argv=None) -> int:
         # looked up per run, so a patched or traced experiment is the one called
         payload = getattr(experiments, command.experiment)(**kwargs)
         elapsed = time.perf_counter() - start
-        report = _write_report(cfg["out"], args.command, cfg, payload, elapsed)
         if args.command == "verify-bounds":
             _write_curves(cfg["out"], payload)
+        # last: a report.json in --out means every output was written
+        report = _write_report(cfg["out"], args.command, cfg, payload, elapsed)
     except (SworlabError, OSError) as exc:  # OSError: --gram-csv or an output cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

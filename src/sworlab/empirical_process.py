@@ -161,26 +161,30 @@ def center_class(raw: np.ndarray) -> FunctionClass:
     return FunctionClass(vals, centered=True)
 
 
+def count_sums(values: np.ndarray, counts) -> np.ndarray:
+    """C V^T for a count matrix C (a sample per row) and the (M, N) table
+    `values`, held as (M, samples): the one product of a sample block with
+    a table.  Dense (level) counts multiply a sparse copy of `values`, so
+    each sum adds its terms in the order, and with the rounding, of the CSR
+    product that sparse counts take: the same counts give the same sums,
+    drawn or listed, where a BLAS product would fuse multiply-adds."""
+    if issparse(counts):
+        return np.asarray(counts @ values.T).T
+    n_funcs, width = values.shape
+    columns = np.tile(np.arange(width), n_funcs)
+    table = csr_array((values.ravel(), columns, width * np.arange(n_funcs + 1)), values.shape)
+    return table @ counts.T
+
+
 def sup_sums(values: np.ndarray, counts, ends=None) -> np.ndarray:
     """Per sample (row of a count matrix), the sup over the rows of the
-    (M, N) table `values` of the count-weighted sum C V^T, or with `ends`
-    (prefix lengths >= 1) over each prefix of the rows: the running max,
-    taken in place, at the prefix's end.  The plain sup is the prefix that
-    ends at the last row, which a max finds 4x faster at M = 64.
-
-    The sums are held as (M, samples) and reduced along the sample axis,
-    which is contiguous for dense (level) counts: a max across each row of
-    a C-ordered (10^4, 2) block cost 70x more.  Dense counts multiply a
-    sparse copy of `values`, so each sum adds its terms in the order, and
-    with the rounding, of the sparse product: the same counts give the same
-    sups either way, where a BLAS product would fuse multiply-adds."""
-    if issparse(counts):
-        sums = np.asarray(counts @ values.T).T
-    else:
-        n_funcs, width = values.shape
-        columns = np.tile(np.arange(width), n_funcs)
-        table = csr_array((values.ravel(), columns, width * np.arange(n_funcs + 1)), values.shape)
-        sums = table @ counts.T
+    (M, N) table `values` of the count-weighted sum (count_sums), or with
+    `ends` (prefix lengths >= 1) over each prefix of the rows: the running
+    max, taken in place, at the prefix's end.  The plain sup is the prefix
+    that ends at the last row, which a max finds 4x faster at M = 64.
+    Either reduces along the sample axis, contiguous for dense counts: a
+    max across each row of a C-ordered (10^4, 2) block cost 70x more."""
+    sums = count_sums(values, counts)
     if ends is None:
         return sums.max(axis=0)
     for j in range(1, len(sums)):  # 4x faster than np.maximum.accumulate at (4, 2002)

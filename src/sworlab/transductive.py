@@ -17,11 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
+from . import empirical_process
 from .bounds import BoundParams, deviation_subgaussian
 from .empirical_process import (
-    DEFAULT_ENUM_BUDGET,
     FunctionClass,
     class_variance,
+    count_sums,
     draw_blocks,
     law_blocks,
     law_size,
@@ -105,7 +106,7 @@ def split_route(tp: TransductiveProblem, m: int, splits: int) -> dict:
     if splits < 1:
         raise ConfigurationError(f"splits must be >= 1, got {splits}")
     size = law_size(tp.loss_class, SampleScheme(SampleMode.WITHOUT_REPLACEMENT, m))
-    route = "exact" if size <= min(splits, DEFAULT_ENUM_BUDGET) else "monte_carlo"
+    route = "exact" if size <= min(splits, empirical_process.DEFAULT_ENUM_BUDGET) else "monte_carlo"
     return {"route": route, "enumeration_size": size, "splits": splits}
 
 
@@ -118,15 +119,16 @@ def split_statistics(
     are every count vector over the level sets of tp.loss_class once, with
     its probability in weights (law_blocks; `rng` goes unused); else
     route["splits"] splits drawn from `rng` (draw_blocks), and weights is
-    None.  Test risks come from N L_N = m L_m + u L_u, without forming the
-    complement."""
+    None.  Train risks are count_sums over m, so a drawn split rounds like
+    the same split listed, and test risks come from N L_N = m L_m + u L_u,
+    without forming the complement."""
     require_split(tp, m)
     exact = route["route"] == "exact"
     loss, scheme = tp.loss_class, SampleScheme(SampleMode.WITHOUT_REPLACEMENT, m)
     blocks = law_blocks(loss, scheme) if exact else draw_blocks(loss, scheme, route["splits"], rng)
     out, weights = [[] for _ in statistics], []
     for table, counts, probabilities in blocks:
-        train = np.asarray(counts @ table.T) / m
+        train = count_sums(table, counts).T / m
         test = (tp.N * tp.overall_risk - m * train) / (tp.N - m)
         weights.append(probabilities)
         for acc, statistic in zip(out, statistics):

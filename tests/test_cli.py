@@ -200,6 +200,7 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(out / blocked) in err
+        assert not (out / "report.json").is_file()  # written last, so never half a run
 
     def test_single_point_antipodal_class_exits_2(self, tmp_path, capsys):
         # one point has no antipodal pair: sigma2 would silently become 0

@@ -171,3 +171,37 @@ def test_module_imports_only_its_layers(module):
 )
 def test_the_layer_check_covers_both_import_forms(source, imported):
     assert _package_imports(ast.parse(source)) == imported
+
+
+#: the only modules that multiply matrices: every product of a count block
+#: with a table is empirical_process.count_sums, and kernels forms its Gram
+#: matrices
+PRODUCT_MODULES = {"empirical_process.py", "kernels.py"}
+
+
+def _matrix_products(tree) -> list:
+    """Lines of a module that use the @ operator, as `a @ b` or `a @= b`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+
+
+def test_only_the_product_layers_multiply_matrices():
+    products = {module: _matrix_products(tree) for module, tree in _trees().items()}
+    assert {module: lines for module, lines in products.items()
+            if lines and module not in PRODUCT_MODULES} == {}
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("import numpy as np\ny = np.ones(2) @ np.ones(2)\n", [2]),
+        ("y = a\ny @= b\n", [2]),
+        ("y = a * b\nz = a.T\n", []),
+    ],
+    ids=["operator", "augmented", "no-product"],
+)
+def test_the_product_check_covers_both_operator_forms(source, lines):
+    assert _matrix_products(ast.parse(source)) == lines

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from sworlab import empirical_process, ground_set
-from sworlab.empirical_process import DEFAULT_ENUM_BUDGET, expected_sup, law_size
+from sworlab.empirical_process import (
+    DEFAULT_ENUM_BUDGET,
+    count_sums,
+    draw_blocks,
+    expected_sup,
+    law_blocks,
+    law_size,
+)
 from sworlab.errors import ConfigurationError
 from sworlab.ground_set import (
     RngStream,
@@ -388,6 +395,22 @@ class TestExactSplits:
         *whole, rows = exact_scores(tp, 5)
         assert rows == [252] and all(np.array_equal(a, b) for a, b in zip(blocks, whole))
 
+    def test_a_drawn_level_split_scores_like_the_same_split_listed(self):
+        # five level sets of non-integer losses: the splits are drawn as
+        # dense level counts, whose sums a BLAS product would round apart
+        # from the sparse product of the listed law
+        tp = TransductiveProblem(merged_table(np.random.default_rng(40), (12, 9, 11, 10, 8)))
+        m, splits = 20, 2000
+        scheme = SampleScheme(WITHOUT, m)
+        ((table, counts, _),) = draw_blocks(tp.loss_class, scheme, splits, RngStream(41))
+        assert isinstance(counts, np.ndarray) and table.shape == (3, 5)
+        _, train, _, _ = scored(tp, m, drawn(splits), RngStream(41))
+        assert np.array_equal(train, count_sums(table, counts).T / m)
+        ((_, listed, _),) = law_blocks(tp.loss_class, scheme)
+        row_of = {tuple(k): i for i, k in enumerate(listed.toarray())}
+        _, law_train, _, _ = exact_scores(tp, m)
+        assert np.array_equal(train, law_train[[row_of[tuple(k)] for k in counts]])
+
     def test_levels_come_from_the_losses_not_the_centred_class(self):
         # L_N = 0.5 exactly, and 0.5 - 1e-17 rounds to 0.5: centring merges
         # the first two points, whose losses differ
@@ -430,6 +453,14 @@ class TestSplitRoute:
         assert route["enumeration_size"] == math.comb(24, 12) > 10**6
         with pytest.raises(Drawn, match=r"\(10000, 2\)"):
             split_statistics(tp, 12, route, RngStream(0), first_block)
+
+    def test_a_patched_budget_reaches_the_route(self, monkeypatch):
+        # 252 splits fit --splits but not a budget of 251, read at call time
+        tp = TransductiveProblem(np.random.default_rng(34).uniform(size=(4, 10)))
+        monkeypatch.setattr(empirical_process, "DEFAULT_ENUM_BUDGET", 251)
+        assert split_route(tp, 5, 1000) == {
+            "route": "monte_carlo", "enumeration_size": 252, "splits": 1000
+        }
 
     @pytest.mark.parametrize("m, splits", [(0, 10), (5, 0), (5, -1)])
     def test_refusals(self, m, splits):
